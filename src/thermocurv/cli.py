@@ -2,29 +2,29 @@
 reports and identity checks, with CSV/JSON output.
 
 Exit codes: 0 success, 1 check-suite failure, 2 usage/parse/domain error.
-Output is deterministic for fixed inputs regardless of thread count.
+Grids are evaluated in one vectorized pass, so output is deterministic for
+fixed inputs (``--threads`` is accepted and ignored).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from .catalog import GridAxis, UnknownPotentialError, entry_names, get_entry
 from .davies import conjugacy_scan, find_davies_points, fit_divergence_exponent
 from ._roots import NoBracketError, ToleranceNotMetError
-from .geometry import StatePoint, curvature_from_m_jet, metric_m
-from .jets import DomainError
+from .geometry import StatePoint, curvature_from_m_jet, singularity_eps
+from .jets import DOMAIN, OVERFLOW, DomainError, Jet3, batch
 from .potentials import (ParseError, eval_jet, eval_scalar,
                          load_potential_file, parse_potential)
-from .responses import (cap_difference_residual, kappa_difference_residual,
-                        metric_from_responses, ratio_identity_residual,
-                        responses_at, NotApplicableError)
+from .responses import (ResponseSet, cap_difference_residual,
+                        kappa_difference_residual, metric_from_responses,
+                        ratio_identity_residual, responses_at)
 
 COLUMNS = ["S", "X", "T", "Y", "M_SS", "M_SX", "M_XX", "detGM", "detGF",
            "RM", "RF", "CX", "CY", "alpha", "kappaT", "kappaS", "gamma",
@@ -32,10 +32,8 @@ COLUMNS = ["S", "X", "T", "Y", "M_SS", "M_SX", "M_XX", "detGM", "detGF",
 
 CHECK_THRESHOLD = 1e-8
 
-
-def _fmt(value: float) -> str:
-    """17 significant digits; round-trips any double."""
-    return f"{value:.17g}"
+# CSV rows formatted and written at a time
+_WRITE_BLOCK = 4096
 
 
 def _jsonable(value: float):
@@ -107,26 +105,40 @@ def _axis_values(axis: GridAxis) -> list[float]:
     return [axis.lo + step * k for k in range(axis.count)]
 
 
-def _compute_row(spec, point: StatePoint, eps=None) -> list:
-    nan = math.nan
-    try:
-        jet = eval_jet(spec, point)
-    except DomainError:
-        return [point.s, point.x] + [nan] * 15 + ["err:domain"]
-    curv = curvature_from_m_jet(jet, eps=eps)
-    flags = list(curv.flags)
-    try:
-        rs = responses_at(jet, point, eps=eps)
-        resp = [rs.c_x, rs.c_y, rs.alpha, rs.kappa_t, rs.kappa_s, rs.gamma]
-        flags += [f for f in rs.flags if f not in flags]
-    except ValueError:
-        resp = [nan] * 6
-        flags.append("err:responses")
-        if jet.s <= 0.0:
-            flags.append("neg:T")
-    return [point.s, point.x, jet.s, jet.x, jet.ss, jet.sx, jet.xx,
-            curv.det_gm, curv.det_gf, curv.r_m, curv.r_f, *resp,
-            ";".join(flags)]
+def evaluate_points(spec, s, x, eps=None):
+    """The scan columns at the points ``(s[k], x[k])``, in one batched pass.
+
+    Returns ``(columns, flags)``: ``columns`` maps each numeric column name
+    to an array, ``flags`` holds the ``;``-joined tokens of each row.  A
+    point outside the domain gets only ``err:domain`` and one whose jet is
+    not finite only ``err:overflow``; their cells after S, X are nan.
+    """
+    eps = singularity_eps() if eps is None else eps
+    s = np.asarray(s, dtype=float).ravel()
+    x = np.asarray(x, dtype=float).ravel()
+    n = s.size
+    nan = np.full(n, math.nan)
+    jet = None
+    with np.errstate(all="ignore"):
+        with batch(n) as failures:
+            jet = eval_jet(spec, (s, x))
+        coeffs = [nan] * 10 if jet is None else jet.coeffs()
+        coeffs = np.broadcast_arrays(*coeffs, nan)[:10]
+        failures.record(OVERFLOW, ~np.isfinite(coeffs).all(axis=0))
+        jet = Jet3(*coeffs)
+        curv = curvature_from_m_jet(jet, eps=eps)
+        rs = responses_at(jet, StatePoint(s, x), eps=eps)
+    failed = failures.code != 0
+    values = [jet.s, jet.x, jet.ss, jet.sx, jet.xx, curv.det_gm, curv.det_gf,
+              curv.r_m, curv.r_f, rs.c_x, rs.c_y, rs.alpha, rs.kappa_t,
+              rs.kappa_s, rs.gamma]
+    columns = dict(zip(COLUMNS, [s, x, *(np.where(failed, nan, v) for v in values)]))
+    tokens = np.full(n, "", dtype=object)
+    for token, mask in (*curv.flags, *rs.flags):
+        tokens[mask & ~failed] += ";" + token
+    tokens[failures.code == DOMAIN] = ";err:domain"
+    tokens[failures.code == OVERFLOW] = ";err:overflow"
+    return columns, np.array([t[1:] for t in tokens.tolist()], dtype=object)
 
 
 def _open_out(path):
@@ -135,22 +147,26 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _write_rows(args, spec, rows) -> None:
+def _write_rows(args, spec, columns, flags) -> None:
     coords_map = {"S": spec.coords[0], "X": spec.coords[1]}
+    table = np.column_stack([columns[name] for name in COLUMNS[:-1]])
     out, close = _open_out(args.out)
     try:
         if args.format == "csv":
-            writer = csv.writer(out)
-            writer.writerow(COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row[:-1]] + [row[-1]])
+            # the bytes csv.writer gives these cells: none needs quoting
+            out.write(",".join(COLUMNS) + "\r\n")
+            row = "%.17g," * (len(COLUMNS) - 1) + "%s\r\n"
+            for start in range(0, len(flags), _WRITE_BLOCK):
+                stop = start + _WRITE_BLOCK
+                out.write("".join([row % (*cells, tag) for cells, tag in
+                                   zip(table[start:stop].tolist(), flags[start:stop])]))
         else:
             doc = {
                 "potential": spec.name,
                 "coords": coords_map,
                 "columns": COLUMNS,
-                "rows": [[_jsonable(v) for v in row[:-1]] + [row[-1]]
-                         for row in rows],
+                "rows": [[_jsonable(v) for v in cells] + [tag]
+                         for cells, tag in zip(table.tolist(), flags)],
             }
             json.dump(doc, out, indent=2)
             out.write("\n")
@@ -168,17 +184,19 @@ def _write_rows(args, spec, rows) -> None:
 def _cmd_eval(args) -> int:
     spec, _ = _load_spec(args)
     point = _parse_at(spec, args.at)
-    row = _compute_row(spec, point)
-    if "err:domain" in row[-1]:
+    columns, flags = evaluate_points(spec, [point.s], [point.x])
+    if flags[0] == "err:domain":
         raise DomainError("domain", tuple(point), f"point outside {spec.name!r} domain")
+    if flags[0] == "err:overflow":
+        raise ValueError(f"the jet of {spec.name!r} overflows at {args.at}")
     if args.format == "csv":
-        _write_rows(args, spec, [row])
+        _write_rows(args, spec, columns, flags)
         return 0
     doc = {
         "potential": spec.name,
         "coords": {"S": spec.coords[0], "X": spec.coords[1]},
-        **{col: _jsonable(v) for col, v in zip(COLUMNS[:-1], row[:-1])},
-        "flags": row[-1].split(";") if row[-1] else [],
+        **{col: _jsonable(float(columns[col][0])) for col in COLUMNS[:-1]},
+        "flags": flags[0].split(";") if flags[0] else [],
     }
     out, close = _open_out(args.out)
     try:
@@ -190,7 +208,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _resolve_grid(args, spec, entry) -> tuple[list[float], list[float]]:
+def _grid_points(args, spec, entry) -> tuple[np.ndarray, np.ndarray]:
+    """The grid as two coordinate arrays, first coordinate in the outer loop."""
     axes: dict[int, GridAxis] = {}
     for text in args.grid or []:
         name, axis = _parse_grid_axis(text)
@@ -202,20 +221,14 @@ def _resolve_grid(args, spec, entry) -> tuple[list[float], list[float]]:
             default = (GridAxis(0.5, 4.0, 8), GridAxis(0.5, 4.0, 8))
         axes.setdefault(0, default[0])
         axes.setdefault(1, default[1])
-    return _axis_values(axes[0]), _axis_values(axes[1])
+    svals, xvals = _axis_values(axes[0]), _axis_values(axes[1])
+    return np.repeat(svals, len(xvals)), np.tile(xvals, len(svals))
 
 
 def _cmd_scan(args) -> int:
     spec, entry = _load_spec(args)
-    svals, xvals = _resolve_grid(args, spec, entry)
-    points = [StatePoint(s, x) for s in svals for x in xvals]
-    workers = args.threads or os.cpu_count() or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: _compute_row(spec, p), points))
-    else:
-        rows = [_compute_row(spec, p) for p in points]
-    _write_rows(args, spec, rows)
+    columns, flags = evaluate_points(spec, *_grid_points(args, spec, entry))
+    _write_rows(args, spec, columns, flags)
     return 0
 
 
@@ -304,7 +317,7 @@ def _cmd_davies(args) -> int:
 
 def _cmd_check(args) -> int:
     spec, entry = _load_spec(args)
-    svals, xvals = _resolve_grid(args, spec, entry)
+    s, x = _grid_points(args, spec, entry)
 
     def compile_ref(expr):
         ref_spec = parse_potential(expr, spec.coords, spec.params, name="reference")
@@ -315,62 +328,43 @@ def _cmd_check(args) -> int:
     rf_ref = compile_ref(args.ref_rf) if args.ref_rf else (
         entry.reference_rf if entry is not None else None)
 
-    maxima = {"identity:capacities": 0.0, "identity:susceptibilities": 0.0,
-              "identity:ratio": 0.0, "det:response-form": 0.0,
-              "det:metric-ratio": 0.0, "metric:response-form": 0.0}
-    if rm_ref is not None:
-        maxima["golden:RM"] = 0.0
-    if rf_ref is not None:
-        maxima["golden:RF"] = 0.0
-    checked = 0
+    c, flags = evaluate_points(spec, s, x)
+    responses = ("T", "Y", "CX", "CY", "alpha", "kappaT", "kappaS", "gamma")
+    usable = (flags == "") & np.isfinite([c[k] for k in responses]).all(axis=0)
+    if entry is not None:
+        usable &= entry.in_domain(s, x)
+    c = {k: v[usable] for k, v in c.items()}
+    checked = int(np.count_nonzero(usable))
+    rs = ResponseSet(point=StatePoint(c["S"], c["X"]), t=c["T"], y=c["Y"],
+                     c_x=c["CX"], c_y=c["CY"], alpha=c["alpha"],
+                     kappa_t=c["kappaT"], kappa_s=c["kappaS"], gamma=c["gamma"])
+    det_gm = c["detGM"]
 
-    for s in svals:
-        for x in xvals:
-            point = StatePoint(s, x)
-            if entry is not None and not entry.in_domain(s, x):
-                continue
-            try:
-                jet = eval_jet(spec, point)
-                rs = responses_at(jet, point)
-            except (DomainError, ValueError):
-                continue
-            curv = curvature_from_m_jet(jet)
-            if curv.flags or not rs.ok or rs.t <= 0.0:
-                continue
-            checked += 1
-            maxima["identity:capacities"] = max(
-                maxima["identity:capacities"], abs(cap_difference_residual(rs)))
-            maxima["identity:susceptibilities"] = max(
-                maxima["identity:susceptibilities"],
-                abs(kappa_difference_residual(rs)))
-            maxima["identity:ratio"] = max(
-                maxima["identity:ratio"], abs(ratio_identity_residual(rs)))
-            det_gm = curv.det_gm
-            r20a = det_gm - rs.t / (x * rs.kappa_t * rs.c_x)
-            r20b = det_gm - rs.t / (x * rs.kappa_s * rs.c_y)
-            maxima["det:response-form"] = max(
-                maxima["det:response-form"],
-                abs(r20a) / max(abs(det_gm), 1.0),
-                abs(r20b) / max(abs(det_gm), 1.0))
-            r22 = curv.det_gf + rs.gamma * det_gm
-            maxima["det:metric-ratio"] = max(
-                maxima["det:metric-ratio"], abs(r22) / max(abs(curv.det_gf), 1.0))
-            try:
-                gm = metric_from_responses(rs)
-                direct = metric_m(jet)
-                for a, b in zip(gm[:3], direct[:3]):
-                    maxima["metric:response-form"] = max(
-                        maxima["metric:response-form"],
-                        abs(a - b) / max(abs(b), 1.0))
-            except NotApplicableError:
-                pass
-            for key, ref, computed in (("golden:RM", rm_ref, curv.r_m),
-                                       ("golden:RF", rf_ref, curv.r_f)):
-                if ref is None:
-                    continue
-                want = ref(s, x)
-                maxima[key] = max(maxima[key],
-                                  abs(computed - want) / max(abs(want), 1.0))
+    def relative(diff, ref):
+        return abs(diff) / np.fmax(abs(ref), 1.0)
+
+    with np.errstate(all="ignore"):
+        residuals = {
+            "identity:capacities": [cap_difference_residual(rs)],
+            "identity:susceptibilities": [kappa_difference_residual(rs)],
+            "identity:ratio": [ratio_identity_residual(rs)],
+            "det:response-form": [
+                relative(det_gm - rs.t / (rs.point.x * rs.kappa_t * rs.c_x), det_gm),
+                relative(det_gm - rs.t / (rs.point.x * rs.kappa_s * rs.c_y), det_gm)],
+            "det:metric-ratio": [relative(c["detGF"] + rs.gamma * det_gm, c["detGF"])],
+            "metric:response-form": [
+                relative(a - b, b) for a, b in zip(
+                    metric_from_responses(rs)[:3], (c["M_SS"], c["M_SX"], c["M_XX"]))],
+        }
+        for key, ref, computed in (("golden:RM", rm_ref, c["RM"]),
+                                   ("golden:RF", rf_ref, c["RF"])):
+            if ref is not None:
+                # closed-form references are scalar functions
+                want = np.array([ref(a, b) for a, b in zip(c["S"].tolist(), c["X"].tolist())])
+                residuals[key] = [relative(computed - want, want)]
+    # the largest residual, nan ignored
+    maxima = {key: float(np.fmax.reduce(np.abs(np.concatenate(parts)), initial=0.0))
+              for key, parts in residuals.items()}
 
     failed = [k for k, v in maxima.items() if v > CHECK_THRESHOLD]
     print(f"potential: {spec.name}   points checked: {checked}")
@@ -401,7 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", default=None,
                        help="output path (default stdout)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for grid evaluation")
+                       help="accepted and ignored: grids are evaluated in "
+                            "one vectorized pass")
 
     p_eval = sub.add_parser("eval", help="evaluate one state point")
     add_common(p_eval)

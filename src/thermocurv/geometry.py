@@ -31,8 +31,7 @@ DEFAULT_SINGULARITY_EPS = 1e-10
 __all__ = [
     "StatePoint", "MetricTensor2", "CurvatureResult", "LegendrePoint",
     "metric_m", "metric_f_sx", "curvature_from_m_jet", "curvature_from_f_jet",
-    "curvature_hessian_form", "legendre_at", "curvature_fd_general",
-    "curvature_fd_diagonal", "singularity_eps", "hessian_scale",
+    "legendre_at", "curvature_fd_general", "singularity_eps", "hessian_scale",
     "NoBracketError", "ToleranceNotMetError", "LegendreSingularError",
     "SingularMetricError",
 ]
@@ -44,9 +43,12 @@ def singularity_eps() -> float:
     if raw is None:
         return DEFAULT_SINGULARITY_EPS
     try:
-        return float(raw)
+        eps = float(raw)
     except ValueError:
         raise ValueError(f"THERMOCURV_EPS must be numeric, got {raw!r}") from None
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"THERMOCURV_EPS must be finite and positive, got {raw!r}")
+    return eps
 
 
 class StatePoint(NamedTuple):
@@ -76,6 +78,8 @@ class CurvatureResult:
 
     Near-singular denominators set a ``div:RM`` / ``div:RF`` flag; the value
     itself is still reported (huge or inf) so callers decide presentation.
+    For a jet of arrays the entries are arrays and ``flags`` holds
+    ``(token, mask)`` pairs.
     """
 
     r_m: float
@@ -116,7 +120,22 @@ class SingularMetricError(RuntimeError):
 
 def hessian_scale(jet: Jet3) -> float:
     """Scale-free reference magnitude for singularity tests."""
-    return max(1.0, abs(jet.ss) + abs(jet.sx) + abs(jet.xx))
+    return _larger(1.0, abs(jet.ss) + abs(jet.sx) + abs(jet.xx))
+
+
+def _larger(a, b):
+    """max(a, b) for floats or arrays; a nan ``b`` gives ``a``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.fmax(a, b)
+    return max(a, b)
+
+
+def _flag_tokens(*pairs):
+    """The tokens of ``(token, condition)`` pairs whose condition holds; with
+    array conditions (all are, or none), the pairs themselves."""
+    if isinstance(pairs[0][1], np.ndarray):
+        return pairs
+    return tuple([token for token, cond in pairs if cond])
 
 
 def metric_m(jet: Jet3) -> MetricTensor2:
@@ -129,11 +148,16 @@ def metric_f_sx(jet: Jet3) -> MetricTensor2:
     return MetricTensor2(-jet.ss, 0.0, jet.xx, chart="SX", kind="F")
 
 
-def _safe_div(num: float, den: float) -> float:
+def _safe_div(num, den):
+    """num / den for floats or arrays; 0/0 is nan and x/0 is inf with the
+    sign of x, whatever the sign of the zero."""
+    if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den == 0.0,
+                            np.where(num == 0.0, math.nan, np.copysign(math.inf, num)),
+                            num / den)
     if den == 0.0:
-        if num == 0.0:
-            return math.nan
-        return math.copysign(math.inf, num)
+        return math.nan if num == 0.0 else math.copysign(math.inf, num)
     return num / den
 
 
@@ -154,21 +178,6 @@ def _diagonal_form(ss, xx, sss, ssx, sxx, xxx) -> float:
             + ss * ssx * xxx - xx * sxx * sss)
 
 
-def curvature_hessian_form(jet: Jet3) -> float:
-    """Curvature of the Hessian metric via the 3x3 determinant form.
-
-    Algebraically identical to the explicit polynomial used by
-    :func:`curvature_from_m_jet`; kept as a transcription guard.
-    """
-    h = np.array([
-        [jet.ss, jet.sx, jet.xx],
-        [jet.sss, jet.ssx, jet.sxx],
-        [jet.ssx, jet.sxx, jet.xxx],
-    ])
-    det_g = jet.ss * jet.xx - jet.sx * jet.sx
-    return -float(np.linalg.det(h)) / (2.0 * det_g * det_g)
-
-
 def curvature_from_m_jet(jet: Jet3, eps: float | None = None) -> CurvatureResult:
     """Both curvature scalars from the potential jet in the (S, X) chart.
 
@@ -182,14 +191,11 @@ def curvature_from_m_jet(jet: Jet3, eps: float | None = None) -> CurvatureResult
     num_f = _diagonal_form(jet.ss, jet.xx, jet.sss, jet.ssx, jet.sxx, jet.xxx)
     r_m = _safe_div(num_m, 2.0 * det_gm * det_gm)
     r_f = _safe_div(num_f, 2.0 * jet.ss * jet.ss * jet.xx * jet.xx)
-    flags = []
-    if abs(det_gm) < eps * scale:
-        flags.append("div:RM")
-    if abs(jet.ss) < eps * scale or abs(jet.xx) < eps * scale:
-        flags.append("div:RF")
+    flags = _flag_tokens(
+        ("div:RM", abs(det_gm) < eps * scale),
+        ("div:RF", (abs(jet.ss) < eps * scale) | (abs(jet.xx) < eps * scale)))
     return CurvatureResult(r_m=r_m, r_f=r_f, det_gm=det_gm,
-                           det_gf=-jet.ss * jet.xx, chart="SX",
-                           flags=tuple(flags))
+                           det_gf=-jet.ss * jet.xx, chart="SX", flags=flags)
 
 
 def curvature_from_f_jet(lp: LegendrePoint, eps: float | None = None) -> CurvatureResult:
@@ -208,13 +214,11 @@ def curvature_from_f_jet(lp: LegendrePoint, eps: float | None = None) -> Curvatu
     num_m = _diagonal_form(fj.ss, fj.xx, fj.sss, fj.ssx, fj.sxx, fj.xxx)
     r_f = _safe_div(num_f, 2.0 * det_gf * det_gf)
     r_m = _safe_div(num_m, 2.0 * fj.ss * fj.ss * fj.xx * fj.xx)
-    flags = []
-    if abs(det_gf) < eps * scale:
-        flags.append("div:RF")
-    if abs(fj.ss) < eps * scale or abs(fj.xx) < eps * scale:
-        flags.append("div:RM")
+    flags = _flag_tokens(
+        ("div:RF", abs(det_gf) < eps * scale),
+        ("div:RM", (abs(fj.ss) < eps * scale) | (abs(fj.xx) < eps * scale)))
     return CurvatureResult(r_m=r_m, r_f=r_f, det_gm=-fj.ss * fj.xx,
-                           det_gf=det_gf, chart="TX", flags=tuple(flags))
+                           det_gf=det_gf, chart="TX", flags=flags)
 
 
 # -- Legendre transform --------------------------------------------------------
@@ -404,45 +408,3 @@ def curvature_fd_general(
     second = float(np.linalg.det(h_mat)) / (2.0 * d0 * d0)
 
     return first.real - second
-
-
-def curvature_fd_diagonal(
-    metric_field: MetricField,
-    p: StatePoint,
-    h: float = _FD_STEP,
-    eps: float | None = None,
-) -> float:
-    """Diagonal-metric specialization of the finite-difference curvature.
-
-    Assumes g12 == 0 identically (the determinant term vanishes then).
-    """
-    eps = singularity_eps() if eps is None else eps
-    s0, x0 = p
-    hs = h * max(1.0, abs(s0))
-    hx = h * max(1.0, abs(x0))
-
-    def comps(s, x):
-        g = metric_field(StatePoint(s, x))
-        return g.g11, g.g22
-
-    def det(s, x):
-        g11, g22 = comps(s, x)
-        return g11 * g22
-
-    d0 = det(s0, x0)
-    g11_0, g22_0 = comps(s0, x0)
-    if abs(d0) < eps * max(1.0, abs(g11_0) + abs(g22_0)):
-        raise SingularMetricError(f"metric determinant {d0!r} ~ 0 at {p!r}")
-
-    def sqrt_det(s, x):
-        return cmath.sqrt(complex(det(s, x)))
-
-    def a_term(s, x):  # g11,2 / sqrt(det)
-        return _d1(lambda xx_: comps(s, xx_)[0], x, hx) / sqrt_det(s, x)
-
-    def b_term(s, x):  # g22,1 / sqrt(det)
-        return _d1(lambda ss_: comps(ss_, x)[1], s, hs) / sqrt_det(s, x)
-
-    braces = (_d1(lambda xx_: a_term(s0, xx_), x0, hx)
-              + _d1(lambda ss_: b_term(ss_, x0), s0, hs))
-    return (-braces / sqrt_det(s0, x0)).real

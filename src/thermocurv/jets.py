@@ -6,13 +6,23 @@ a point (value, two first partials, three second partials, four third
 partials).  Arithmetic on jets propagates all coefficients exactly through
 the truncated Leibniz / chain rules, so an expression built from jets yields
 machine-precision derivatives with no differencing.
+
+The coefficients may be floats or equal-length numpy arrays (Griewank &
+Walther, *Evaluating Derivatives*, ch. 13).  Inside :func:`batch`, arrays
+record the points that fail a check where a float raises, and round exactly
+as floats do: numpy's ``+ - * / sqrt`` are correctly rounded, and ``**``,
+``exp`` and ``ln`` run element by element through the same Python functions.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+
+import numpy as np
 
 # Raw division floor: below this the quotient is treated as a true
 # singularity.  The conditioning floor only triggers a warning, so callers
@@ -39,6 +49,90 @@ class DomainError(ValueError):
 
 class ConditioningWarning(UserWarning):
     """Division by a value small enough to amplify rounding error."""
+
+
+# Per-point failure codes of a batch.
+DOMAIN, OVERFLOW = 1, 2
+
+
+class Failures:
+    """Per point of a batch: first failure code (0: none), ill-conditioning."""
+
+    def __init__(self, n: int):
+        self.code = np.zeros(n, np.int8)
+        self.ill_conditioned = np.zeros(n, bool)
+
+    def record(self, code: int, mask) -> None:
+        self.code[(self.code == 0) & mask] = code
+
+
+_BATCH: ContextVar[Failures | None] = ContextVar("thermocurv_batch", default=None)
+
+
+@contextmanager
+def batch(n: int):
+    """Evaluate arrays of ``n`` points; yields their :class:`Failures`.
+
+    A float sub-expression that raises fails every point not failed yet and
+    ends the block.  Ill-conditioned divisions give one
+    :class:`ConditioningWarning` for the whole batch.
+    """
+    failures = Failures(n)
+    token = _BATCH.set(failures)
+    try:
+        with np.errstate(all="ignore"):
+            yield failures
+    except (DomainError, OverflowError, ZeroDivisionError) as exc:
+        failures.record(DOMAIN if isinstance(exc, DomainError) else OVERFLOW, True)
+    finally:
+        _BATCH.reset(token)
+    ill = int(np.count_nonzero(failures.ill_conditioned))
+    if ill:
+        warnings.warn(f"division by small values at {ill} points; results may "
+                      "be ill-conditioned", ConditioningWarning, stacklevel=3)
+
+
+def _failures() -> Failures:
+    failures = _BATCH.get()
+    if failures is None:
+        raise RuntimeError("array jets must be evaluated inside jets.batch()")
+    return failures
+
+
+def _checked(value, bad, func: str, detail: str = ""):
+    """``value`` after a domain check that ``bad`` failed: a float raises
+    :class:`DomainError`, failed array points are recorded and set to 1.0."""
+    if isinstance(bad, np.ndarray):
+        _failures().record(DOMAIN, bad)
+        return np.where(bad, 1.0, value)
+    if bad:
+        raise DomainError(func, value, detail)
+    return value
+
+
+def _apply(fn, value, *args):
+    """``fn(value, *args)`` with Python floats, element by element for an
+    array; array elements that overflow become nan and fail their point."""
+    if not isinstance(value, np.ndarray):
+        return fn(value, *args)
+    items = value.tolist()
+    try:
+        return np.array([fn(v, *args) for v in items])
+    except OverflowError:
+        if _BATCH.get() is None:
+            raise
+    out = np.empty(len(items))
+    for k, v in enumerate(items):
+        try:
+            out[k] = fn(v, *args)
+        except OverflowError:
+            out[k] = math.nan
+    _failures().record(OVERFLOW, np.isnan(out) & ~np.isnan(value))
+    return out
+
+
+def _ipow(value, n: int):
+    return value ** n if value.__class__ is float else _apply(pow, value, n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,12 +246,13 @@ def _coerce(value) -> Jet3 | None:
     return None
 
 
-def jet_var(index: int, value: float) -> Jet3:
+def jet_var(index: int, value) -> Jet3:
     """Seed jet for one of the two independent variables (0 = s, 1 = x)."""
+    value = value if isinstance(value, np.ndarray) else float(value)
     if index == 0:
-        return Jet3(float(value), s=1.0)
+        return Jet3(value, s=1.0)
     if index == 1:
-        return Jet3(float(value), x=1.0)
+        return Jet3(value, x=1.0)
     raise ValueError(f"variable index must be 0 or 1, got {index}")
 
 
@@ -179,18 +274,21 @@ def _compose(u: Jet3, c0: float, c1: float, c2: float, c3: float) -> Jet3:
         c2 * us * us + c1 * u.ss,
         c2 * us * ux + c1 * u.sx,
         c2 * ux * ux + c1 * u.xx,
-        c3 * us ** 3 + 3.0 * c2 * us * u.ss + c1 * u.sss,
+        c3 * _ipow(us, 3) + 3.0 * c2 * us * u.ss + c1 * u.sss,
         c3 * us * us * ux + c2 * (2.0 * us * u.sx + ux * u.ss) + c1 * u.ssx,
         c3 * us * ux * ux + c2 * (2.0 * ux * u.sx + us * u.xx) + c1 * u.sxx,
-        c3 * ux ** 3 + 3.0 * c2 * ux * u.xx + c1 * u.xxx,
+        c3 * _ipow(ux, 3) + 3.0 * c2 * ux * u.xx + c1 * u.xxx,
     )
 
 
 def _reciprocal(u: Jet3) -> Jet3:
-    v = u.v
-    if abs(v) < DIVISION_FLOOR:
-        raise DomainError("div", v, "division by (near-)zero value")
-    if abs(v) < CONDITIONING_FLOOR:
+    v = _checked(u.v, abs(u.v) < DIVISION_FLOOR, "div",
+                 "division by (near-)zero value")
+    small = abs(v) < CONDITIONING_FLOOR
+    if isinstance(small, np.ndarray):
+        failures = _failures()
+        failures.ill_conditioned |= small & (failures.code == 0)
+    elif small:
         warnings.warn(
             f"division by small value {v!r}; results may be ill-conditioned",
             ConditioningWarning,
@@ -198,38 +296,38 @@ def _reciprocal(u: Jet3) -> Jet3:
         )
     inv = 1.0 / v
     # d/du 1/u = -1/u^2, 2/u^3, -6/u^4
-    return _compose(u, inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4)
+    return _compose(u, inv, -inv * inv, 2.0 * _ipow(inv, 3), -6.0 * _ipow(inv, 4))
 
 
 def sqrt(u):
     """Square root of a jet or scalar (strictly positive value for jets)."""
     if isinstance(u, Jet3):
-        if u.v <= 0.0:
-            raise DomainError("sqrt", u.v)
-        r = math.sqrt(u.v)
-        return _compose(u, r, 0.5 / r, -0.25 / (r * u.v), 0.375 / (r * u.v * u.v))
-    if u < 0.0:
-        raise DomainError("sqrt", u)
-    return math.sqrt(u)
+        v = _checked(u.v, u.v <= 0.0, "sqrt")
+        if isinstance(v, np.ndarray):
+            r = np.sqrt(v)
+            # fail the points where the float path divides by zero below
+            _failures().record(OVERFLOW, r * v * v == 0.0)
+        else:
+            r = math.sqrt(v)
+        return _compose(u, r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v))
+    u = _checked(u, u < 0.0, "sqrt")
+    return np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u)
 
 
 def exp(u):
     if isinstance(u, Jet3):
-        e = math.exp(u.v)
+        e = _apply(math.exp, u.v)
         return _compose(u, e, e, e, e)
-    return math.exp(u)
+    return _apply(math.exp, u)
 
 
 def ln(u):
     """Natural logarithm (value must be strictly positive)."""
     if isinstance(u, Jet3):
-        if u.v <= 0.0:
-            raise DomainError("ln", u.v)
-        inv = 1.0 / u.v
-        return _compose(u, math.log(u.v), inv, -inv * inv, 2.0 * inv ** 3)
-    if u <= 0.0:
-        raise DomainError("ln", u)
-    return math.log(u)
+        v = _checked(u.v, u.v <= 0.0, "ln")
+        inv = 1.0 / v
+        return _compose(u, _apply(math.log, v), inv, -inv * inv, 2.0 * _ipow(inv, 3))
+    return _apply(math.log, _checked(u, u <= 0.0, "ln"))
 
 
 def _int_pow(u, n: int):
@@ -240,9 +338,8 @@ def _int_pow(u, n: int):
         base = _int_pow(u, -n)
         if isinstance(base, Jet3):
             return _reciprocal(base)
-        if abs(base) < DIVISION_FLOOR:
-            raise DomainError("pow", base, "zero base with negative exponent")
-        return 1.0 / base
+        return 1.0 / _checked(base, abs(base) < DIVISION_FLOOR, "pow",
+                              "zero base with negative exponent")
     result = None
     square = u
     while n:
@@ -265,12 +362,12 @@ def power(u, p):
     if isinstance(p, int) and abs(p) <= _MAX_INT_POW:
         return _int_pow(u, p)
     value = u.v if isinstance(u, Jet3) else u
-    if value <= 0.0:
-        raise DomainError("pow", value, f"non-integer exponent {p!r} needs a positive base")
+    value = _checked(value, value <= 0.0, "pow",
+                     f"non-integer exponent {p!r} needs a positive base")
     if isinstance(u, Jet3):
-        c0 = math.pow(value, p)
-        c1 = p * math.pow(value, p - 1.0)
-        c2 = p * (p - 1.0) * math.pow(value, p - 2.0)
-        c3 = p * (p - 1.0) * (p - 2.0) * math.pow(value, p - 3.0)
+        c0 = _apply(math.pow, value, p)
+        c1 = p * _apply(math.pow, value, p - 1.0)
+        c2 = p * (p - 1.0) * _apply(math.pow, value, p - 2.0)
+        c3 = p * (p - 1.0) * (p - 2.0) * _apply(math.pow, value, p - 3.0)
         return _compose(u, c0, c1, c2, c3)
-    return math.pow(value, p)
+    return _apply(math.pow, value, p)

@@ -3,9 +3,9 @@
 A potential is written as an arithmetic expression in two coordinate names
 (entropy-like first, control-parameter second) plus named numeric
 parameters, e.g. ``"sqrt(S)/2 * (1 + Q^2/S)"``.  Parsing produces an
-immutable :class:`PotentialSpec` whose AST can be evaluated over plain
-scalars or over :class:`~thermocurv.jets.Jet3` values; the jet route is what
-feeds every derivative used downstream.
+immutable :class:`PotentialSpec` whose AST is compiled once and evaluated
+over plain scalars or over :class:`~thermocurv.jets.Jet3` values; the jet
+route is what feeds every derivative used downstream.
 
 Grammar (whitespace-insensitive, no implicit multiplication)::
 
@@ -24,9 +24,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Union
+
+import numpy as np
 
 from . import jets
 from .jets import DomainError, Jet3, jet_var
@@ -99,6 +103,12 @@ class PotentialSpec:
     params: Mapping[str, float] = field(default_factory=dict)
     domain: tuple[tuple[float, float], tuple[float, float]] = (
         (0.0, math.inf), (0.0, math.inf))
+
+    @cached_property
+    def evaluate(self):
+        """The expression compiled once into a function of the coordinate
+        pair (floats, jets or arrays)."""
+        return _compile(self.ast, self.params)
 
 
 # -- lexer / parser -----------------------------------------------------------
@@ -274,62 +284,77 @@ def _has_coord(node: ExprNode) -> bool:
     return _has_coord(node.left) or _has_coord(node.right)
 
 
-def _eval(node: ExprNode, coord_vals, params):
-    if isinstance(node, Const):
-        return node.value
+def _divide(left, right):
+    if not isinstance(left, Jet3) and not isinstance(right, Jet3):
+        right = jets._checked(right, abs(right) < jets.DIVISION_FLOOR, "div",
+                              "division by (near-)zero value")
+    return left / right
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": _divide}
+
+
+def _compile(node: ExprNode, params):
+    """Turn an AST into a function of the coordinate pair.
+
+    The function works on floats, jets and arrays alike; operands are
+    evaluated left to right, so the first failing check is the same in
+    every mode.
+    """
+    if isinstance(node, (Const, Param)):
+        value = node.value if isinstance(node, Const) else params[node.name]
+        return lambda coords: value
     if isinstance(node, Coord):
-        return coord_vals[node.index]
-    if isinstance(node, Param):
-        return params[node.name]
+        index = node.index
+        return lambda coords: coords[index]
     if isinstance(node, Neg):
-        return -_eval(node.operand, coord_vals, params)
+        operand = _compile(node.operand, params)
+        return lambda coords: -operand(coords)
     if isinstance(node, Call):
-        arg = _eval(node.arg, coord_vals, params)
-        return getattr(jets, node.func)(arg)
-    left = _eval(node.left, coord_vals, params)
-    if node.op == "^":
-        expo = _eval(node.right, coord_vals, params)
-        if _has_coord(node.right):
-            # structurally non-constant exponent: u^w = exp(w ln u),
-            # positive base required in either evaluation mode
-            return jets.exp(expo * jets.ln(left))
-        return jets.power(left, expo)
-    right = _eval(node.right, coord_vals, params)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        if not isinstance(left, Jet3) and not isinstance(right, Jet3):
-            if abs(right) < jets.DIVISION_FLOOR:
-                raise DomainError("div", right, "division by (near-)zero value")
-            return left / right
-        return left / right
-    raise AssertionError(f"unhandled operator {node.op!r}")
+        arg, func = _compile(node.arg, params), getattr(jets, node.func)
+        return lambda coords: func(arg(coords))
+    left, right = _compile(node.left, params), _compile(node.right, params)
+    if node.op == "^" and _has_coord(node.right):
+        # structurally non-constant exponent: u^w = exp(w ln u),
+        # positive base required in either evaluation mode
+        def general_power(coords):
+            base = left(coords)
+            return jets.exp(right(coords) * jets.ln(base))
+        return general_power
+    op = jets.power if node.op == "^" else _BINARY[node.op]
+    return lambda coords: op(left(coords), right(coords))
 
 
-def _check_domain(spec: PotentialSpec, s: float, x: float) -> None:
+def _check_domain(spec: PotentialSpec, s, x):
+    """The coordinates, array points outside the domain recorded as failed."""
+    out = []
     for value, cname, (lo, hi) in zip((s, x), spec.coords, spec.domain):
-        if not (lo < value < hi) or not math.isfinite(value):
+        if isinstance(value, np.ndarray):
+            inside = (lo < value) & (value < hi) & np.isfinite(value)
+            value = jets._checked(value, ~inside, "domain")
+        elif not (lo < value < hi) or not math.isfinite(value):
             raise DomainError("domain", value,
                               f"{cname}={value!r} outside ({lo}, {hi})")
+        out.append(value)
+    return out
 
 
 def eval_scalar(spec: PotentialSpec, point) -> float:
     """Value of the potential at ``point`` (any (s, x) pair)."""
     s, x = point
     _check_domain(spec, s, x)
-    return float(_eval(spec.ast, (float(s), float(x)), spec.params))
+    return float(spec.evaluate((float(s), float(x))))
 
 
 def eval_jet(spec: PotentialSpec, point) -> Jet3:
-    """Jet of the potential at ``point``: value plus all partials to order 3."""
-    s, x = point
-    _check_domain(spec, s, x)
-    seeds = (jet_var(0, float(s)), jet_var(1, float(x)))
-    result = _eval(spec.ast, seeds, spec.params)
+    """Jet of the potential at ``point``: value plus all partials to order 3.
+
+    ``point`` may hold two equal-length arrays, evaluated inside
+    :func:`jets.batch`; the jet's coefficients are then arrays or floats.
+    """
+    s, x = _check_domain(spec, *point)
+    result = spec.evaluate((jet_var(0, s), jet_var(1, x)))
     if not isinstance(result, Jet3):  # constant expression
         result = jets.jet_const(result)
     return result

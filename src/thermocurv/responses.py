@@ -27,8 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import MetricTensor2, StatePoint, hessian_scale, singularity_eps
-from .jets import Jet3
+import numpy as np
+
+from .geometry import (MetricTensor2, StatePoint, _flag_tokens, _larger,
+                       _safe_div, hessian_scale, singularity_eps)
+from .jets import Jet3, _ipow
 
 __all__ = [
     "ResponseSet", "responses_at", "cap_difference_residual",
@@ -47,7 +50,9 @@ class ResponseSet:
     heat-capacity ratio at one state point.
 
     Entries that diverge (or are undefined at X = 0) are reported as +-inf /
-    nan together with a flag token.
+    nan together with a flag token.  For a jet of arrays the entries are
+    arrays and ``flags`` holds ``(token, mask)`` pairs; points where the
+    scalar call would raise get nan responses and ``err:responses``.
     """
 
     point: StatePoint
@@ -69,12 +74,6 @@ class ResponseSet:
         return not self.flags and all(math.isfinite(v) for v in vals)
 
 
-def _safe_div(num: float, den: float) -> float:
-    if den == 0.0:
-        return math.nan if num == 0.0 else math.copysign(math.inf, num)
-    return num / den
-
-
 def responses_at(jet: Jet3, p: StatePoint, eps: float | None = None) -> ResponseSet:
     """All response functions at one point from the potential jet there.
 
@@ -88,43 +87,61 @@ def responses_at(jet: Jet3, p: StatePoint, eps: float | None = None) -> Response
     """
     eps = singularity_eps() if eps is None else eps
     x = p.x
-    if x < 0.0:
-        raise ValueError(f"response functions need X >= 0, got X={x!r}")
     t, y = jet.s, jet.x
     mss, msx, mxx = jet.ss, jet.sx, jet.xx
     det_h = mss * mxx - msx * msx
-    scale = hessian_scale(jet)
-    if abs(mss) < eps * scale and abs(mxx) < eps * scale and abs(det_h) < eps * scale:
-        raise ValueError(f"Hessian singular in every direction at {p!r}")
+    limit = eps * hessian_scale(jet)
+    flat_cx, flat_cy, flat_ks = abs(mss) < limit, abs(det_h) < limit, abs(mxx) < limit
+    failed = (x < 0.0) | (flat_cx & flat_cy & flat_ks)
+    if not isinstance(failed, np.ndarray):
+        if x < 0.0:
+            raise ValueError(f"response functions need X >= 0, got X={x!r}")
+        if failed:
+            raise ValueError(f"Hessian singular in every direction at {p!r}")
 
-    flags = []
+    positive = x > 0.0
     c_x = _safe_div(t, mss)
     c_y = _safe_div(t * mxx, det_h)
     gamma = _safe_div(mss * mxx, det_h)
-    if x > 0.0:
-        alpha = _safe_div(-msx, x * det_h)
-        kappa_t = _safe_div(mss, x * det_h)
-        kappa_s = _safe_div(1.0, x * mxx)
+    alpha = _safe_div(-msx, x * det_h)
+    kappa_t = _safe_div(mss, x * det_h)
+    kappa_s = _safe_div(1.0, x * mxx)
+    flags = [("div:CX", flat_cx), ("div:CY", flat_cy), ("div:alpha", flat_cy),
+             ("div:kappaT", flat_cy), ("div:kappaS", flat_ks)]
+    if isinstance(failed, np.ndarray):
+        c_x, c_y, gamma = (np.where(failed, math.nan, v) for v in (c_x, c_y, gamma))
+        alpha, kappa_t, kappa_s = (np.where(positive & ~failed, v, math.nan)
+                                   for v in (alpha, kappa_t, kappa_s))
+        flags = [(token, cond & ~failed) for token, cond in
+                 [("undef:X", np.logical_not(positive)), *flags]]
+        flags.append(("err:responses", failed))
     else:
-        alpha = kappa_t = kappa_s = math.nan
-        flags.append("undef:X")
-
-    if abs(mss) < eps * scale:
-        flags.append("div:CX")
-    if abs(det_h) < eps * scale:
-        flags.extend(("div:CY", "div:alpha", "div:kappaT"))
-    if abs(mxx) < eps * scale:
-        flags.append("div:kappaS")
-    if t <= 0.0:
-        flags.append("neg:T")
+        flags.insert(0, ("undef:X", not positive))
+        if not positive:
+            alpha = kappa_t = kappa_s = math.nan
+    flags.append(("neg:T", t <= 0.0))
     return ResponseSet(point=p, t=t, y=y, c_x=c_x, c_y=c_y, alpha=alpha,
                        kappa_t=kappa_t, kappa_s=kappa_s, gamma=gamma,
-                       flags=tuple(flags))
+                       flags=_flag_tokens(*flags))
 
 
-def _applicable(r: ResponseSet, *values: float) -> bool:
-    return not any(f.startswith(("div:", "undef:")) for f in r.flags) \
-        and all(math.isfinite(v) for v in values)
+def _applicable(r: ResponseSet, *values):
+    """True (a mask, for arrays) where no entry involved is flagged
+    divergent or undefined and all of ``values`` are finite."""
+    ok = np.logical_and.reduce([np.isfinite(v) for v in values])
+    for flag in r.flags:
+        token, mask = (flag, True) if isinstance(flag, str) else flag
+        if token.startswith(("div:", "undef:")):
+            ok = ok & np.logical_not(mask)
+    return ok
+
+
+def _where_ok(ok, compute):
+    """``compute()`` where ``ok`` holds, else nan; a float only if it holds."""
+    if isinstance(ok, np.ndarray):
+        with np.errstate(all="ignore"):
+            return np.where(ok, compute(), math.nan)
+    return compute() if ok else math.nan
 
 
 def cap_difference_residual(r: ResponseSet) -> float:
@@ -132,28 +149,29 @@ def cap_difference_residual(r: ResponseSet) -> float:
 
     Returns nan when any entry involved is flagged divergent or undefined.
     """
-    if not _applicable(r, r.c_x, r.c_y, r.alpha, r.kappa_t) or r.kappa_t == 0.0:
-        return math.nan
-    resid = r.c_y - r.c_x - r.t * r.point.x * r.alpha ** 2 / r.kappa_t
-    return resid / max(abs(r.c_x), abs(r.c_y), 1.0)
+    ok = _applicable(r, r.c_x, r.c_y, r.alpha, r.kappa_t) & (r.kappa_t != 0.0)
+    return _where_ok(ok, lambda: (
+        r.c_y - r.c_x - r.t * r.point.x * _ipow(r.alpha, 2) / r.kappa_t)
+        / _larger(_larger(abs(r.c_x), abs(r.c_y)), 1.0))
 
 
 def kappa_difference_residual(r: ResponseSet) -> float:
     """Normalized residual of kappa_T - kappa_S = T X alpha^2 / C_Y."""
-    if not _applicable(r, r.kappa_t, r.kappa_s, r.alpha, r.c_y) or r.c_y == 0.0:
-        return math.nan
-    resid = r.kappa_t - r.kappa_s - r.t * r.point.x * r.alpha ** 2 / r.c_y
-    return resid / max(abs(r.kappa_t), abs(r.kappa_s), 1.0)
+    ok = _applicable(r, r.kappa_t, r.kappa_s, r.alpha, r.c_y) & (r.c_y != 0.0)
+    return _where_ok(ok, lambda: (
+        r.kappa_t - r.kappa_s - r.t * r.point.x * _ipow(r.alpha, 2) / r.c_y)
+        / _larger(_larger(abs(r.kappa_t), abs(r.kappa_s)), 1.0))
 
 
 def ratio_identity_residual(r: ResponseSet) -> float:
     """Normalized residual of C_X / C_Y = kappa_S / kappa_T."""
-    if not _applicable(r, r.c_x, r.c_y, r.kappa_s, r.kappa_t) \
-            or r.c_y == 0.0 or r.kappa_t == 0.0:
-        return math.nan
-    lhs = r.c_x / r.c_y
-    resid = lhs - r.kappa_s / r.kappa_t
-    return resid / max(abs(lhs), 1.0)
+    ok = (_applicable(r, r.c_x, r.c_y, r.kappa_s, r.kappa_t)
+          & (r.c_y != 0.0) & (r.kappa_t != 0.0))
+
+    def residual():
+        lhs = r.c_x / r.c_y
+        return (lhs - r.kappa_s / r.kappa_t) / _larger(abs(lhs), 1.0)
+    return _where_ok(ok, residual)
 
 
 def metric_from_responses(r: ResponseSet) -> MetricTensor2:
@@ -161,12 +179,14 @@ def metric_from_responses(r: ResponseSet) -> MetricTensor2:
     (T/C_X, -T alpha/(C_X kappa_T), C_Y/(X kappa_T C_X)).
 
     Must agree componentwise with the Hessian construction; raises
-    :class:`NotApplicableError` at flagged or degenerate points.
+    :class:`NotApplicableError` at flagged or degenerate points (for arrays,
+    those points get nan components).
     """
-    needed = (r.c_x, r.c_y, r.alpha, r.kappa_t)
-    if not _applicable(r, *needed) or r.c_x == 0.0 or r.kappa_t == 0.0:
+    ok = (_applicable(r, r.c_x, r.c_y, r.alpha, r.kappa_t)
+          & (r.c_x != 0.0) & (r.kappa_t != 0.0))
+    if not isinstance(ok, np.ndarray) and not ok:
         raise NotApplicableError(f"response set not usable for a metric: {r}")
-    g11 = r.t / r.c_x
-    g12 = -r.t * r.alpha / (r.c_x * r.kappa_t)
-    g22 = r.c_y / (r.point.x * r.kappa_t * r.c_x)
-    return MetricTensor2(g11, g12, g22, chart="SX", kind="M")
+    g = _where_ok(ok, lambda: (r.t / r.c_x,
+                               -r.t * r.alpha / (r.c_x * r.kappa_t),
+                               r.c_y / (r.point.x * r.kappa_t * r.c_x)))
+    return MetricTensor2(*g, chart="SX", kind="M")

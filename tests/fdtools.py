@@ -6,6 +6,11 @@ stencils; nothing imports the jet machinery it is used to check.
 
 from __future__ import annotations
 
+import cmath
+
+from thermocurv.geometry import (MetricField, SingularMetricError, StatePoint,
+                                 singularity_eps)
+
 # step sizes per derivative order, scaled by max(1, |coordinate|); the
 # third-order stencil is only O(h^2) accurate, so its step balances that
 # truncation against the eps*|f|/h^3 roundoff floor
@@ -55,3 +60,45 @@ def fd_partials(f, s, x, s_scale=None, x_scale=None):
     fssx = d1(lambda w: d2(lambda u: f(u, w), s, hs2), x, hx1)
     fsxx = d1(lambda u: d2(lambda w: f(u, w), x, hx2), s, hs1)
     return (f(s, x), fs, fx, fss, fsx, fxx, fsss, fssx, fsxx, fxxx)
+
+
+def curvature_fd_diagonal(
+    metric_field: MetricField,
+    p: StatePoint,
+    h: float = 1e-4,
+    eps: float | None = None,
+) -> float:
+    """Diagonal-metric specialization of the finite-difference curvature.
+
+    Assumes g12 == 0 identically (the determinant term vanishes then).
+    """
+    eps = singularity_eps() if eps is None else eps
+    s0, x0 = p
+    hs = h * max(1.0, abs(s0))
+    hx = h * max(1.0, abs(x0))
+
+    def comps(s, x):
+        g = metric_field(StatePoint(s, x))
+        return g.g11, g.g22
+
+    def det(s, x):
+        g11, g22 = comps(s, x)
+        return g11 * g22
+
+    d0 = det(s0, x0)
+    g11_0, g22_0 = comps(s0, x0)
+    if abs(d0) < eps * max(1.0, abs(g11_0) + abs(g22_0)):
+        raise SingularMetricError(f"metric determinant {d0!r} ~ 0 at {p!r}")
+
+    def sqrt_det(s, x):
+        return cmath.sqrt(complex(det(s, x)))
+
+    def a_term(s, x):  # g11,2 / sqrt(det)
+        return d1(lambda xx_: comps(s, xx_)[0], x, hx) / sqrt_det(s, x)
+
+    def b_term(s, x):  # g22,1 / sqrt(det)
+        return d1(lambda ss_: comps(ss_, x)[1], s, hs) / sqrt_det(s, x)
+
+    braces = (d1(lambda xx_: a_term(s0, xx_), x0, hx)
+              + d1(lambda ss_: b_term(ss_, x0), s0, hs))
+    return (-braces / sqrt_det(s0, x0)).real

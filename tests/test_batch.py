@@ -1,0 +1,168 @@
+"""The batched evaluation path against the scalar API, bit for bit.
+
+``scalar_row`` is the row-by-row pipeline the CLI used before grids were
+evaluated in one pass: one ``eval_jet`` -> ``curvature_from_m_jet`` ->
+``responses_at`` chain per point.  ``evaluate_points`` must reproduce its
+numbers exactly and its flag strings token for token.
+"""
+
+import csv
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermocurv import (StatePoint, curvature_from_m_jet, eval_jet, get_entry,
+                        parse_potential, responses_at)
+from thermocurv.cli import COLUMNS, evaluate_points, main
+from thermocurv.geometry import _safe_div
+from thermocurv.jets import ConditioningWarning, DomainError
+
+RN = get_entry("reissner-nordstrom").spec
+KERR = get_entry("kerr").spec
+# fractional, integer and coordinate exponents, exp and ln; X may be zero or
+# negative, S - 2 may vanish, exp(S/3) overflows past S ~ 2129
+MIXED = parse_potential("exp(S/3) * X^2 + ln(S) * S^X - S^-1.5 + X^3/(S - 2)",
+                        domain={"S": (None, None), "X": (None, None)},
+                        name="mixed")
+
+
+def scalar_row(spec, s, x):
+    """The 17 numeric cells and the flag string of one point, computed by
+    the scalar API alone."""
+    nan = math.nan
+    failed = [s, x] + [nan] * 15
+    try:
+        jet = eval_jet(spec, (s, x))
+    except DomainError:
+        return failed, "err:domain"
+    except (OverflowError, ZeroDivisionError):
+        return failed, "err:overflow"
+    if not all(math.isfinite(c) for c in jet.coeffs()):
+        return failed, "err:overflow"
+    curv = curvature_from_m_jet(jet)
+    flags = list(curv.flags)
+    try:
+        rs = responses_at(jet, StatePoint(s, x))
+        resp = [rs.c_x, rs.c_y, rs.alpha, rs.kappa_t, rs.kappa_s, rs.gamma]
+        flags += rs.flags
+    except ValueError:
+        resp = [nan] * 6
+        flags.append("err:responses")
+        if jet.s <= 0.0:
+            flags.append("neg:T")
+    return ([s, x, jet.s, jet.x, jet.ss, jet.sx, jet.xx, curv.det_gm,
+             curv.det_gf, curv.r_m, curv.r_f, *resp], ";".join(flags))
+
+
+def assert_matches_scalar(spec, points):
+    s = [p[0] for p in points]
+    x = [p[1] for p in points]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        columns, flags = evaluate_points(spec, s, x)
+        expected = [scalar_row(spec, a, b) for a, b in points]
+    for k, (cells, tokens) in enumerate(expected):
+        got = [float(columns[name][k]).hex() for name in COLUMNS[:-1]]
+        assert got == [v.hex() for v in cells], (spec.name, points[k])
+        assert flags[k] == tokens, (spec.name, points[k])
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, -1.0, 1e-300, 5e-324, 2.2e-313, 1e-160,
+                           math.nan, math.inf, -math.inf])
+
+
+def coordinate(lo, hi):
+    return st.one_of(st.floats(lo, hi, allow_nan=False), SPECIAL)
+
+
+@st.composite
+def rn_points(draw):
+    q = draw(st.floats(0.05, 1.5))
+    kind = draw(st.sampled_from(["any", "line", "cold", "x-line"]))
+    if kind == "line":          # the C_Q line S = 3 Q^2, hit or nearly hit
+        return 3.0 * q * q * (1.0 + draw(st.sampled_from([0.0, 1e-15, -1e-12, 1e-9]))), q
+    if kind == "cold":          # T < 0 below S = Q^2
+        return q * q * draw(st.floats(0.05, 0.999)), q
+    if kind == "x-line":        # the exact C_X line point of the tests
+        return 3.0, 1.0
+    return draw(coordinate(-1.0, 12.0)), draw(coordinate(-0.5, 2.0))
+
+
+@st.composite
+def kerr_points(draw):
+    j = draw(st.floats(0.05, 1.0))
+    kind = draw(st.sampled_from(["any", "line", "cold"]))
+    if kind == "line":          # S^4 = 24 S^2 J^2 + 48 J^4
+        s = j * math.sqrt(12.0 + math.sqrt(192.0))
+        return s * (1.0 + draw(st.sampled_from([0.0, 1e-15, -1e-12]))), j
+    if kind == "cold":          # T < 0 below S = 2 J
+        return 2.0 * j * draw(st.floats(0.1, 0.999)), j
+    return draw(coordinate(-1.0, 12.0)), draw(coordinate(-0.5, 2.0))
+
+
+@st.composite
+def mixed_points(draw):
+    kind = draw(st.sampled_from(["any", "pole", "overflow", "x-zero"]))
+    x = draw(coordinate(-2.0, 3.0))
+    if kind == "pole":          # S - 2 at or near zero
+        return 2.0 + draw(st.sampled_from([0.0, 1e-13, -4e-16, 1e-9])), x
+    if kind == "overflow":
+        return draw(st.floats(2000.0, 2300.0)), x
+    if kind == "x-zero":
+        return draw(st.floats(0.1, 12.0)), draw(st.sampled_from([0.0, -0.0]))
+    return draw(coordinate(-1.0, 12.0)), x
+
+
+CASES = [(RN, rn_points()), (KERR, kerr_points()), (MIXED, mixed_points())]
+
+
+@pytest.mark.parametrize("spec,points", CASES, ids=[c[0].name for c in CASES])
+def test_batched_rows_match_scalar_api(spec, points):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(points, min_size=1, max_size=30))
+    def check(drawn):
+        assert_matches_scalar(spec, drawn)
+    check()
+
+
+def test_rn_scan_bytes_match_row_by_row_formatting(tmp_path):
+    # S = 0.5..10 spans T < 0 (S < Q^2) and crosses the C_Q line S = 3 Q^2
+    out = tmp_path / "rn.csv"
+    assert main(["scan", "--catalog", "reissner-nordstrom", "--grid",
+                 "S=0.5:10:20", "--grid", "Q=0.05:1.5:20", "--out", str(out)]) == 0
+    expected = tmp_path / "expected.csv"
+    rows = []
+    with open(expected, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(COLUMNS)
+        for k in range(20):
+            for j in range(20):
+                s = 0.5 + (10.0 - 0.5) / 19 * k
+                q = 0.05 + (1.5 - 0.05) / 19 * j
+                cells, flags = scalar_row(RN, s, q)
+                writer.writerow([f"{v:.17g}" for v in cells] + [flags])
+                rows.append((s, q, flags))
+    assert any(s <= q * q and "neg:T" in flags for s, q, flags in rows)
+    assert any(q * q < s < 3 * q * q for s, q, _ in rows)
+    assert any(s > 3 * q * q for s, q, _ in rows)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_batch_warns_once_for_ill_conditioned_divisions():
+    s = [2.0 + 1e-13, 2.0 - 1e-13, 2.0 + 2e-13, 3.0]
+    with pytest.warns(ConditioningWarning, match="at 3 points") as record:
+        evaluate_points(MIXED, s, [1.0] * 4)
+    assert len([w for w in record if w.category is ConditioningWarning]) == 1
+
+
+def test_safe_div_signs_match_for_floats_and_arrays():
+    nums = [1.0, -1.0, 0.0, 2.0, -3.0]
+    dens = [0.0, -0.0, -0.0, -0.0, 4.0]
+    batched = _safe_div(np.array(nums), np.array(dens))
+    for k, (num, den) in enumerate(zip(nums, dens)):
+        assert float(batched[k]).hex() == _safe_div(num, den).hex()
+    assert batched[1] == -math.inf and batched[3] == math.inf

@@ -146,6 +146,28 @@ def test_scan_nonfinite_rows_flagged(tmp_path, capsys):
     assert all(r[2] == "nan" for r in flagged)
 
 
+def test_scan_overflow_rows_flagged(tmp_path, capsys):
+    doc = {"name": "exp", "coords": ["S", "X"], "expression": "exp(S) + X^2",
+           "params": {}}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "scan", "--potential-file", str(path),
+                       "--grid", "S=1:800:40", "--grid", "X=0.5:2:2")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 80
+    above = [r for r in rows if float(r[0]) > math.log(1.7976931348623157e308)]
+    below = [r for r in rows if float(r[0]) < 709.0]
+    assert len(above) + len(below) == 80 and len(above) == 10
+    for r in above:        # exp(S) is not finite: one token, nan cells
+        assert r[17] == "err:overflow" and all(c == "nan" for c in r[2:17])
+    for r in below:        # exp(S) + X^2 is flat in both metrics
+        assert r[9] == "0" and r[10] == "0" and "err:" not in r[17]
+    code, _, err = run(capsys, "eval", "--potential-file", str(path),
+                       "--at", "S=800,X=1")
+    assert code == 2 and "overflows" in err
+
+
 def test_davies_rn(capsys):
     code, out, _ = run(capsys, "davies", "--catalog", "reissner-nordstrom",
                        "--which", "cx", "--fix", "Q=1", "--sweep", "S=0.5:10")
@@ -243,10 +265,11 @@ def test_env_epsilon_override(capsys, monkeypatch):
     _, out, _ = run(capsys, "eval", "--catalog", "reissner-nordstrom",
                     "--at", "S=3.05,Q=1")
     assert json.loads(out)["flags"] == []
-    monkeypatch.setenv("THERMOCURV_EPS", "banana")
-    code, _, err = run(capsys, "eval", "--catalog", "reissner-nordstrom",
-                       "--at", "S=1,Q=0.5")
-    assert code == 2 and "THERMOCURV_EPS" in err
+    for bad in ("banana", "nan", "inf", "0", "-1"):
+        monkeypatch.setenv("THERMOCURV_EPS", bad)
+        code, _, err = run(capsys, "eval", "--catalog", "reissner-nordstrom",
+                           "--at", "S=3,Q=1")
+        assert code == 2 and "THERMOCURV_EPS" in err, bad
 
 
 def test_usage_errors(capsys):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fdtools import H1, H2, H3, d1, d2, d3, fd_partials
-from thermocurv import (LegendreSingularError, StatePoint, curvature_fd_diagonal,
-                        curvature_fd_general, curvature_from_f_jet,
-                        curvature_from_m_jet, curvature_hessian_form, eval_jet,
+from fdtools import H1, H2, H3, curvature_fd_diagonal, d1, d2, d3, fd_partials
+from thermocurv import (LegendreSingularError, StatePoint, curvature_fd_general,
+                        curvature_from_f_jet, curvature_from_m_jet, eval_jet,
                         legendre_at, metric_f_sx, metric_m, parse_potential)
+from thermocurv.jets import Jet3
 from thermocurv.geometry import (MetricTensor2, NoBracketError,
                                  SingularMetricError)
 from conftest import sample_kerr, sample_quad, sample_rn
@@ -76,6 +76,21 @@ def test_divergence_flags_on_the_heat_capacity_line(rn):
     assert math.isinf(c.r_f) or abs(c.r_f) > 1e12
     eps_big = curvature_from_m_jet(eval_jet(rn.spec, (3.1, 1.0)), eps=1e-2)
     assert "div:RF" in eps_big.flags    # configurable epsilon widens the band
+
+
+def curvature_hessian_form(jet: Jet3) -> float:
+    """Curvature of the Hessian metric via the 3x3 determinant form.
+
+    Algebraically identical to the explicit polynomial used by
+    :func:`curvature_from_m_jet`; kept as a transcription guard.
+    """
+    h = np.array([
+        [jet.ss, jet.sx, jet.xx],
+        [jet.sss, jet.ssx, jet.sxx],
+        [jet.ssx, jet.sxx, jet.xxx],
+    ])
+    det_g = jet.ss * jet.xx - jet.sx * jet.sx
+    return -float(np.linalg.det(h)) / (2.0 * det_g * det_g)
 
 
 def test_hessian_determinant_form_consistency(rn, kerr, quad):
