@@ -1,7 +1,11 @@
-"""Safeguarded scalar root finding shared by the Legendre solver and the
-divergence-line scans."""
+"""Safeguarded root finding shared by the Legendre solver and the
+divergence-line scans, for one equation or many lanes at once."""
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 class NoBracketError(RuntimeError):
@@ -94,3 +98,56 @@ def expand_bracket(func, guess: float, lo: float, hi: float,
             break
     raise NoBracketError(
         f"no sign change found around {guess!r} within ({lo!r}, {hi!r})")
+
+
+def solve_lanes(func, n: int, guess: float, lo: float, hi: float,
+                *, first_step: float, tol_f: float):
+    """Solve ``n`` equations ``f_k(x) = 0`` at once, every lane from ``guess``.
+
+    ``func(lanes, x)`` gives ``(f, slope, payload)`` of the lanes (an index
+    array) at ``x``, nan where undefined; ``payload`` (last axis over the
+    lanes) is wanted at the roots.  Each lane brackets the sign change
+    nearest the guess as :func:`expand_bracket` does, also sampling toward
+    a finite bound, then takes Newton steps (bisecting when one leaves the
+    bracket) until ``|f| <= tol_f``.  Returns ``(x, payload)`` at the roots,
+    nan where no bracket or a pole was found.
+    """
+    x = np.full(n, float(guess))
+    f, slope, payload = func(np.arange(n), x)
+    done = abs(f) <= tol_f
+    a, b, fa = (np.full(n, math.nan) for _ in range(3))
+    ends = [(guess, f), (guess, f)]          # outermost sample on each side
+    for k in range(60):
+        if not (np.isnan(a) & ~done).any():
+            break
+        step = first_step * 2.0 ** k
+        # past a finite bound, halve the distance to it instead
+        new = [guess - step if guess - step > lo else 0.5 * (ends[0][0] + lo),
+               guess + step if guess + step < hi else 0.5 * (ends[1][0] + hi)]
+        for side in sorted((0, 1), key=lambda j: abs(ends[j][0] + new[j] - 2.0 * guess)):
+            (x0, f0), x1 = ends[side], new[side]
+            search = np.flatnonzero(np.isnan(a) & ~done)
+            if search.size and lo < x1 < hi and x1 != x0:
+                f1 = np.full(n, math.nan)
+                f1[search] = func(search, np.full(search.size, x1))[0]
+                take = np.isnan(a) & (np.sign(f0) * np.sign(f1) <= 0.0)
+                a[take], b[take] = min(x0, x1), max(x0, x1)
+                fa[take] = (f0 if side else f1)[take]
+                ends[side] = (x1, f1)
+
+    active = ~done & ~np.isnan(a)
+    for _ in range(200):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        with np.errstate(all="ignore"):
+            cand = x[idx] - f[idx] / slope[idx]
+        inside = (a[idx] < cand) & (cand < b[idx])
+        x[idx] = cand = np.where(inside, cand, 0.5 * (a[idx] + b[idx]))
+        f[idx], slope[idx], payload[..., idx] = func(idx, cand)
+        fc, low = f[idx], (f[idx] > 0.0) == (fa[idx] > 0.0)
+        a[idx[low]], fa[idx[low]], b[idx[~low]] = cand[low], fc[low], cand[~low]
+        collapsed = b[idx] - a[idx] <= 1e-13 * np.maximum(1.0, abs(cand))
+        done[idx] = ok = abs(fc) <= np.where(collapsed, 1e3 * tol_f, tol_f)
+        active[idx] = ~(ok | collapsed | np.isnan(fc))
+    return np.where(done, x, math.nan), np.where(done, payload, math.nan)

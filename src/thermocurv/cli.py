@@ -9,6 +9,7 @@ fixed inputs (``--threads`` is accepted and ignored).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -273,7 +274,7 @@ def _cmd_davies(args) -> int:
 
     direction = (1.0, 0.0) if sweep_idx == 0 else (0.0, 1.0)
     points_doc = []
-    for pt in locus.points:
+    for pt, info in zip(locus.points, locus.brackets):
         fits = {}
         for which_r, key in (("rf", "fit_RF"), ("rm", "fit_RM")):
             try:
@@ -285,7 +286,8 @@ def _cmd_davies(args) -> int:
                     spec, pt, which_r, which_line=args.which,
                     direction=(-direction[0], -direction[1]))
             fits[key] = _fit_doc(fit)
-        points_doc.append({"S": pt.s, "X": pt.x, **fits})
+        points_doc.append({"S": pt.s, "X": pt.x, **fits, "bracket": {
+            "residual": info.residual, "iterations": info.iterations}})
 
     turning: list[float] = []
     if sweep_idx == 0:
@@ -304,7 +306,8 @@ def _cmd_davies(args) -> int:
 
     doc = {"which": args.which, "potential": spec.name,
            "fixed": {spec.coords[fixed_idx]: fixed_value},
-           "points": points_doc, "turning_points": turning}
+           "points": points_doc, "turning_points": turning,
+           "rejected": [{"S": pt.s, "X": pt.x} for pt in locus.rejected]}
     out, close = _open_out(args.out)
     try:
         json.dump(doc, out, indent=2)
@@ -378,6 +381,7 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermocurv",

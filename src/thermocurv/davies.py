@@ -3,8 +3,8 @@ turning-point (conjugacy) scans.
 
 A line where the constant-X heat capacity blows up is the zero set of M_SS;
 the constant-Y analogue is the zero set of the Hessian determinant.  Both
-are located by bracketing sign changes along one-dimensional sweeps and
-refining with a secant/bisection hybrid.
+are located by bracketing sign changes along one-dimensional sweeps, each
+evaluated in one batched pass, and refining with a secant/bisection hybrid.
 
 Divergence rates are estimated from observables only: curvature values are
 sampled along a straight approach to the line with geometrically shrinking
@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import expand_bracket, refine_bracket
+# expand_bracket stays importable from here for per-layer tracing
+from ._roots import (ToleranceNotMetError, expand_bracket,  # noqa: F401
+                     refine_bracket, solve_lanes)
 from .geometry import StatePoint, curvature_from_m_jet
-from .jets import Jet3
+from .jets import DomainError, Jet3, batch
 from .potentials import PotentialSpec, eval_jet
 
 __all__ = [
@@ -48,7 +50,8 @@ class DaviesLocus:
 
     ``rejected`` lists sign changes that were dropped because the
     temperature vanishes there (extremal boundary rather than a divergence
-    of a heat capacity at positive temperature).
+    of a heat capacity at positive temperature), because they are poles,
+    or because the jet cannot be evaluated inside their bracket.
     """
 
     which: str                       # "cx" | "cy"
@@ -112,6 +115,30 @@ def _grid(lo: float, hi: float, count: int, spacing: str) -> np.ndarray:
     raise ValueError(f"unknown spacing {spacing!r}")
 
 
+def _eval_lanes(spec: PotentialSpec, s, x) -> Jet3:
+    """Jets at the points ``(s, x)`` (arrays or floats) from one batched
+    evaluation; a point that fails has a nan jet."""
+    jet = Jet3(math.nan)
+    with batch(np.broadcast(s, x).size) as failures:
+        jet = eval_jet(spec, (s, x))
+    return Jet3(*(np.where(failures.code != 0, math.nan, c) for c in jet.coeffs()))
+
+
+def _refine(func, a: float, b: float, fa: float, fb: float):
+    """``(point, residual, iterations, is_root)`` for the sign change of
+    ``func`` in ``(a, b)``, refined until |f| <= 1e-12 * max(1, |fa|, |fb|).
+    A failed refinement (point: the bracket midpoint), or one that ends on a
+    residual above tolerance and no smaller than at both ends, found a pole
+    (or a gap), not a root."""
+    try:
+        root, resid, iters = refine_bracket(func, a, b, fa, fb,
+                                            tol_f=1e-12 * max(1.0, abs(fa), abs(fb)))
+    except (ToleranceNotMetError, DomainError, OverflowError, ZeroDivisionError):
+        return 0.5 * (a + b), math.inf, 0, False
+    end = min(abs(fa), abs(fb))
+    return root, resid, iters, resid < end or resid <= 1e-12 * max(1.0, end)
+
+
 def find_davies_points(
     spec: PotentialSpec,
     which: str,
@@ -127,26 +154,23 @@ def find_davies_points(
 
     One coordinate (named by ``fixed``) is held at ``fixed_value`` while the
     other runs over ``sweep``; every sign change of the root function is
-    refined until |f| <= 1e-12 * scale.  An empty locus is a normal outcome,
-    not an error.
+    refined until |f| <= 1e-12 * scale.  Samples outside the domain are
+    skipped; poles and sign changes whose refinement leaves the domain go to
+    ``rejected``.  An empty locus is a normal outcome, not an error.
     """
     root_fn, f_def = _root_function(which)
     if fixed not in spec.coords:
         raise ValueError(f"{fixed!r} is not a coordinate of {spec.name!r}")
     fixed_idx = spec.coords.index(fixed)
-    sweep_idx = 1 - fixed_idx
 
-    def to_point(u: float) -> StatePoint:
-        vals = [0.0, 0.0]
-        vals[fixed_idx] = fixed_value
-        vals[sweep_idx] = u
-        return StatePoint(*vals)
+    def to_point(u):
+        return StatePoint(*((fixed_value, u) if fixed_idx == 0 else (u, fixed_value)))
 
     def g(u: float) -> float:
         return root_fn(eval_jet(spec, to_point(u)))
 
     grid = _grid(*sweep, count, spacing)
-    samples = [(float(u), g(float(u))) for u in grid]
+    samples = list(zip(grid.tolist(), root_fn(_eval_lanes(spec, *to_point(grid))).tolist()))
 
     points, brackets, rejected = [], [], []
     for (u0, f0), (u1, f1) in zip(samples, samples[1:]):
@@ -154,18 +178,37 @@ def find_davies_points(
             continue
         if f0 == 0.0 or (f0 > 0.0) == (f1 > 0.0):
             continue
-        # tolerance scaled by the local f magnitude, not the whole sweep
-        tol_f = 1e-12 * max(1.0, abs(f0), abs(f1))
-        root, resid, iters = refine_bracket(g, u0, u1, f0, f1, tol_f=tol_f)
+        root, resid, iters, is_root = _refine(g, u0, u1, f0, f1)
         pt = to_point(root)
-        temperature = eval_jet(spec, pt).s
-        if temperature <= 1e-10 * max(1.0, abs(root)):
+        if not is_root or eval_jet(spec, pt).s <= 1e-10 * max(1.0, abs(root)):
             rejected.append(pt)
             continue
         points.append(pt)
         brackets.append(BracketInfo(u0, u1, f0, f1, resid, iters))
     return DaviesLocus(which=which, points=tuple(points), f_def=f_def,
                        brackets=tuple(brackets), rejected=tuple(rejected))
+
+
+# spec, key and samples of the latest approach, which the R^M and R^F fits
+# of a locus point share
+_LAST_APPROACH: list = [None, None, None]
+
+
+def _approach(spec, point, which_line, ds, dx, start, halvings, eps):
+    """(|f|, R^M, R^F) along an approach, without samples where f = 0."""
+    key = (point, which_line, ds, dx, start, halvings, eps)
+    if _LAST_APPROACH[0] is spec and _LAST_APPROACH[1] == key:
+        return _LAST_APPROACH[2]
+    t = start * 0.5 ** np.arange(halvings + 1)
+    jet = _eval_lanes(spec, point.s + t * ds, point.x + t * dx)
+    if np.isnan(jet.v).any():
+        raise DomainError("domain", point, "the approach leaves the domain")
+    f_val = abs(_root_function(which_line)[0](jet))
+    curv = curvature_from_m_jet(jet, eps=eps)
+    usable = f_val != 0.0   # measure-zero landing exactly on the line
+    result = tuple(v[usable].tolist() for v in (f_val, curv.r_m, curv.r_f))
+    _LAST_APPROACH[:] = [spec, key, result]
+    return result
 
 
 def fit_divergence_exponent(
@@ -184,32 +227,22 @@ def fit_divergence_exponent(
 
     Points are sampled at displacements ``start * 2**-j`` along
     ``direction`` from the line (so |f| shrinks geometrically, anchored by
-    the local directional derivative of the root function); log10|R| is
-    fitted against log10|f|.  A curvature that stays bounded along the
-    window is reported as a finite-limit outcome with the f -> 0
-    extrapolation, not as a failure.
+    the local directional derivative of the root function), in one batched
+    evaluation that raises :class:`DomainError` if a sample falls outside
+    the domain; log10|R| is fitted against log10|f|.  A curvature that
+    stays bounded along the window is reported as a finite-limit outcome
+    with the f -> 0 extrapolation, not as a failure.
     """
     if which_r not in ("rm", "rf"):
         raise ValueError(f"which_r must be 'rm' or 'rf', got {which_r!r}")
-    root_fn, _ = _root_function(which_line)
     norm = math.hypot(*direction)
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     ds, dx = direction[0] / norm, direction[1] / norm
 
-    window, values, companions = [], [], []
-    for j in range(halvings + 1):
-        t_j = start * 0.5 ** j
-        pt = StatePoint(locus_point.s + t_j * ds, locus_point.x + t_j * dx)
-        jet = eval_jet(spec, pt)
-        f_val = abs(root_fn(jet))
-        if f_val == 0.0:
-            continue  # measure-zero landing exactly on the line
-        curv = curvature_from_m_jet(jet, eps=eps)
-        r_val = curv.r_m if which_r == "rm" else curv.r_f
-        window.append(f_val)
-        values.append(r_val)
-        companions.append(curv.r_f if which_r == "rm" else curv.r_m)
+    window, r_m, r_f = _approach(spec, locus_point, which_line, ds, dx,
+                                 start, halvings, eps)
+    values, companions = (r_m, r_f) if which_r == "rm" else (r_f, r_m)
 
     if len(window) < 6:
         raise ValueError("approach produced fewer than 6 usable samples")
@@ -255,80 +288,59 @@ def conjugacy_scan(
 
     ``series`` selects the family: ``"fixed-x"`` holds the control parameter
     and sweeps the entropy, sampling (T, S); ``"fixed-y"`` holds the
-    conjugate variable Y instead, solving X at every entropy sample.  A
-    turning point is a sweep value where the control variable's derivative
-    changes sign (a vertical tangent of the conjugacy diagram); detection
-    uses a central difference over the grid and refinement bisects the exact
-    jet derivative.
+    conjugate variable Y instead, solving X at every entropy sample; one
+    that cannot be solved is a (nan, S) gap.  A turning point is a sweep
+    value where the control variable's derivative changes sign (a vertical
+    tangent of the conjugacy diagram); detection uses a central difference
+    over the grid, never across a gap, and refinement drives the exact jet
+    derivative to zero.  Poles are skipped.
     """
     s_grid = _grid(*sweep, count, spacing)
 
     if series == "fixed-x":
-        def state(s: float) -> StatePoint:
-            return StatePoint(s, fixed_value)
+        jet = _eval_lanes(spec, s_grid, fixed_value)
+        tvals, dvals = jet.s, jet.ss                # T and dT/dS at fixed X
 
-        def deriv(s: float) -> float:   # dT/dS at fixed X
-            return eval_jet(spec, state(s)).ss
+        def deriv(s: float, k: int) -> float:
+            return eval_jet(spec, StatePoint(s, fixed_value)).ss
     elif series == "fixed-y":
         x_lo, x_hi = spec.domain[1]
-        last_x = [x_guess]
 
-        def solve_x(s: float) -> float:
-            def resid(x: float) -> float:
-                return eval_jet(spec, (s, x)).x - fixed_value
-            a, b, fa, fb = expand_bracket(
-                resid, last_x[0], x_lo, x_hi,
-                first_step=0.05 * max(1.0, abs(last_x[0])))
-            root, _, _ = refine_bracket(
-                resid, a, b, fa, fb,
-                tol_f=1e-13 * max(1.0, abs(fixed_value)))
-            last_x[0] = root
-            return root
+        def solve(s: np.ndarray, guess: float) -> np.ndarray:
+            def lanes(idx, x):   # T, dT/dS along constant Y, X
+                jet = _eval_lanes(spec, s[idx], x)
+                with np.errstate(all="ignore"):
+                    det_h = jet.ss * jet.xx - jet.sx * jet.sx
+                    return jet.x - fixed_value, jet.xx, np.stack([jet.s, det_h / jet.xx, x])
+            return solve_lanes(lanes, s.size, guess, x_lo, x_hi,
+                               first_step=0.05 * max(1.0, abs(guess)),
+                               tol_f=1e-13 * max(1.0, abs(fixed_value)))[1]
 
-        def state(s: float) -> StatePoint:
-            return StatePoint(s, solve_x(s))
+        tvals, dvals, xvals = solve(s_grid, x_guess)
 
-        def deriv(s: float) -> float:   # dT/dS along constant Y
-            jet = eval_jet(spec, state(s))
-            det_h = jet.ss * jet.xx - jet.sx * jet.sx
-            return det_h / jet.xx
+        def deriv(s: float, k: int) -> float:   # continued from sample k
+            return float(solve(np.array([s]), xvals[k])[1][0])
     else:
         raise ValueError(f"series must be 'fixed-x' or 'fixed-y', got {series!r}")
 
-    samples = []
-    for s in s_grid:
-        jet = eval_jet(spec, state(float(s)))
-        samples.append((float(jet.s), float(s)))   # (control T, conjugate S)
-
+    svals, tvals, dvals = s_grid.tolist(), tvals.tolist(), dvals.tolist()
+    samples = list(zip(tvals, svals))            # (control T, conjugate S)
     turning = []
-    svals = [c for _, c in samples]
-    tvals = [t for t, _ in samples]
     cd = [(tvals[k + 1] - tvals[k - 1]) / (svals[k + 1] - svals[k - 1])
           for k in range(1, len(samples) - 1)]
     for k in range(len(cd) - 1):
-        if cd[k] == 0.0 or (cd[k] > 0.0) == (cd[k + 1] > 0.0):
+        if (cd[k] == 0.0 or (cd[k] > 0.0) == (cd[k + 1] > 0.0)
+                or math.isnan(cd[k] + cd[k + 1])):
             continue
-        a, b = svals[k + 1], svals[k + 2]
-        fa, fb = deriv(a), deriv(b)
-        if fa == 0.0:
-            turning.append(a)
-            continue
-        if (fa > 0.0) == (fb > 0.0):
-            a, b = svals[k], svals[k + 3 if k + 3 < len(svals) else k + 2]
-            fa, fb = deriv(a), deriv(b)
-            if (fa > 0.0) == (fb > 0.0):
-                continue  # central-difference aliasing, no exact sign change
-        # plain bisection on the exact derivative
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = deriv(mid)
-            if fm == 0.0 or b - a <= 1e-13 * max(1.0, abs(mid)):
+        for i, j in ((k + 1, k + 2), (k, min(k + 3, len(svals) - 1))):
+            fa, fb = dvals[i], dvals[j]
+            if fa == 0.0 or (fa > 0.0) != (fb > 0.0) and not math.isnan(fa + fb):
                 break
-            if (fm > 0.0) == (fa > 0.0):
-                a, fa = mid, fm
-            else:
-                b, fb = mid, fm
-        turning.append(0.5 * (a + b))
+        else:
+            continue  # central-difference aliasing, no exact sign change
+        root, _, _, is_root = _refine(lambda s: deriv(s, i), svals[i], svals[j], fa, fb)
+        if is_root:
+            turning.append(root)
 
     return ConjugacyScan(series=tuple(samples), turning_points=tuple(turning),
                          which=series, fixed_value=fixed_value)

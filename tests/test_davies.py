@@ -1,10 +1,20 @@
+import json
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermocurv import (StatePoint, conjugacy_scan, eval_jet,
-                        find_davies_points, fit_divergence_exponent,
+from thermocurv import (ConditioningWarning, DomainError, StatePoint,
+                        conjugacy_scan, davies, eval_jet, find_davies_points,
+                        fit_divergence_exponent, get_entry, parse_potential,
                         responses_at)
+from thermocurv._roots import (NoBracketError, expand_bracket, refine_bracket,
+                               solve_lanes)
+from thermocurv.cli import main
+from thermocurv.jets import batch
 
 
 def test_rn_capacity_line_root(rn):
@@ -183,3 +193,190 @@ def test_sweep_over_second_coordinate(rn):
                                   direction=(0.0, 1.0))
     assert fit.kind == "divergent"
     assert fit.slope == pytest.approx(-2.0, abs=0.02)
+
+
+# -- batched pipeline against the scalar API --------------------------------
+
+SYNTH = parse_potential("S^2/2 + X^2/2 + S*X^2/2", name="synthetic")
+SQRT = parse_potential("sqrt(S-2) + X^2", name="sqrt")
+POLE = {"name": "pole", "coords": ["S", "X"],
+        "expression": "S^3/6 + 1/(S-2) + X^2", "params": {},
+        "domain": {"S": [0, None], "X": [0, None]}}
+
+
+def scalar_root_function(spec, which, s, x):
+    """The root function of one point by the scalar API, nan where the jet
+    cannot be evaluated."""
+    try:
+        return davies._root_function(which)[0](eval_jet(spec, (s, x)))
+    except (DomainError, OverflowError, ZeroDivisionError):
+        return math.nan
+
+
+@st.composite
+def sweep_slices(draw):
+    """(spec, line, fixed X, sweep): RN, Kerr and synthetic slices whose
+    sweeps may start outside the domain, plus square-root slices."""
+    spec, which, lo_fixed, hi_fixed = draw(st.sampled_from([
+        (get_entry("reissner-nordstrom").spec, "cx", 0.3, 1.6),
+        (get_entry("kerr").spec, "cx", 0.1, 1.0),
+        (SYNTH, "cy", 1.2, 2.0), (SQRT, "cx", 0.5, 2.0)]))
+    lo = draw(st.floats(-1.0, 2.5))
+    return (spec, which, draw(st.floats(lo_fixed, hi_fixed)),
+            (lo, lo + draw(st.floats(0.5, 10.0))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sweep_slices(), st.integers(2, 200))
+def test_batched_sweep_matches_scalar_root_function(case, count):
+    spec, which, fixed, sweep = case
+    grid = davies._grid(*sweep, count, "linear")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        batched = davies._root_function(which)[0](davies._eval_lanes(spec, grid, fixed))
+        scalar = [scalar_root_function(spec, which, u, fixed) for u in grid.tolist()]
+    assert [float(v).hex() for v in batched] == [v.hex() for v in scalar]
+
+
+def continuation_fixed_y(spec, y, s_grid, x_guess):
+    """X along constant Y solved one sample at a time, each solve starting
+    from the previous root: the scalar route the fixed-Y scan once took."""
+    x_lo, x_hi = spec.domain[1]
+    last, roots = x_guess, []
+    for s in s_grid:
+        def resid(x):
+            return eval_jet(spec, (s, x)).x - y
+        a, b, fa, fb = expand_bracket(resid, last, x_lo, x_hi,
+                                      first_step=0.05 * max(1.0, abs(last)))
+        last = refine_bracket(resid, a, b, fa, fb, tol_f=1e-13 * max(1.0, abs(y)))[0]
+        roots.append(last)
+    return roots
+
+
+@st.composite
+def fixed_y_slices(draw):
+    """(spec, Y, guess): Y taken at a random state; M_X rises with X, so
+    X(S) is unique where it exists (on Kerr, Y < 1/sqrt(S) is needed)."""
+    spec, lo, hi = draw(st.sampled_from([
+        (get_entry("reissner-nordstrom").spec, 0.2, 2.0),
+        (get_entry("kerr").spec, 0.1, 1.0), (SYNTH, 0.5, 2.0)]))
+    s0, x0 = draw(st.floats(0.5, 5.0)), draw(st.floats(lo, hi))
+    return spec, eval_jet(spec, (s0, x0)).x, x0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(fixed_y_slices())
+def test_lane_fixed_y_roots_match_continuation_solve(case):
+    spec, y, guess = case
+    s_grid = np.linspace(0.3, 6.0, 60)
+
+    def lanes(idx, x):
+        with batch(idx.size):
+            jet = eval_jet(spec, (s_grid[idx], x))
+        return jet.x - y, jet.xx, jet.s
+    got, temps = solve_lanes(lanes, s_grid.size, guess, *spec.domain[1],
+                             first_step=0.05 * max(1.0, abs(guess)),
+                             tol_f=1e-13 * max(1.0, abs(y)))
+    scan = conjugacy_scan(spec, "fixed-y", fixed_value=y, sweep=(0.3, 6.0),
+                          count=60, x_guess=guess)
+    np.testing.assert_array_equal([t for t, _ in scan.series], temps)
+    for s, x in zip(s_grid.tolist(), got.tolist()):
+        if not math.isnan(x):   # nan: Y is out of reach at this S
+            assert abs(eval_jet(spec, (s, x)).x - y) <= 1e-10 * max(1.0, abs(y))
+    try:
+        want = continuation_fixed_y(spec, y, s_grid.tolist(), guess)
+    except NoBracketError:
+        return   # the scalar route never samples between X = 0 and its guess
+    for k, (s, x) in enumerate(zip(s_grid.tolist(), want)):
+        assert got[k] == pytest.approx(x, rel=1e-12, abs=1e-12)
+        assert temps[k] == pytest.approx(eval_jet(spec, (s, x)).s, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(sweep_slices().filter(lambda case: case[0] is not SQRT))
+def test_turning_points_sit_on_locus_points(case):
+    spec, which, fixed, (lo, hi) = case
+    sweep = (max(lo, 0.05), hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        locus = find_davies_points(spec, which, fixed=spec.coords[1],
+                                   fixed_value=fixed, sweep=sweep)
+        turning = []
+        if which == "cx":
+            turning = conjugacy_scan(spec, "fixed-x", fixed_value=fixed,
+                                     sweep=sweep).turning_points
+        for pt in locus.points if which == "cy" else ():
+            turning += conjugacy_scan(spec, "fixed-y", fixed_value=eval_jet(spec, pt).x,
+                                      sweep=sweep, x_guess=pt.x).turning_points
+    assert len(turning) == len(locus.points)
+    for pt, turn in zip(locus.points, turning):
+        assert abs(turn - pt.s) <= 1e-10
+
+
+def test_pole_is_rejected_not_reported(tmp_path, capsys):
+    # the sweep puts a sample within 1e-6 of the pole S = 2, where |M_SS|
+    # is about 2e18; both the sign change and the turning point are the pole
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(POLE), encoding="utf-8")
+    code = main(["davies", "--potential-file", str(path), "--which", "cx",
+                 "--fix", "X=0.5637846894579852",
+                 "--sweep", "S=0.8885872739572626:4.141101050264327"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["points"] == [] and doc["turning_points"] == []
+    assert len(doc["rejected"]) == 1 and abs(doc["rejected"][0]["S"] - 2.0) < 0.02
+
+
+def test_sqrt_sweep_from_outside_the_domain(tmp_path, capsys):
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps({**POLE, "name": "sqrt",
+                                "expression": "sqrt(S-2) + X^2"}), encoding="utf-8")
+    code = main(["davies", "--potential-file", str(path), "--which", "cx",
+                 "--fix", "X=1", "--sweep", "S=1.5:4"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["points"] == [] and doc["turning_points"] == []
+
+
+def test_davies_json_reports_brackets_and_rejections(capsys):
+    assert main(["davies", "--catalog", "reissner-nordstrom", "--which", "cy",
+                 "--fix", "Q=1", "--sweep", "S=0.2:10"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["points"] == []
+    assert len(doc["rejected"]) == 1 and doc["rejected"][0]["S"] == pytest.approx(1.0, abs=1e-6)
+    assert main(["davies", "--catalog", "reissner-nordstrom", "--which", "cx",
+                 "--fix", "Q=1", "--sweep", "S=0.5:10"]) == 0
+    bracket = json.loads(capsys.readouterr().out)["points"][0]["bracket"]
+    assert bracket["residual"] <= 1e-12 and 1 <= bracket["iterations"] <= 200
+
+
+def test_unreachable_fixed_y_samples_are_gaps():
+    # Y = M_X = X + S/2 = 1 is out of reach for X > 0 once S >= 2
+    spec = parse_potential("S^2/2 + X^2/2 + S*X/2", name="shifted")
+    scan = conjugacy_scan(spec, "fixed-y", fixed_value=1.0, sweep=(0.5, 3.5),
+                          count=31, x_guess=1.0)
+    assert [s for _, s in scan.series] == pytest.approx(np.linspace(0.5, 3.5, 31))
+    for t, s in scan.series:
+        if s < 2.0 - 1e-9:      # T = S + X/2 = 3 S/4 + Y/2
+            assert t == pytest.approx(0.75 * s + 0.5, rel=1e-12)
+        elif s > 2.0 + 1e-9:
+            assert math.isnan(t)
+    assert scan.turning_points == ()
+
+
+def test_series_gaps_are_skipped_not_refined():
+    # exp(5/(S-2)) overflows for 2 < S < 2.007 and is flat left of S = 2, so
+    # T = M_S falls on the left and rises out of -inf on the right.  With 46
+    # samples S = 2 is one (a division by zero, a gap in the series); with
+    # 200 none is, but refinements step into the overflow: neither aborts
+    spec = parse_potential("exp(5/(S-2)) - S^2/2 + X^2", name="gap")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        for count, gaps in ((46, 1), (200, 0)):
+            scan = conjugacy_scan(spec, "fixed-x", fixed_value=1.0,
+                                  sweep=(0.5, 5.0), count=count)
+            assert sum(math.isnan(t) for t, _ in scan.series) == gaps
+            assert scan.turning_points == ()
+            locus = find_davies_points(spec, "cx", fixed="X", fixed_value=1.0,
+                                       sweep=(0.5, 5.0), count=count)
+            assert locus.points == ()
