@@ -60,42 +60,55 @@ def refine_bracket(func, a: float, b: float, fa: float, fb: float,
 
 
 def expand_bracket(func, guess: float, lo: float, hi: float,
-                   *, first_step: float, max_expand: int = 60):
+                   *, first_step: float, max_expand: int = 60, slope=None):
     """Search outward from ``guess`` for the nearest sign change of ``func``.
 
-    Samples ``guess +- first_step * 2**k`` clipped to ``(lo, hi)`` and keeps
-    the sampled points ordered; the first adjacent pair with opposite signs
+    Samples ``guess +- first_step * 2**k``; past a finite bound it halves
+    the distance from the outermost sample to the bound instead, down to
+    ``1e-9 * first_step``.  The first adjacent pair with opposite signs
     whose midpoint lies nearest the guess is returned as
-    ``(a, b, fa, fb)``.
+    ``(a, b, fa, fb)``.  Given the derivative ``slope``, a same-sign pair
+    whose slopes differ in sign holds an extremum: it is located as a root
+    of ``slope``, and where ``func`` changes sign there, the half nearest
+    the guess is the pair.
     """
     pts = [(guess, func(guess))]
+    flat = set()                 # same-sign pairs whose extremum holds no root
 
-    def scan():
-        best = None
-        for (x0, f0), (x1, f1) in zip(pts, pts[1:]):
-            if f0 == 0.0 or f1 == 0.0 or (f0 > 0.0) != (f1 > 0.0):
-                mid = 0.5 * (x0 + x1)
-                dist = abs(mid - guess)
-                if best is None or dist < best[0]:
-                    best = (dist, x0, x1, f0, f1)
-        return best
+    def pair(x0, x1, f0, f1):
+        if f0 == 0.0 or f1 == 0.0 or (f0 > 0.0) != (f1 > 0.0):
+            return x0, x1, f0, f1
+        if slope is None or (x0, x1) in flat:
+            return None
+        d0, d1 = slope(x0), slope(x1)
+        if (d0 > 0.0) == (d1 > 0.0):
+            return None
+        xe = refine_bracket(slope, x0, x1, d0, d1,
+                            tol_f=1e-6 * max(abs(d0), abs(d1)))[0]
+        fe = func(xe)
+        if (fe > 0.0) == (f0 > 0.0) and fe != 0.0:
+            flat.add((x0, x1))
+            return None
+        return min((x0, xe, f0, fe), (xe, x1, fe, f1),
+                   key=lambda p: abs(p[0] + p[1] - 2.0 * guess))
 
-    seen = {guess}
+    ends = [guess, guess]        # outermost sample on each side
     for k in range(max_expand):
-        step = first_step * (2.0 ** k)
-        for cand in (guess - step, guess + step):
-            cand = min(max(cand, lo), hi)
-            if cand in seen or not (lo < cand < hi):
-                continue
-            seen.add(cand)
+        step, count = first_step * (2.0 ** k), len(pts)
+        for side, cand, bound in ((0, guess - step, lo), (1, guess + step, hi)):
+            if not lo < cand < hi:
+                cand = 0.5 * (ends[side] + bound)
+                if abs(cand - bound) < 1e-9 * first_step:
+                    continue
+            ends[side] = cand
             pts.append((cand, func(cand)))
-        pts.sort(key=lambda p: p[0])
-        found = scan()
-        if found is not None:
-            _, a, b, fa, fb = found
-            return a, b, fa, fb
-        if guess - step <= lo and guess + step >= hi:
+        if len(pts) == count:
             break
+        pts.sort(key=lambda p: p[0])
+        found = [p for (x0, f0), (x1, f1) in zip(pts, pts[1:])
+                 if (p := pair(x0, x1, f0, f1)) is not None]
+        if found:
+            return min(found, key=lambda p: abs(p[0] + p[1] - 2.0 * guess))
     raise NoBracketError(
         f"no sign change found around {guess!r} within ({lo!r}, {hi!r})")
 

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# expand_bracket stays importable from here for per-layer tracing
-from ._roots import (ToleranceNotMetError, expand_bracket,  # noqa: F401
-                     refine_bracket, solve_lanes)
+from ._roots import ToleranceNotMetError, refine_bracket, solve_lanes
 from .geometry import StatePoint, curvature_from_m_jet
 from .jets import DomainError, Jet3, batch
 from .potentials import PotentialSpec, eval_jet

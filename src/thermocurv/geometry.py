@@ -22,7 +22,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._roots import NoBracketError, ToleranceNotMetError, expand_bracket
+from ._roots import (NoBracketError, ToleranceNotMetError, expand_bracket,
+                     refine_bracket)
 from .jets import Jet3
 from .potentials import PotentialSpec, eval_jet
 
@@ -96,6 +97,7 @@ class LegendrePoint:
 
     The jet's first slot differentiates along T, the second along X, so
     ``f_jet.s == -s_of_tx`` and ``f_jet.x`` equals the conjugate variable Y.
+    ``iterations`` counts the jets the solve evaluated, the guess included.
     """
 
     t: float
@@ -235,10 +237,15 @@ def legendre_at(
 ) -> LegendrePoint:
     """Solve T(s, x) = t for the entropy and build the free-energy jet.
 
-    The root solve is a safeguarded Newton iteration (bisection fallback
-    inside an automatically expanded bracket around ``s_guess``); it needs
-    M_SS != 0 near the root, i.e. a point away from the heat-capacity
-    divergence locus, else :class:`LegendreSingularError` is raised.
+    The root solve takes Halley steps from ``s_guess`` (M_SSS is in the
+    jet, so the correction is free), each cut to at most half of
+    max(1, |s|).  A step that leaves the domain or fails to cut the
+    residual by a tenth hands over to the sign change nearest the guess
+    (humps of T(s) included), refined by the bracketed secant.  Every
+    point is evaluated once, and the jet at the root builds the
+    free-energy jet.  The solve needs M_SS != 0 at the root, i.e. a point
+    away from the heat-capacity divergence locus, else
+    :class:`LegendreSingularError` is raised.
 
     The (T, X) jet of F is assembled by implicit differentiation of
     T(s(T,X), X) = T order by order, which keeps the whole pipeline free of
@@ -247,14 +254,34 @@ def legendre_at(
     eps = singularity_eps() if eps is None else eps
     tol = 1e-12 * max(1.0, abs(t)) if tol is None else tol
     lo, hi = spec.domain[0]
+    jets: dict[float, Jet3] = {}
+
+    def jet(s: float) -> Jet3:
+        if s not in jets:
+            jets[s] = eval_jet(spec, (s, x))
+        return jets[s]
 
     def residual(s: float) -> float:
-        return eval_jet(spec, (s, x)).s - t
+        return jet(s).s - t
 
-    s_root, resid, iters = _newton_bisection(
-        spec, residual, t, x, s_guess, lo, hi, tol, max_iter)
+    s_root, f = s_guess, residual(s_guess)
+    for _ in range(max_iter):
+        if abs(f) <= tol:
+            break
+        m = jets[s_root]
+        step = _safe_div(2.0 * f * m.ss, 2.0 * m.ss * m.ss - f * m.sss)
+        s_new = s_root - math.copysign(min(abs(step), 0.5 * max(1.0, abs(s_root))),
+                                       step)
+        if not (lo < s_new < hi and abs(f_new := residual(s_new)) <= 0.9 * abs(f)):
+            break
+        s_root, f = s_new, f_new
+    if abs(f) > tol:
+        a, b, fa, fb = expand_bracket(
+            residual, s_guess, lo, hi, first_step=0.05 * max(1.0, abs(s_guess)),
+            slope=lambda s: jet(s).ss)
+        s_root, f = refine_bracket(residual, a, b, fa, fb, tol_f=tol)[:2]
 
-    m = eval_jet(spec, (s_root, x))
+    m = jets[s_root]
     if abs(m.ss) < eps * hessian_scale(m):
         raise LegendreSingularError(
             f"M_SS ~ 0 at solved entropy {s_root!r}: Legendre transform is "
@@ -262,53 +289,7 @@ def legendre_at(
 
     f_jet = _f_jet_from_m_jet(m, s_root, t)
     return LegendrePoint(t=t, x=x, s_of_tx=s_root, f_value=m.v - t * s_root,
-                         f_jet=f_jet, residual=resid, iterations=iters)
-
-
-def _newton_bisection(spec, residual, t, x, s_guess, lo, hi, tol, max_iter):
-    # cheap Newton first: usually a handful of steps from a decent guess
-    s = s_guess
-    f = residual(s)
-    a = b = None
-    for it in range(max_iter):
-        if abs(f) <= tol:
-            return s, abs(f), it
-        mss = eval_jet(spec, (s, x)).ss
-        if mss == 0.0:
-            break
-        step = f / mss
-        s_new = s - step
-        if not (lo < s_new < hi) or abs(step) > 0.5 * max(1.0, abs(s)):
-            break
-        f_new = residual(s_new)
-        if abs(f_new) > 0.9 * abs(f):
-            # stagnating; remember any sign change before bailing out
-            if (f_new > 0.0) != (f > 0.0):
-                a, b = (s, s_new) if s < s_new else (s_new, s)
-            break
-        s, f = s_new, f_new
-    # safeguarded phase: bracket then bisect/secant
-    if a is None:
-        a, b, fa, fb = expand_bracket(
-            residual, s_guess, lo, hi,
-            first_step=0.05 * max(1.0, abs(s_guess)))
-    else:
-        fa, fb = residual(a), residual(b)
-    for it in range(200):
-        mid = 0.5 * (a + b)
-        fm = residual(mid)
-        if abs(fm) <= tol:
-            return mid, abs(fm), it
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-        if b - a <= 1e-15 * max(1.0, abs(mid)):
-            if abs(fm) <= 1e3 * tol:
-                return mid, abs(fm), it
-            raise ToleranceNotMetError(
-                f"Legendre solve stalled at {mid!r}, residual {fm!r}")
-    raise ToleranceNotMetError("Legendre solve did not converge")
+                         f_jet=f_jet, residual=abs(f), iterations=len(jets))
 
 
 def _f_jet_from_m_jet(m: Jet3, s_root: float, t: float) -> Jet3:

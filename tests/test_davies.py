@@ -253,6 +253,15 @@ def continuation_fixed_y(spec, y, s_grid, x_guess):
     return roots
 
 
+def test_scalar_bracket_samples_toward_a_finite_bound(rn):
+    # RN at S = 0.3: Y = Q / sqrt(S) = 0.1414 is reached at Q = 0.077,
+    # below the last doubling sample Q = 0.1 and above the bound Q = 0
+    def resid(q):
+        return eval_jet(rn.spec, (0.3, q)).x - 0.1414
+    a, b, fa, fb = expand_bracket(resid, 0.2, *rn.spec.domain[1], first_step=0.05)
+    assert a < 0.1414 * math.sqrt(0.3) < b and (fa > 0.0) != (fb > 0.0)
+
+
 @st.composite
 def fixed_y_slices(draw):
     """(spec, Y, guess): Y taken at a random state; M_X rises with X, so
@@ -286,7 +295,7 @@ def test_lane_fixed_y_roots_match_continuation_solve(case):
     try:
         want = continuation_fixed_y(spec, y, s_grid.tolist(), guess)
     except NoBracketError:
-        return   # the scalar route never samples between X = 0 and its guess
+        return   # Y is out of reach at some S (on Kerr, Y < 1/sqrt(S))
     for k, (s, x) in enumerate(zip(s_grid.tolist(), want)):
         assert got[k] == pytest.approx(x, rel=1e-12, abs=1e-12)
         assert temps[k] == pytest.approx(eval_jet(spec, (s, x)).s, rel=1e-12, abs=1e-12)

@@ -1,15 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdtools import H1, H2, H3, curvature_fd_diagonal, d1, d2, d3, fd_partials
-from thermocurv import (LegendreSingularError, StatePoint, curvature_fd_general,
-                        curvature_from_f_jet, curvature_from_m_jet, eval_jet,
-                        legendre_at, metric_f_sx, metric_m, parse_potential)
+from thermocurv import (ConditioningWarning, LegendreSingularError, StatePoint,
+                        curvature_fd_general, curvature_from_f_jet,
+                        curvature_from_m_jet, eval_jet, get_entry, legendre_at,
+                        metric_f_sx, metric_m, parse_potential)
 from thermocurv.jets import Jet3
 from thermocurv.geometry import (MetricTensor2, NoBracketError,
-                                 SingularMetricError)
+                                 SingularMetricError, hessian_scale)
 from conftest import sample_kerr, sample_quad, sample_rn
 
 
@@ -143,8 +147,72 @@ def test_legendre_identities_and_fd_oracle(rn):
 
 def test_legendre_no_bracket(rn):
     # at Q = 1 the temperature maxes out near 0.096; t = 10 has no root
-    with pytest.raises(NoBracketError):
-        legendre_at(rn.spec, 10.0, 1.0, s_guess=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        with pytest.raises(NoBracketError):
+            legendre_at(rn.spec, 10.0, 1.0, s_guess=2.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-12])
+def test_legendre_root_beside_the_rn_hump(rn, scale):
+    # from S = 5 the bracket samples reach S = 1, where T(1, 0.5) is hit
+    # exactly; T slightly above it lies above every doubling sample from
+    # S = 5 down to S = 1 and above S = 0.5, halfway to the bound S = 0:
+    # that root, just below S = 1, sits behind the hump of T(S) at S = 0.75
+    t = eval_jet(rn.spec, (1.0, 0.5)).s * scale
+    lp = legendre_at(rn.spec, t, 0.5, s_guess=5.0)
+    assert abs(eval_jet(rn.spec, (lp.s_of_tx, 0.5)).s - t) <= 1e-9 * max(1.0, abs(t))
+    assert lp.s_of_tx == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("name, t, x, guess, root", [
+    # T(S) peaks between the roots 3.46 and 5.82; the bracket's doubling
+    # samples around the guess (7.63 and 2.54 among them) all lie below t
+    ("kerr", 0.0907272317056625, 0.858679383006048, 12.718465943278032,
+     5.822838711073478),
+    # Halley stalls on the flat tail of T(S) far above the roots 0.76 and
+    # 1.28; the bracket samples halving toward S = 0 jump over both
+    ("reissner-nordstrom", 0.16532082688805302, 0.5672965934538947,
+     414.0836137901765, 1.2843353856053021),
+])
+def test_legendre_brackets_a_hump_of_the_temperature(name, t, x, guess, root):
+    spec = get_entry(name).spec
+    lp = legendre_at(spec, t, x, s_guess=guess)
+    assert lp.s_of_tx == pytest.approx(root, rel=1e-9)
+    assert abs(eval_jet(spec, (lp.s_of_tx, x)).s - t) <= 1e-12
+
+
+@st.composite
+def legendre_cases(draw):
+    """(entry name, T, X, guess): a state off the C_X line on either branch
+    of T(S), with a guess up to e^+-1.5 away from its entropy."""
+    name = draw(st.sampled_from(["reissner-nordstrom", "kerr"]))
+    if name == "reissner-nordstrom":   # T > 0 for S > Q^2, C_X line S = 3 Q^2
+        x = draw(st.floats(0.2, 1.5))
+        t_zero, line = x * x, 3.0 * x * x
+    else:                              # T > 0 for S > 2 J, C_X line S ~ 5.09 J
+        x = draw(st.floats(0.1, 1.0))
+        t_zero, line = 2.0 * x, math.sqrt(12.0 + 8.0 * math.sqrt(3.0)) * x
+    if draw(st.booleans()):
+        s0 = line * draw(st.floats(1.3, 6.0))
+    else:
+        s0 = t_zero * draw(st.floats(1.1, line / t_zero / 1.3))
+    return name, s0, x, s0 * math.exp(draw(st.floats(-1.5, 1.5)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(legendre_cases())
+def test_legendre_round_trip(case):
+    name, s0, x, guess = case
+    spec = get_entry(name).spec
+    t = eval_jet(spec, (s0, x)).s
+    lp = legendre_at(spec, t, x, s_guess=guess)
+    m = eval_jet(spec, (lp.s_of_tx, x))
+    assert abs(m.s - t) <= 1e-9 * max(1.0, abs(t))
+    assert abs(m.ss) >= 1e-10 * hessian_scale(m)
+    cf, cm = curvature_from_f_jet(lp), curvature_from_m_jet(m)
+    assert cf.r_m == pytest.approx(cm.r_m, rel=1e-8, abs=1e-8)
+    assert cf.r_f == pytest.approx(cm.r_f, rel=1e-8, abs=1e-8)
 
 
 def test_legendre_singular_at_capacity_divergence():
