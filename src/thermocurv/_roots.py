@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+from .jets import DomainError
+
 
 class NoBracketError(RuntimeError):
     """No sign change could be found around the starting guess."""
@@ -60,37 +62,39 @@ def refine_bracket(func, a: float, b: float, fa: float, fb: float,
 
 
 def expand_bracket(func, guess: float, lo: float, hi: float,
-                   *, first_step: float, max_expand: int = 60, slope=None):
+                   *, first_step: float, slope, max_expand: int = 60):
     """Search outward from ``guess`` for the nearest sign change of ``func``.
 
     Samples ``guess +- first_step * 2**k``; past a finite bound it halves
     the distance from the outermost sample to the bound instead, down to
-    ``1e-9 * first_step``.  The first adjacent pair with opposite signs
-    whose midpoint lies nearest the guess is returned as
-    ``(a, b, fa, fb)``.  Given the derivative ``slope``, a same-sign pair
-    whose slopes differ in sign holds an extremum: it is located as a root
-    of ``slope``, and where ``func`` changes sign there, the half nearest
-    the guess is the pair.
+    ``1e-9 * first_step``.  The adjacent pair with opposite signs whose
+    midpoint lies nearest the guess is returned as ``(a, b, fa, fb)``.
+    Failing one, a same-sign pair whose ``slope`` (the derivative of
+    ``func``) differs in sign holds an extremum: nearest the guess first,
+    it is located as a root of ``slope``, and where ``func`` changes sign
+    there, the half nearest the guess is the pair.  An extremum that
+    cannot be located (a pole between the samples) counts as no root.
     """
     pts = [(guess, func(guess))]
     flat = set()                 # same-sign pairs whose extremum holds no root
 
-    def pair(x0, x1, f0, f1):
-        if f0 == 0.0 or f1 == 0.0 or (f0 > 0.0) != (f1 > 0.0):
-            return x0, x1, f0, f1
-        if slope is None or (x0, x1) in flat:
+    def dist(p):
+        return abs(p[0] + p[1] - 2.0 * guess)
+
+    def hump(x0, x1, f0, f1):
+        try:
+            d0, d1 = slope(x0), slope(x1)
+            if (d0 > 0.0) == (d1 > 0.0):
+                return None
+            # located to 1e-9: any closer only chases a pole of ``slope``
+            xe = refine_bracket(slope, x0, x1, d0, d1, tol_x=1e-9,
+                                tol_f=1e-6 * max(abs(d0), abs(d1)))[0]
+            fe = func(xe)
+        except (ToleranceNotMetError, DomainError, ArithmeticError):
             return None
-        d0, d1 = slope(x0), slope(x1)
-        if (d0 > 0.0) == (d1 > 0.0):
-            return None
-        xe = refine_bracket(slope, x0, x1, d0, d1,
-                            tol_f=1e-6 * max(abs(d0), abs(d1)))[0]
-        fe = func(xe)
         if (fe > 0.0) == (f0 > 0.0) and fe != 0.0:
-            flat.add((x0, x1))
             return None
-        return min((x0, xe, f0, fe), (xe, x1, fe, f1),
-                   key=lambda p: abs(p[0] + p[1] - 2.0 * guess))
+        return min((x0, xe, f0, fe), (xe, x1, fe, f1), key=dist)
 
     ends = [guess, guess]        # outermost sample on each side
     for k in range(max_expand):
@@ -105,10 +109,15 @@ def expand_bracket(func, guess: float, lo: float, hi: float,
         if len(pts) == count:
             break
         pts.sort(key=lambda p: p[0])
-        found = [p for (x0, f0), (x1, f1) in zip(pts, pts[1:])
-                 if (p := pair(x0, x1, f0, f1)) is not None]
+        pairs = [(x0, x1, f0, f1) for (x0, f0), (x1, f1) in zip(pts, pts[1:])]
+        found = [p for p in pairs
+                 if p[2] == 0.0 or p[3] == 0.0 or (p[2] > 0.0) != (p[3] > 0.0)]
         if found:
-            return min(found, key=lambda p: abs(p[0] + p[1] - 2.0 * guess))
+            return min(found, key=dist)
+        for p in sorted((p for p in pairs if p[:2] not in flat), key=dist):
+            if (got := hump(*p)) is not None:
+                return got
+            flat.add(p[:2])
     raise NoBracketError(
         f"no sign change found around {guess!r} within ({lo!r}, {hi!r})")
 

@@ -240,8 +240,9 @@ def legendre_at(
     The root solve takes Halley steps from ``s_guess`` (M_SSS is in the
     jet, so the correction is free), each cut to at most half of
     max(1, |s|).  A step that leaves the domain or fails to cut the
-    residual by a tenth hands over to the sign change nearest the guess
-    (humps of T(s) included), refined by the bracketed secant.  Every
+    residual by a tenth hands over to the bracketed secant: inside the
+    last sign change the steps crossed, else inside the sign change
+    nearest the guess (humps of T(s) included).  Every
     point is evaluated once, and the jet at the root builds the
     free-energy jet.  The solve needs M_SS != 0 at the root, i.e. a point
     away from the heat-capacity divergence locus, else
@@ -265,6 +266,7 @@ def legendre_at(
         return jet(s).s - t
 
     s_root, f = s_guess, residual(s_guess)
+    bracket = None               # the last sign change between two iterates
     for _ in range(max_iter):
         if abs(f) <= tol:
             break
@@ -272,11 +274,15 @@ def legendre_at(
         step = _safe_div(2.0 * f * m.ss, 2.0 * m.ss * m.ss - f * m.sss)
         s_new = s_root - math.copysign(min(abs(step), 0.5 * max(1.0, abs(s_root))),
                                        step)
-        if not (lo < s_new < hi and abs(f_new := residual(s_new)) <= 0.9 * abs(f)):
+        if not lo < s_new < hi:
+            break
+        if ((f_new := residual(s_new)) > 0.0) != (f > 0.0):
+            bracket = (s_root, s_new, f, f_new)
+        if abs(f_new) > 0.9 * abs(f):
             break
         s_root, f = s_new, f_new
     if abs(f) > tol:
-        a, b, fa, fb = expand_bracket(
+        a, b, fa, fb = bracket or expand_bracket(
             residual, s_guess, lo, hi, first_step=0.05 * max(1.0, abs(s_guess)),
             slope=lambda s: jet(s).ss)
         s_root, f = refine_bracket(residual, a, b, fa, fb, tol_f=tol)[:2]

@@ -247,7 +247,8 @@ def continuation_fixed_y(spec, y, s_grid, x_guess):
         def resid(x):
             return eval_jet(spec, (s, x)).x - y
         a, b, fa, fb = expand_bracket(resid, last, x_lo, x_hi,
-                                      first_step=0.05 * max(1.0, abs(last)))
+                                      first_step=0.05 * max(1.0, abs(last)),
+                                      slope=lambda x: eval_jet(spec, (s, x)).xx)
         last = refine_bracket(resid, a, b, fa, fb, tol_f=1e-13 * max(1.0, abs(y)))[0]
         roots.append(last)
     return roots
@@ -258,7 +259,8 @@ def test_scalar_bracket_samples_toward_a_finite_bound(rn):
     # below the last doubling sample Q = 0.1 and above the bound Q = 0
     def resid(q):
         return eval_jet(rn.spec, (0.3, q)).x - 0.1414
-    a, b, fa, fb = expand_bracket(resid, 0.2, *rn.spec.domain[1], first_step=0.05)
+    a, b, fa, fb = expand_bracket(resid, 0.2, *rn.spec.domain[1], first_step=0.05,
+                                  slope=lambda q: eval_jet(rn.spec, (0.3, q)).xx)
     assert a < 0.1414 * math.sqrt(0.3) < b and (fa > 0.0) != (fb > 0.0)
 
 

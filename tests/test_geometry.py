@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdtools import H1, H2, H3, curvature_fd_diagonal, d1, d2, d3, fd_partials
-from thermocurv import (ConditioningWarning, LegendreSingularError, StatePoint,
-                        curvature_fd_general, curvature_from_f_jet,
-                        curvature_from_m_jet, eval_jet, get_entry, legendre_at,
-                        metric_f_sx, metric_m, parse_potential)
+from thermocurv import (LegendreSingularError, StatePoint, curvature_fd_general,
+                        curvature_from_f_jet, curvature_from_m_jet, eval_jet,
+                        get_entry, legendre_at, metric_f_sx, metric_m,
+                        parse_potential)
 from thermocurv.jets import Jet3
 from thermocurv.geometry import (MetricTensor2, NoBracketError,
                                  SingularMetricError, hessian_scale)
@@ -147,10 +146,30 @@ def test_legendre_identities_and_fd_oracle(rn):
 
 def test_legendre_no_bracket(rn):
     # at Q = 1 the temperature maxes out near 0.096; t = 10 has no root
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ConditioningWarning)
-        with pytest.raises(NoBracketError):
-            legendre_at(rn.spec, 10.0, 1.0, s_guess=2.0)
+    with pytest.raises(NoBracketError):
+        legendre_at(rn.spec, 10.0, 1.0, s_guess=2.0)
+
+
+def test_legendre_refines_the_sign_change_its_steps_crossed():
+    # T = sign(S-2) |S-2|^(1/10) is so steep at S = 2 that the first Halley
+    # step from S = 2.5 lands across the root 2 + 2^-10 without cutting the
+    # residual by a tenth; the bracket of that step holds the root.  A fresh
+    # search from the guess with 5% steps would sample S = 2, where this
+    # T is undefined
+    spec = parse_potential("((S-2)^2)^(11/20)*10/11 + X^2", name="cusp")
+    lp = legendre_at(spec, 0.5, 1.0, s_guess=2.5)
+    assert lp.s_of_tx == pytest.approx(2.0 + 2.0 ** -10, rel=1e-12)
+
+
+def test_legendre_bracket_passes_a_pole_of_the_temperature():
+    # T = S^2/2 - 1/(S-2)^2 stays below -1/4 left of its pole at S = 2, so
+    # Halley stalls there; the samples 1.995 and 2.09 straddle the pole,
+    # where M_SS flips sign through infinity and no extremum can be found.
+    # The search goes on to the sign change between 2.66 and 3.42
+    spec = parse_potential("S^3/6 + 1/(S-2) + X^2", name="pole")
+    lp = legendre_at(spec, 2.0, 1.0, s_guess=1.9)
+    assert 2.66 < lp.s_of_tx < 3.42
+    assert abs(eval_jet(spec, (lp.s_of_tx, 1.0)).s - 2.0) <= 1e-12 * 2.0
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-12])
