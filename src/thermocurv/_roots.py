@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .jets import DomainError
+from .jets import DomainError, _safe_div
 
 
 class NoBracketError(RuntimeError):
@@ -19,13 +19,13 @@ class ToleranceNotMetError(RuntimeError):
 
 
 def refine_bracket(func, a: float, b: float, fa: float, fb: float,
-                   *, tol_f: float, tol_x: float = 1e-13,
-                   max_iter: int = 200) -> tuple[float, float, int]:
+                   *, tol_f: float, tol_x: float = 1e-13) -> tuple[float, float, int]:
     """Drive ``func`` to zero inside a sign-change bracket.
 
     Secant steps with bisection fallback; the bracket is maintained at every
-    iteration.  Returns ``(root, residual, iterations)`` once
-    ``|f| <= tol_f`` or raises :class:`ToleranceNotMetError`.
+    iteration, for at most 200 of them.  Returns ``(root, residual,
+    iterations)`` once ``|f| <= tol_f`` or raises
+    :class:`ToleranceNotMetError`.
     """
     if fa == 0.0:
         return a, 0.0, 0
@@ -35,7 +35,7 @@ def refine_bracket(func, a: float, b: float, fa: float, fb: float,
         raise ValueError("refine_bracket needs a sign change")
     x_prev, f_prev = a, fa
     x_cur, f_cur = b, fb
-    for it in range(1, max_iter + 1):
+    for it in range(1, 201):
         if f_prev != f_cur:
             cand = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
         else:
@@ -58,17 +58,17 @@ def refine_bracket(func, a: float, b: float, fa: float, fb: float,
                 return cand, abs(f_cand), it
             raise ToleranceNotMetError(
                 f"bracket collapsed at {cand!r} with residual {f_cand!r}")
-    raise ToleranceNotMetError(f"no convergence in {max_iter} iterations")
+    raise ToleranceNotMetError("no convergence in 200 iterations")
 
 
-def expand_bracket(func, guess: float, lo: float, hi: float,
-                   *, first_step: float, slope, max_expand: int = 60):
+def expand_bracket(func, guess: float, lo: float, hi: float, *, slope):
     """Search outward from ``guess`` for the nearest sign change of ``func``.
 
-    Samples ``guess +- first_step * 2**k``; past a finite bound it halves
-    the distance from the outermost sample to the bound instead, down to
-    ``1e-9 * first_step``.  The adjacent pair with opposite signs whose
-    midpoint lies nearest the guess is returned as ``(a, b, fa, fb)``.
+    Samples ``guess +- h * 2**k`` for k < 60, ``h = 0.05 max(1, |guess|)``;
+    past a finite bound it halves the distance from the outermost sample to
+    the bound instead, down to ``1e-9 * h``.  The adjacent pair with
+    opposite signs whose midpoint lies nearest the guess is returned as
+    ``(a, b, fa, fb)``.
     Failing one, a same-sign pair whose ``slope`` (the derivative of
     ``func``) differs in sign holds an extremum: nearest the guess first,
     it is located as a root of ``slope``, and where ``func`` changes sign
@@ -96,8 +96,9 @@ def expand_bracket(func, guess: float, lo: float, hi: float,
             return None
         return min((x0, xe, f0, fe), (xe, x1, fe, f1), key=dist)
 
+    first_step = 0.05 * max(1.0, abs(guess))
     ends = [guess, guess]        # outermost sample on each side
-    for k in range(max_expand):
+    for k in range(60):
         step, count = first_step * (2.0 ** k), len(pts)
         for side, cand, bound in ((0, guess - step, lo), (1, guess + step, hi)):
             if not lo < cand < hi:
@@ -122,8 +123,7 @@ def expand_bracket(func, guess: float, lo: float, hi: float,
         f"no sign change found around {guess!r} within ({lo!r}, {hi!r})")
 
 
-def solve_lanes(func, n: int, guess: float, lo: float, hi: float,
-                *, first_step: float, tol_f: float):
+def solve_lanes(func, n: int, guess: float, lo: float, hi: float, *, tol_f: float):
     """Solve ``n`` equations ``f_k(x) = 0`` at once, every lane from ``guess``.
 
     ``func(lanes, x)`` gives ``(f, slope, payload)`` of the lanes (an index
@@ -134,6 +134,7 @@ def solve_lanes(func, n: int, guess: float, lo: float, hi: float,
     bracket) until ``|f| <= tol_f``.  Returns ``(x, payload)`` at the roots,
     nan where no bracket or a pole was found.
     """
+    first_step = 0.05 * max(1.0, abs(guess))
     x = np.full(n, float(guess))
     f, slope, payload = func(np.arange(n), x)
     done = abs(f) <= tol_f
@@ -173,3 +174,50 @@ def solve_lanes(func, n: int, guess: float, lo: float, hi: float,
         done[idx] = ok = abs(fc) <= np.where(collapsed, 1e3 * tol_f, tol_f)
         active[idx] = ~(ok | collapsed | np.isnan(fc))
     return np.where(done, x, math.nan), np.where(done, payload, math.nan)
+
+
+def solve_near(jet_at, coord: str, target: float, guess: float, lo: float,
+               hi: float, *, tol_f: float):
+    """Solve ``P_u = target`` for the coordinate ``u`` named by ``coord``
+    (``"s"`` or ``"x"``), where ``jet_at(u)`` is the jet of P at ``u``.
+
+    Up to 80 Halley steps from ``guess`` (``P_uuu`` is in the jet), each
+    cut to at most half of max(1, |u|).  A step that leaves ``(lo, hi)`` or
+    fails to cut the residual by a tenth hands over to the bracketed
+    secant: inside the last sign change the steps crossed, else inside the
+    one :func:`expand_bracket` finds.  Every point is evaluated once.
+    Returns ``(root, jet at the root, |residual| <= tol_f, jets evaluated)``
+    or raises as :func:`expand_bracket` and :func:`refine_bracket` do.
+    """
+    d2, d3 = coord * 2, coord * 3        # "ss", "sss" or "xx", "xxx"
+    jets = {}
+
+    def jet(u: float):
+        if u not in jets:
+            jets[u] = jet_at(u)
+        return jets[u]
+
+    def residual(u: float) -> float:
+        return getattr(jet(u), coord) - target
+
+    root, f = guess, residual(guess)
+    bracket = None               # the last sign change between two iterates
+    for _ in range(80):
+        if abs(f) <= tol_f:
+            break
+        m = jets[root]
+        p2, p3 = getattr(m, d2), getattr(m, d3)
+        step = _safe_div(2.0 * f * p2, 2.0 * p2 * p2 - f * p3)
+        new = root - math.copysign(min(abs(step), 0.5 * max(1.0, abs(root))), step)
+        if not lo < new < hi:
+            break
+        if ((f_new := residual(new)) > 0.0) != (f > 0.0):
+            bracket = (root, new, f, f_new)
+        if abs(f_new) > 0.9 * abs(f):
+            break
+        root, f = new, f_new
+    if abs(f) > tol_f:
+        a, b, fa, fb = bracket or expand_bracket(
+            residual, guess, lo, hi, slope=lambda u: getattr(jet(u), d2))
+        root, f = refine_bracket(residual, a, b, fa, fb, tol_f=tol_f)[:2]
+    return root, jets[root], abs(f), len(jets)

@@ -20,8 +20,8 @@ from .catalog import GridAxis, UnknownPotentialError, entry_names, get_entry
 from .davies import conjugacy_scan, find_davies_points, fit_divergence_exponent
 from ._roots import NoBracketError, ToleranceNotMetError
 from .geometry import StatePoint, curvature_from_m_jet, singularity_eps
-from .jets import DOMAIN, OVERFLOW, DomainError, Jet3, batch
-from .potentials import (ParseError, eval_jet, eval_scalar,
+from .jets import DOMAIN, OVERFLOW, DomainError
+from .potentials import (ParseError, eval_jet, eval_jets, eval_scalar,
                          load_potential_file, parse_potential)
 from .responses import (ResponseSet, cap_difference_residual,
                         kappa_difference_residual, metric_from_responses,
@@ -117,28 +117,20 @@ def evaluate_points(spec, s, x, eps=None):
     eps = singularity_eps() if eps is None else eps
     s = np.asarray(s, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
-    n = s.size
-    nan = np.full(n, math.nan)
-    jet = None
+    jet, code = eval_jets(spec, s, x)
     with np.errstate(all="ignore"):
-        with batch(n) as failures:
-            jet = eval_jet(spec, (s, x))
-        coeffs = [nan] * 10 if jet is None else jet.coeffs()
-        coeffs = np.broadcast_arrays(*coeffs, nan)[:10]
-        failures.record(OVERFLOW, ~np.isfinite(coeffs).all(axis=0))
-        jet = Jet3(*coeffs)
         curv = curvature_from_m_jet(jet, eps=eps)
         rs = responses_at(jet, StatePoint(s, x), eps=eps)
-    failed = failures.code != 0
+    failed = code != 0
     values = [jet.s, jet.x, jet.ss, jet.sx, jet.xx, curv.det_gm, curv.det_gf,
               curv.r_m, curv.r_f, rs.c_x, rs.c_y, rs.alpha, rs.kappa_t,
               rs.kappa_s, rs.gamma]
-    columns = dict(zip(COLUMNS, [s, x, *(np.where(failed, nan, v) for v in values)]))
-    tokens = np.full(n, "", dtype=object)
+    columns = dict(zip(COLUMNS, [s, x, *(np.where(failed, math.nan, v) for v in values)]))
+    tokens = np.full(s.size, "", dtype=object)
     for token, mask in (*curv.flags, *rs.flags):
         tokens[mask & ~failed] += ";" + token
-    tokens[failures.code == DOMAIN] = ";err:domain"
-    tokens[failures.code == OVERFLOW] = ";err:overflow"
+    tokens[code == DOMAIN] = ";err:domain"
+    tokens[code == OVERFLOW] = ";err:overflow"
     return columns, np.array([t[1:] for t in tokens.tolist()], dtype=object)
 
 
@@ -148,38 +140,38 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _write_rows(args, spec, columns, flags) -> None:
-    coords_map = {"S": spec.coords[0], "X": spec.coords[1]}
-    table = np.column_stack([columns[name] for name in COLUMNS[:-1]])
-    out, close = _open_out(args.out)
+def _write_json(path, doc) -> None:
+    out, close = _open_out(path)
     try:
-        if args.format == "csv":
-            # the bytes csv.writer gives these cells: none needs quoting
-            out.write(",".join(COLUMNS) + "\r\n")
-            row = "%.17g," * (len(COLUMNS) - 1) + "%s\r\n"
-            for start in range(0, len(flags), _WRITE_BLOCK):
-                stop = start + _WRITE_BLOCK
-                out.write("".join([row % (*cells, tag) for cells, tag in
-                                   zip(table[start:stop].tolist(), flags[start:stop])]))
-        else:
-            doc = {
-                "potential": spec.name,
-                "coords": coords_map,
-                "columns": COLUMNS,
-                "rows": [[_jsonable(v) for v in cells] + [tag]
-                         for cells, tag in zip(table.tolist(), flags)],
-            }
-            json.dump(doc, out, indent=2)
-            out.write("\n")
+        json.dump(doc, out, indent=2)
+        out.write("\n")
     finally:
         if close:
             out.close()
-    if close and args.format == "csv":
-        sidecar = {"potential": spec.name, "coords": coords_map,
-                   "columns": COLUMNS}
-        with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+
+
+def _write_rows(args, spec, columns, flags) -> None:
+    head = {"potential": spec.name, "coords": {"S": spec.coords[0], "X": spec.coords[1]},
+            "columns": COLUMNS}
+    table = np.column_stack([columns[name] for name in COLUMNS[:-1]])
+    if args.format == "json":
+        _write_json(args.out, {**head, "rows": [[_jsonable(v) for v in cells] + [tag]
+                                                for cells, tag in zip(table.tolist(), flags)]})
+        return
+    out, close = _open_out(args.out)
+    try:
+        # the bytes csv.writer gives these cells: none needs quoting
+        out.write(",".join(COLUMNS) + "\r\n")
+        row = "%.17g," * (len(COLUMNS) - 1) + "%s\r\n"
+        for start in range(0, len(flags), _WRITE_BLOCK):
+            stop = start + _WRITE_BLOCK
+            out.write("".join([row % (*cells, tag) for cells, tag in
+                               zip(table[start:stop].tolist(), flags[start:stop])]))
+    finally:
+        if close:
+            out.close()
+    if close:
+        _write_json(args.out + ".meta.json", head)
 
 
 def _cmd_eval(args) -> int:
@@ -199,13 +191,7 @@ def _cmd_eval(args) -> int:
         **{col: _jsonable(float(columns[col][0])) for col in COLUMNS[:-1]},
         "flags": flags[0].split(";") if flags[0] else [],
     }
-    out, close = _open_out(args.out)
-    try:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    _write_json(args.out, doc)
     return 0
 
 
@@ -308,13 +294,7 @@ def _cmd_davies(args) -> int:
            "fixed": {spec.coords[fixed_idx]: fixed_value},
            "points": points_doc, "turning_points": turning,
            "rejected": [{"S": pt.s, "X": pt.x} for pt in locus.rejected]}
-    out, close = _open_out(args.out)
-    try:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    _write_json(args.out, doc)
     return 0
 
 

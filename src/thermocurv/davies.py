@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import ToleranceNotMetError, refine_bracket, solve_lanes
+from ._roots import (NoBracketError, ToleranceNotMetError, refine_bracket,
+                     solve_lanes, solve_near)
 from .geometry import StatePoint, curvature_from_m_jet
-from .jets import DomainError, Jet3, batch
-from .potentials import PotentialSpec, eval_jet
+from .jets import DomainError, Jet3
+from .potentials import PotentialSpec, eval_jet, eval_jets
 
 __all__ = [
     "DaviesLocus", "BracketInfo", "ExponentFit", "ConjugacyScan",
@@ -113,15 +114,6 @@ def _grid(lo: float, hi: float, count: int, spacing: str) -> np.ndarray:
     raise ValueError(f"unknown spacing {spacing!r}")
 
 
-def _eval_lanes(spec: PotentialSpec, s, x) -> Jet3:
-    """Jets at the points ``(s, x)`` (arrays or floats) from one batched
-    evaluation; a point that fails has a nan jet."""
-    jet = Jet3(math.nan)
-    with batch(np.broadcast(s, x).size) as failures:
-        jet = eval_jet(spec, (s, x))
-    return Jet3(*(np.where(failures.code != 0, math.nan, c) for c in jet.coeffs()))
-
-
 def _refine(func, a: float, b: float, fa: float, fb: float):
     """``(point, residual, iterations, is_root)`` for the sign change of
     ``func`` in ``(a, b)``, refined until |f| <= 1e-12 * max(1, |fa|, |fb|).
@@ -146,7 +138,6 @@ def find_davies_points(
     sweep: tuple[float, float],
     count: int = 200,
     spacing: str = "linear",
-    eps: float | None = None,
 ) -> DaviesLocus:
     """Locate divergence-line crossings along one sweep slice.
 
@@ -168,7 +159,7 @@ def find_davies_points(
         return root_fn(eval_jet(spec, to_point(u)))
 
     grid = _grid(*sweep, count, spacing)
-    samples = list(zip(grid.tolist(), root_fn(_eval_lanes(spec, *to_point(grid))).tolist()))
+    samples = list(zip(grid.tolist(), root_fn(eval_jets(spec, *to_point(grid))[0]).tolist()))
 
     points, brackets, rejected = [], [], []
     for (u0, f0), (u1, f1) in zip(samples, samples[1:]):
@@ -198,8 +189,8 @@ def _approach(spec, point, which_line, ds, dx, start, halvings, eps):
     if _LAST_APPROACH[0] is spec and _LAST_APPROACH[1] == key:
         return _LAST_APPROACH[2]
     t = start * 0.5 ** np.arange(halvings + 1)
-    jet = _eval_lanes(spec, point.s + t * ds, point.x + t * dx)
-    if np.isnan(jet.v).any():
+    jet, failed = eval_jets(spec, point.s + t * ds, point.x + t * dx)
+    if failed.any():
         raise DomainError("domain", point, "the approach leaves the domain")
     f_val = abs(_root_function(which_line)[0](jet))
     curv = curvature_from_m_jet(jet, eps=eps)
@@ -296,28 +287,31 @@ def conjugacy_scan(
     s_grid = _grid(*sweep, count, spacing)
 
     if series == "fixed-x":
-        jet = _eval_lanes(spec, s_grid, fixed_value)
+        jet = eval_jets(spec, s_grid, fixed_value)[0]
         tvals, dvals = jet.s, jet.ss                # T and dT/dS at fixed X
 
         def deriv(s: float, k: int) -> float:
             return eval_jet(spec, StatePoint(s, fixed_value)).ss
     elif series == "fixed-y":
         x_lo, x_hi = spec.domain[1]
+        tol_f = 1e-13 * max(1.0, abs(fixed_value))
 
-        def solve(s: np.ndarray, guess: float) -> np.ndarray:
-            def lanes(idx, x):   # T, dT/dS along constant Y, X
-                jet = _eval_lanes(spec, s[idx], x)
-                with np.errstate(all="ignore"):
-                    det_h = jet.ss * jet.xx - jet.sx * jet.sx
-                    return jet.x - fixed_value, jet.xx, np.stack([jet.s, det_h / jet.xx, x])
-            return solve_lanes(lanes, s.size, guess, x_lo, x_hi,
-                               first_step=0.05 * max(1.0, abs(guess)),
-                               tol_f=1e-13 * max(1.0, abs(fixed_value)))[1]
+        def lanes(idx, x):   # T, dT/dS along constant Y, X
+            jet = eval_jets(spec, s_grid[idx], x)[0]
+            with np.errstate(all="ignore"):
+                det_h = jet.ss * jet.xx - jet.sx * jet.sx
+                return jet.x - fixed_value, jet.xx, np.stack([jet.s, det_h / jet.xx, x])
 
-        tvals, dvals, xvals = solve(s_grid, x_guess)
+        tvals, dvals, xvals = solve_lanes(lanes, s_grid.size, x_guess, x_lo, x_hi,
+                                          tol_f=tol_f)[1]
 
-        def deriv(s: float, k: int) -> float:   # continued from sample k
-            return float(solve(np.array([s]), xvals[k])[1][0])
+        def deriv(s: float, k: int) -> float:   # X solved from sample k's root
+            try:
+                jet = solve_near(lambda x: eval_jet(spec, (s, x)), "x", fixed_value,
+                                 float(xvals[k]), x_lo, x_hi, tol_f=tol_f)[1]
+                return (jet.ss * jet.xx - jet.sx * jet.sx) / jet.xx
+            except (NoBracketError, ToleranceNotMetError, DomainError, ArithmeticError):
+                return math.nan
     else:
         raise ValueError(f"series must be 'fixed-x' or 'fixed-y', got {series!r}")
 

@@ -22,9 +22,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._roots import (NoBracketError, ToleranceNotMetError, expand_bracket,
-                     refine_bracket)
-from .jets import Jet3
+from ._roots import NoBracketError, ToleranceNotMetError, solve_near
+from .jets import Jet3, _safe_div
 from .potentials import PotentialSpec, eval_jet
 
 DEFAULT_SINGULARITY_EPS = 1e-10
@@ -150,34 +149,27 @@ def metric_f_sx(jet: Jet3) -> MetricTensor2:
     return MetricTensor2(-jet.ss, 0.0, jet.xx, chart="SX", kind="F")
 
 
-def _safe_div(num, den):
-    """num / den for floats or arrays; 0/0 is nan and x/0 is inf with the
-    sign of x, whatever the sign of the zero."""
-    if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den == 0.0,
-                            np.where(num == 0.0, math.nan, np.copysign(math.inf, num)),
-                            num / den)
-    if den == 0.0:
-        return math.nan if num == 0.0 else math.copysign(math.inf, num)
-    return num / den
+def _curvatures(jet: Jet3, eps: float | None):
+    """The complementary pair of curvatures from the jet of a potential P in
+    its natural chart: the full-Hessian form of g^P, and the diagonal form
+    of the other metric, diag(-P_11, P_22) in this chart.
 
-
-def _hessian_form(ss, sx, xx, sss, ssx, sxx, xxx) -> tuple[float, float]:
-    """Curvature numerator and metric determinant for a Hessian metric in
-    its natural chart."""
-    num = (ss * (sxx * sxx - ssx * xxx)
-           + xx * (ssx * ssx - sxx * sss)
-           + sx * (sss * xxx - ssx * sxx))
-    det = ss * xx - sx * sx
-    return num, det
-
-
-def _diagonal_form(ss, xx, sss, ssx, sxx, xxx) -> float:
-    """Curvature numerator for the transformed metric diag(-P_11, P_22) in
-    the natural chart of the potential P."""
-    return (-ss * sxx * sxx + xx * ssx * ssx
-            + ss * ssx * xxx - xx * sxx * sss)
+    Returns ``(R_hessian, R_diagonal, det_hessian, det_diagonal,
+    div_hessian, div_diagonal)``; a ``div_`` entry holds where that
+    scalar's denominator is near zero.
+    """
+    eps = singularity_eps() if eps is None else eps
+    scale = hessian_scale(jet)
+    ss, sx, xx, sss, ssx, sxx, xxx = jet.ss, jet.sx, jet.xx, jet.sss, jet.ssx, jet.sxx, jet.xxx
+    num_h = (ss * (sxx * sxx - ssx * xxx)
+             + xx * (ssx * ssx - sxx * sss)
+             + sx * (sss * xxx - ssx * sxx))
+    det_h = ss * xx - sx * sx
+    num_d = (-ss * sxx * sxx + xx * ssx * ssx
+             + ss * ssx * xxx - xx * sxx * sss)
+    return (_safe_div(num_h, 2.0 * det_h * det_h), _safe_div(num_d, 2.0 * ss * ss * xx * xx),
+            det_h, -ss * xx, abs(det_h) < eps * scale,
+            (abs(ss) < eps * scale) | (abs(xx) < eps * scale))
 
 
 def curvature_from_m_jet(jet: Jet3, eps: float | None = None) -> CurvatureResult:
@@ -186,18 +178,9 @@ def curvature_from_m_jet(jet: Jet3, eps: float | None = None) -> CurvatureResult
     R^M uses the full-Hessian form, R^F the diagonal form of g^F in this
     chart; determinants are reported in the same chart.
     """
-    eps = singularity_eps() if eps is None else eps
-    scale = hessian_scale(jet)
-    num_m, det_gm = _hessian_form(jet.ss, jet.sx, jet.xx,
-                                  jet.sss, jet.ssx, jet.sxx, jet.xxx)
-    num_f = _diagonal_form(jet.ss, jet.xx, jet.sss, jet.ssx, jet.sxx, jet.xxx)
-    r_m = _safe_div(num_m, 2.0 * det_gm * det_gm)
-    r_f = _safe_div(num_f, 2.0 * jet.ss * jet.ss * jet.xx * jet.xx)
-    flags = _flag_tokens(
-        ("div:RM", abs(det_gm) < eps * scale),
-        ("div:RF", (abs(jet.ss) < eps * scale) | (abs(jet.xx) < eps * scale)))
-    return CurvatureResult(r_m=r_m, r_f=r_f, det_gm=det_gm,
-                           det_gf=-jet.ss * jet.xx, chart="SX", flags=flags)
+    r_m, r_f, det_gm, det_gf, div_m, div_f = _curvatures(jet, eps)
+    return CurvatureResult(r_m=r_m, r_f=r_f, det_gm=det_gm, det_gf=det_gf, chart="SX",
+                           flags=_flag_tokens(("div:RM", div_m), ("div:RF", div_f)))
 
 
 def curvature_from_f_jet(lp: LegendrePoint, eps: float | None = None) -> CurvatureResult:
@@ -208,19 +191,9 @@ def curvature_from_f_jet(lp: LegendrePoint, eps: float | None = None) -> Curvatu
     (T, X).  The scalars agree with the (S, X)-chart values; the reported
     determinants are the (T, X)-chart ones.
     """
-    eps = singularity_eps() if eps is None else eps
-    fj = lp.f_jet
-    scale = hessian_scale(fj)
-    num_f, det_gf = _hessian_form(fj.ss, fj.sx, fj.xx,
-                                  fj.sss, fj.ssx, fj.sxx, fj.xxx)
-    num_m = _diagonal_form(fj.ss, fj.xx, fj.sss, fj.ssx, fj.sxx, fj.xxx)
-    r_f = _safe_div(num_f, 2.0 * det_gf * det_gf)
-    r_m = _safe_div(num_m, 2.0 * fj.ss * fj.ss * fj.xx * fj.xx)
-    flags = _flag_tokens(
-        ("div:RF", abs(det_gf) < eps * scale),
-        ("div:RM", (abs(fj.ss) < eps * scale) | (abs(fj.xx) < eps * scale)))
-    return CurvatureResult(r_m=r_m, r_f=r_f, det_gm=-fj.ss * fj.xx,
-                           det_gf=det_gf, chart="TX", flags=flags)
+    r_f, r_m, det_gf, det_gm, div_f, div_m = _curvatures(lp.f_jet, eps)
+    return CurvatureResult(r_m=r_m, r_f=r_f, det_gm=det_gm, det_gf=det_gf, chart="TX",
+                           flags=_flag_tokens(("div:RF", div_f), ("div:RM", div_m)))
 
 
 # -- Legendre transform --------------------------------------------------------
@@ -231,19 +204,12 @@ def legendre_at(
     x: float,
     s_guess: float,
     *,
-    tol: float | None = None,
-    max_iter: int = 80,
     eps: float | None = None,
 ) -> LegendrePoint:
     """Solve T(s, x) = t for the entropy and build the free-energy jet.
 
-    The root solve takes Halley steps from ``s_guess`` (M_SSS is in the
-    jet, so the correction is free), each cut to at most half of
-    max(1, |s|).  A step that leaves the domain or fails to cut the
-    residual by a tenth hands over to the bracketed secant: inside the
-    last sign change the steps crossed, else inside the sign change
-    nearest the guess (humps of T(s) included).  Every
-    point is evaluated once, and the jet at the root builds the
+    The root is solved from ``s_guess`` by :func:`_roots.solve_near` to
+    |T - t| <= 1e-12 max(1, |t|), and the jet at the root builds the
     free-energy jet.  The solve needs M_SS != 0 at the root, i.e. a point
     away from the heat-capacity divergence locus, else
     :class:`LegendreSingularError` is raised.
@@ -253,41 +219,9 @@ def legendre_at(
     numerical differencing.
     """
     eps = singularity_eps() if eps is None else eps
-    tol = 1e-12 * max(1.0, abs(t)) if tol is None else tol
-    lo, hi = spec.domain[0]
-    jets: dict[float, Jet3] = {}
-
-    def jet(s: float) -> Jet3:
-        if s not in jets:
-            jets[s] = eval_jet(spec, (s, x))
-        return jets[s]
-
-    def residual(s: float) -> float:
-        return jet(s).s - t
-
-    s_root, f = s_guess, residual(s_guess)
-    bracket = None               # the last sign change between two iterates
-    for _ in range(max_iter):
-        if abs(f) <= tol:
-            break
-        m = jets[s_root]
-        step = _safe_div(2.0 * f * m.ss, 2.0 * m.ss * m.ss - f * m.sss)
-        s_new = s_root - math.copysign(min(abs(step), 0.5 * max(1.0, abs(s_root))),
-                                       step)
-        if not lo < s_new < hi:
-            break
-        if ((f_new := residual(s_new)) > 0.0) != (f > 0.0):
-            bracket = (s_root, s_new, f, f_new)
-        if abs(f_new) > 0.9 * abs(f):
-            break
-        s_root, f = s_new, f_new
-    if abs(f) > tol:
-        a, b, fa, fb = bracket or expand_bracket(
-            residual, s_guess, lo, hi, first_step=0.05 * max(1.0, abs(s_guess)),
-            slope=lambda s: jet(s).ss)
-        s_root, f = refine_bracket(residual, a, b, fa, fb, tol_f=tol)[:2]
-
-    m = jets[s_root]
+    s_root, m, residual, evals = solve_near(
+        lambda s: eval_jet(spec, (s, x)), "s", t, s_guess, *spec.domain[0],
+        tol_f=1e-12 * max(1.0, abs(t)))
     if abs(m.ss) < eps * hessian_scale(m):
         raise LegendreSingularError(
             f"M_SS ~ 0 at solved entropy {s_root!r}: Legendre transform is "
@@ -295,7 +229,7 @@ def legendre_at(
 
     f_jet = _f_jet_from_m_jet(m, s_root, t)
     return LegendrePoint(t=t, x=x, s_of_tx=s_root, f_value=m.v - t * s_root,
-                         f_jet=f_jet, residual=abs(f), iterations=len(jets))
+                         f_jet=f_jet, residual=residual, iterations=evals)
 
 
 def _f_jet_from_m_jet(m: Jet3, s_root: float, t: float) -> Jet3:

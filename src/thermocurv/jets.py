@@ -135,6 +135,19 @@ def _ipow(value, n: int):
     return value ** n if value.__class__ is float else _apply(pow, value, n)
 
 
+def _safe_div(num, den):
+    """num / den for floats or arrays; 0/0 is nan and x/0 is inf with the
+    sign of x, whatever the sign of the zero."""
+    if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den == 0.0,
+                            np.where(num == 0.0, math.nan, np.copysign(math.inf, num)),
+                            num / den)
+    if den == 0.0:
+        return math.nan if num == 0.0 else math.copysign(math.inf, num)
+    return num / den
+
+
 @dataclass(frozen=True, slots=True)
 class Jet3:
     """Truncated third-order Taylor expansion in the variables (s, x).

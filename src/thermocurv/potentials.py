@@ -360,6 +360,22 @@ def eval_jet(spec: PotentialSpec, point) -> Jet3:
     return result
 
 
+def eval_jets(spec: PotentialSpec, s, x) -> tuple[Jet3, np.ndarray]:
+    """Jets at the points ``(s[k], x[k])`` (arrays, or one a float) in one
+    batched pass, and each point's failure code: 0, ``jets.DOMAIN`` or
+    ``jets.OVERFLOW`` (also for a jet that is not finite).  A failed point's
+    jet is nan."""
+    n = np.broadcast(s, x).size
+    nan = np.full(n, math.nan)
+    jet = None
+    with jets.batch(n) as failures:
+        jet = eval_jet(spec, (s, x))
+    coeffs = np.broadcast_arrays(*([nan] * 10 if jet is None else jet.coeffs()), nan)[:10]
+    failures.record(jets.OVERFLOW, ~np.isfinite(coeffs).all(axis=0))
+    failed = failures.code != 0
+    return Jet3(*(np.where(failed, nan, c) for c in coeffs)), failures.code
+
+
 # -- printing -----------------------------------------------------------------
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (MetricTensor2, StatePoint, _flag_tokens, _larger,
-                       _safe_div, hessian_scale, singularity_eps)
-from .jets import Jet3, _ipow
+                       hessian_scale, singularity_eps)
+from .jets import Jet3, _ipow, _safe_div
 
 __all__ = [
     "ResponseSet", "responses_at", "cap_difference_residual",

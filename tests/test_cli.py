@@ -184,6 +184,25 @@ def test_davies_rn(capsys):
     assert doc["turning_points"][0] == pytest.approx(3.0, abs=1e-9)
 
 
+def test_davies_fit_falls_back_to_the_reversed_approach(tmp_path, capsys):
+    # the domain ends at S = 3.02, so the forward approach from the C_X point
+    # S = 3 (first sample S = 3.05) leaves it and the fits approach from below
+    doc = {"name": "rn-cut", "coords": ["S", "Q"],
+           "expression": "sqrt(S)/2 * (1 + Q^2/S)", "params": {},
+           "domain": {"S": [0, 3.02], "Q": [0, None]}}
+    path = tmp_path / "rn-cut.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "davies", "--potential-file", str(path),
+                       "--which", "cx", "--fix", "Q=1", "--sweep", "S=0.5:3.01")
+    assert code == 0
+    (pt,) = json.loads(out)["points"]
+    assert pt["S"] == pytest.approx(3.0, abs=1e-9)
+    assert pt["fit_RF"]["kind"] == "divergent"
+    assert pt["fit_RF"]["slope"] == pytest.approx(-2.0, abs=0.05)
+    assert pt["fit_RM"]["kind"] == "finite"
+    assert pt["fit_RM"]["value"] == pytest.approx(1.5 * math.sqrt(3.0), abs=1e-8)
+
+
 def test_davies_quadratic_empty(capsys):
     code, out, _ = run(capsys, "davies", "--catalog", "quadratic-toy",
                        "--fix", "X=1", "--sweep", "S=0.5:10")

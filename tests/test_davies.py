@@ -169,6 +169,19 @@ def test_fixed_y_series_turning_point_matches_cy_line(cy_toy):
     assert scan.turning_points[0] == pytest.approx(1.25, abs=1e-9)
 
 
+def test_fixed_y_refinement_without_an_x_root_drops_the_turning_point(cy_toy, monkeypatch):
+    # an X that cannot be solved inside the refinement is a gap, as in the
+    # series: the scan goes on without that turning point
+    y0 = eval_jet(cy_toy, (1.25, 1.5)).x
+    want = conjugacy_scan(cy_toy, "fixed-y", fixed_value=y0, sweep=(0.3, 3.0), x_guess=1.5)
+
+    def unreachable(*args, **kwargs):
+        raise NoBracketError("Y out of reach")
+    monkeypatch.setattr(davies, "solve_near", unreachable)
+    scan = conjugacy_scan(cy_toy, "fixed-y", fixed_value=y0, sweep=(0.3, 3.0), x_guess=1.5)
+    assert scan.series == want.series and scan.turning_points == ()
+
+
 def test_fit_rejects_bad_arguments(rn):
     with pytest.raises(ValueError):
         fit_divergence_exponent(rn.spec, StatePoint(3.0, 1.0), "bogus")
@@ -233,7 +246,7 @@ def test_batched_sweep_matches_scalar_root_function(case, count):
     grid = davies._grid(*sweep, count, "linear")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
-        batched = davies._root_function(which)[0](davies._eval_lanes(spec, grid, fixed))
+        batched = davies._root_function(which)[0](davies.eval_jets(spec, grid, fixed)[0])
         scalar = [scalar_root_function(spec, which, u, fixed) for u in grid.tolist()]
     assert [float(v).hex() for v in batched] == [v.hex() for v in scalar]
 
@@ -247,7 +260,6 @@ def continuation_fixed_y(spec, y, s_grid, x_guess):
         def resid(x):
             return eval_jet(spec, (s, x)).x - y
         a, b, fa, fb = expand_bracket(resid, last, x_lo, x_hi,
-                                      first_step=0.05 * max(1.0, abs(last)),
                                       slope=lambda x: eval_jet(spec, (s, x)).xx)
         last = refine_bracket(resid, a, b, fa, fb, tol_f=1e-13 * max(1.0, abs(y)))[0]
         roots.append(last)
@@ -259,7 +271,7 @@ def test_scalar_bracket_samples_toward_a_finite_bound(rn):
     # below the last doubling sample Q = 0.1 and above the bound Q = 0
     def resid(q):
         return eval_jet(rn.spec, (0.3, q)).x - 0.1414
-    a, b, fa, fb = expand_bracket(resid, 0.2, *rn.spec.domain[1], first_step=0.05,
+    a, b, fa, fb = expand_bracket(resid, 0.2, *rn.spec.domain[1],
                                   slope=lambda q: eval_jet(rn.spec, (0.3, q)).xx)
     assert a < 0.1414 * math.sqrt(0.3) < b and (fa > 0.0) != (fb > 0.0)
 
@@ -286,7 +298,6 @@ def test_lane_fixed_y_roots_match_continuation_solve(case):
             jet = eval_jet(spec, (s_grid[idx], x))
         return jet.x - y, jet.xx, jet.s
     got, temps = solve_lanes(lanes, s_grid.size, guess, *spec.domain[1],
-                             first_step=0.05 * max(1.0, abs(guess)),
                              tol_f=1e-13 * max(1.0, abs(y)))
     scan = conjugacy_scan(spec, "fixed-y", fixed_value=y, sweep=(0.3, 6.0),
                           count=60, x_guess=guess)
