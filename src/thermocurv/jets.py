@@ -20,7 +20,7 @@ import math
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,8 +148,7 @@ def _safe_div(num, den):
     return num / den
 
 
-@dataclass(frozen=True, slots=True)
-class Jet3:
+class Jet3(NamedTuple):
     """Truncated third-order Taylor expansion in the variables (s, x).
 
     Coefficients are plain partial derivatives (not divided by factorials).
@@ -167,6 +166,8 @@ class Jet3:
     sxx: float = 0.0
     xxx: float = 0.0
 
+    __array_ufunc__ = None  # numpy scalars defer to the jet arithmetic
+
     @property
     def d1(self) -> tuple[float, float]:
         return (self.s, self.x)
@@ -181,8 +182,7 @@ class Jet3:
 
     def coeffs(self) -> tuple[float, ...]:
         """All ten coefficients in storage order."""
-        return (self.v, self.s, self.x, self.ss, self.sx, self.xx,
-                self.sss, self.ssx, self.sxx, self.xxx)
+        return tuple(self)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -190,7 +190,7 @@ class Jet3:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return Jet3(*(a + b for a, b in zip(self.coeffs(), o.coeffs())))
+        return Jet3(*(a + b for a, b in zip(self, o)))
 
     __radd__ = __add__
 
@@ -198,7 +198,7 @@ class Jet3:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return Jet3(*(a - b for a, b in zip(self.coeffs(), o.coeffs())))
+        return Jet3(*(a - b for a, b in zip(self, o)))
 
     def __rsub__(self, other):
         o = _coerce(other)
@@ -207,7 +207,7 @@ class Jet3:
         return o - self
 
     def __neg__(self):
-        return Jet3(*(-a for a in self.coeffs()))
+        return Jet3(*(-a for a in self))
 
     def __mul__(self, other):
         o = _coerce(other)
@@ -294,8 +294,40 @@ def _compose(u: Jet3, c0: float, c1: float, c2: float, c3: float) -> Jet3:
     )
 
 
-def _reciprocal(u: Jet3) -> Jet3:
-    v = _checked(u.v, abs(u.v) < DIVISION_FLOOR, "div",
+# -- run-time helpers ----------------------------------------------------------
+#
+# Everything that looks at a value (domain checks, warnings, element-wise
+# rounding) lives in a helper called through _outer; the jet rules around
+# them are plain arithmetic.  The elementary functions below are
+# ``_compose(u, *<outer derivatives at u.v>)`` for jets and the value helper
+# for scalars.
+
+_RUNTIME: dict = {}     # helper -> number of values it returns
+
+
+def _runtime(outputs: int):
+    def register(fn):
+        _RUNTIME[fn] = outputs
+        return fn
+    return register
+
+
+_TRACE: ContextVar["_Trace | None"] = ContextVar("thermocurv_trace", default=None)
+
+
+def _outer(fn, *args):
+    """``fn(*args)``, or its call recorded while a potential is traced."""
+    trace = _TRACE.get()
+    return fn(*args) if trace is None else trace.call(fn, args)
+
+
+_runtime(1)(_ipow)
+
+
+@_runtime(4)
+def _recip_outer(v):
+    """1/u and its derivatives -1/u^2, 2/u^3, -6/u^4 at ``v``."""
+    v = _checked(v, abs(v) < DIVISION_FLOOR, "div",
                  "division by (near-)zero value")
     small = abs(v) < CONDITIONING_FLOOR
     if isinstance(small, np.ndarray):
@@ -308,39 +340,80 @@ def _reciprocal(u: Jet3) -> Jet3:
             stacklevel=3,
         )
     inv = 1.0 / v
-    # d/du 1/u = -1/u^2, 2/u^3, -6/u^4
-    return _compose(u, inv, -inv * inv, 2.0 * _ipow(inv, 3), -6.0 * _ipow(inv, 4))
+    return inv, -inv * inv, 2.0 * _ipow(inv, 3), -6.0 * _ipow(inv, 4)
+
+
+def _reciprocal(u: Jet3) -> Jet3:
+    return _compose(u, *_outer(_recip_outer, u.v))
+
+
+@_runtime(1)
+def _divisor(v):
+    """A scalar divisor, checked against the division floor."""
+    return _checked(v, abs(v) < DIVISION_FLOOR, "div",
+                    "division by (near-)zero value")
+
+
+@_runtime(4)
+def _sqrt_outer(v):
+    v = _checked(v, v <= 0.0, "sqrt")
+    if isinstance(v, np.ndarray):
+        r = np.sqrt(v)
+        # fail the points where the float path divides by zero below
+        _failures().record(OVERFLOW, r * v * v == 0.0)
+    else:
+        r = math.sqrt(v)
+    return r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)
+
+
+@_runtime(1)
+def _sqrt_value(u):
+    u = _checked(u, u < 0.0, "sqrt")
+    return np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u)
 
 
 def sqrt(u):
     """Square root of a jet or scalar (strictly positive value for jets)."""
     if isinstance(u, Jet3):
-        v = _checked(u.v, u.v <= 0.0, "sqrt")
-        if isinstance(v, np.ndarray):
-            r = np.sqrt(v)
-            # fail the points where the float path divides by zero below
-            _failures().record(OVERFLOW, r * v * v == 0.0)
-        else:
-            r = math.sqrt(v)
-        return _compose(u, r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v))
-    u = _checked(u, u < 0.0, "sqrt")
-    return np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u)
+        return _compose(u, *_outer(_sqrt_outer, u.v))
+    return _outer(_sqrt_value, u)
+
+
+@_runtime(4)
+def _exp_outer(v):
+    e = _apply(math.exp, v)
+    return e, e, e, e
 
 
 def exp(u):
     if isinstance(u, Jet3):
-        e = _apply(math.exp, u.v)
-        return _compose(u, e, e, e, e)
-    return _apply(math.exp, u)
+        return _compose(u, *_outer(_exp_outer, u.v))
+    return _outer(_exp_outer, u)[0]
+
+
+@_runtime(4)
+def _ln_outer(v):
+    v = _checked(v, v <= 0.0, "ln")
+    inv = 1.0 / v
+    return _apply(math.log, v), inv, -inv * inv, 2.0 * _ipow(inv, 3)
+
+
+@_runtime(1)
+def _ln_value(u):
+    return _apply(math.log, _checked(u, u <= 0.0, "ln"))
 
 
 def ln(u):
     """Natural logarithm (value must be strictly positive)."""
     if isinstance(u, Jet3):
-        v = _checked(u.v, u.v <= 0.0, "ln")
-        inv = 1.0 / v
-        return _compose(u, _apply(math.log, v), inv, -inv * inv, 2.0 * _ipow(inv, 3))
-    return _apply(math.log, _checked(u, u <= 0.0, "ln"))
+        return _compose(u, *_outer(_ln_outer, u.v))
+    return _outer(_ln_value, u)
+
+
+@_runtime(1)
+def _inverse_base(base):
+    return 1.0 / _checked(base, abs(base) < DIVISION_FLOOR, "pow",
+                          "zero base with negative exponent")
 
 
 def _int_pow(u, n: int):
@@ -351,8 +424,7 @@ def _int_pow(u, n: int):
         base = _int_pow(u, -n)
         if isinstance(base, Jet3):
             return _reciprocal(base)
-        return 1.0 / _checked(base, abs(base) < DIVISION_FLOOR, "pow",
-                              "zero base with negative exponent")
+        return _outer(_inverse_base, base)
     result = None
     square = u
     while n:
@@ -362,6 +434,25 @@ def _int_pow(u, n: int):
         if n:
             square = square * square
     return result
+
+
+def _positive_base(v, p):
+    return _checked(v, v <= 0.0, "pow",
+                    f"non-integer exponent {p!r} needs a positive base")
+
+
+@_runtime(4)
+def _pow_outer(v, p):
+    v = _positive_base(v, p)
+    return (_apply(math.pow, v, p),
+            p * _apply(math.pow, v, p - 1.0),
+            p * (p - 1.0) * _apply(math.pow, v, p - 2.0),
+            p * (p - 1.0) * (p - 2.0) * _apply(math.pow, v, p - 3.0))
+
+
+@_runtime(1)
+def _pow_value(v, p):
+    return _apply(math.pow, _positive_base(v, p), p)
 
 
 def power(u, p):
@@ -374,13 +465,115 @@ def power(u, p):
         p = int(p)
     if isinstance(p, int) and abs(p) <= _MAX_INT_POW:
         return _int_pow(u, p)
-    value = u.v if isinstance(u, Jet3) else u
-    value = _checked(value, value <= 0.0, "pow",
-                     f"non-integer exponent {p!r} needs a positive base")
     if isinstance(u, Jet3):
-        c0 = _apply(math.pow, value, p)
-        c1 = p * _apply(math.pow, value, p - 1.0)
-        c2 = p * (p - 1.0) * _apply(math.pow, value, p - 2.0)
-        c3 = p * (p - 1.0) * (p - 2.0) * _apply(math.pow, value, p - 3.0)
-        return _compose(u, c0, c1, c2, c3)
-    return _apply(math.pow, value, p)
+        return _compose(u, *_outer(_pow_outer, u.v, p))
+    return _outer(_pow_value, u, p)
+
+
+# -- tracing -------------------------------------------------------------------
+#
+# A potential is traced once through the rules above with symbolic values
+# (Griewank & Walther, ch. 7): a _Symbol stands for a value known only at
+# run time, constants stay floats and fold, and the record is straight-line
+# code over local names that runs on floats and on arrays alike.
+
+class _Symbol:
+    __slots__ = ("trace", "name")
+
+    def __init__(self, trace: "_Trace", name: str):
+        self.trace, self.name = trace, name
+
+    def __neg__(self):
+        return self.trace.emit("-{}", (self,))[0]
+
+    def __pow__(self, n):
+        return self.trace.call(_ipow, (self, n))
+
+
+for _name, _op in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/")):
+    setattr(_Symbol, f"__{_name}__", lambda a, b, op=_op: a.trace.op(a, op, b))
+    setattr(_Symbol, f"__r{_name}__", lambda a, b, op=_op: a.trace.op(b, op, a))
+
+
+def _is(value, constant: float) -> bool:
+    """``value`` is the float ``constant``, sign of zero included."""
+    return value.__class__ is float and value.hex() == constant.hex()
+
+
+class _Trace:
+    """Straight-line code recorded from arithmetic on :class:`_Symbol`."""
+
+    def __init__(self):
+        # (targets, format, arguments, free of side effects)
+        self.ops: list[tuple[tuple[_Symbol, ...], str, tuple, bool]] = []
+        self.seen: dict[tuple, tuple[_Symbol, ...]] = {}   # pure ops by text
+
+    def emit(self, fmt: str, args, outputs: int = 1, pure: bool = True):
+        key = (fmt, *(a.name if a.__class__ is _Symbol else repr(a) for a in args))
+        if pure and key in self.seen:
+            return self.seen[key]
+        k = len(self.ops)
+        targets = tuple(_Symbol(self, f"t{k}" if outputs == 1 else f"t{k}_{j}")
+                        for j in range(outputs))
+        self.ops.append((targets, fmt, tuple(args), pure))
+        if pure:
+            self.seen[key] = targets
+        return targets
+
+    def op(self, a, op: str, b):
+        """``a op b``.  Only identities that hold bit for bit fold: ``t + 0.0``
+        is ``+0.0`` at ``t = -0.0`` and ``t * 0.0`` is nan at ``t = inf``, so
+        those terms stay."""
+        if op == "*" and (_is(a, 1.0) or _is(b, 1.0)):
+            return b if _is(a, 1.0) else a
+        if op == "+" and (_is(a, -0.0) or _is(b, -0.0)):
+            return b if _is(a, -0.0) else a
+        if op == "-" and _is(b, 0.0):
+            return a
+        return self.emit(f"{{}} {op} {{}}", (a, b))[0]
+
+    def call(self, fn, args):
+        """``fn(*args)`` now if every argument is a constant and nothing
+        warns; else a call in the generated code."""
+        if not any(a.__class__ is _Symbol for a in args):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = fn(*args)
+            if not caught:
+                return out
+        fmt = fn.__name__ + "(" + ", ".join(["{}"] * len(args)) + ")"
+        targets = self.emit(fmt, args, _RUNTIME[fn], pure=False)
+        return targets if len(targets) > 1 else targets[0]
+
+    def source(self, outputs) -> tuple[list[str], list[str]]:
+        """Assignment lines that compute ``outputs``, and the outputs' text.
+        Pure values nothing reads are dropped, and those read once are
+        written into their reader."""
+        uses: dict[str, int] = {}
+        for a in outputs:
+            if a.__class__ is _Symbol:
+                uses[a.name] = uses.get(a.name, 0) + 1
+        kept = []
+        for op in reversed(self.ops):
+            targets, _, args, pure = op
+            if pure and targets[0].name not in uses:
+                continue
+            kept.append(op)
+            for a in args:
+                if a.__class__ is _Symbol:
+                    uses[a.name] = uses.get(a.name, 0) + 1
+        inline: dict[str, str] = {}
+
+        def text(a):
+            return inline.pop(a.name, a.name) if a.__class__ is _Symbol else repr(a)
+
+        lines = []
+        for targets, fmt, args, pure in reversed(kept):
+            expr = fmt.format(*map(text, args))
+            if pure and uses[targets[0].name] == 1:
+                inline[targets[0].name] = f"({expr})"
+            else:
+                names = [t.name if t.name in uses else "_" for t in targets]
+                lines.append(f"{', '.join(names)} = {expr}")
+        return lines, [text(a) for a in outputs]
+

@@ -27,13 +27,13 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping, Union
 
 import numpy as np
 
 from . import jets
-from .jets import DomainError, Jet3, jet_var
+from .jets import DomainError, Jet3
 
 _FUNCTIONS = ("sqrt", "exp", "ln")
 
@@ -106,9 +106,15 @@ class PotentialSpec:
 
     @cached_property
     def evaluate(self):
-        """The expression compiled once into a function of the coordinate
-        pair (floats, jets or arrays)."""
-        return _compile(self.ast, self.params)
+        """The generated jet evaluator: ``evaluate(s, x)`` is the
+        :class:`~thermocurv.jets.Jet3` at coordinates that passed the domain
+        check (floats or arrays)."""
+        return _generated(self.ast, self.params, True)
+
+    @cached_property
+    def evaluate_value(self):
+        """The generated value evaluator: true division, ``sqrt(0)`` allowed."""
+        return _generated(self.ast, self.params, False)
 
 
 # -- lexer / parser -----------------------------------------------------------
@@ -251,8 +257,10 @@ def parse_potential(
         raise ValueError("coordinate and parameter names overlap")
     ast = _Parser(_tokenize(src), tuple(coords), params).parse()
     dom = _normalize_domain(domain, coords)
-    return PotentialSpec(name=name, coords=tuple(coords), ast=ast,
+    spec = PotentialSpec(name=name, coords=tuple(coords), ast=ast,
                          params=params, domain=dom)
+    spec.evaluate  # generated now: a constant sub-expression that fails raises here
+    return spec
 
 
 def _normalize_domain(domain, coords) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -286,8 +294,7 @@ def _has_coord(node: ExprNode) -> bool:
 
 def _divide(left, right):
     if not isinstance(left, Jet3) and not isinstance(right, Jet3):
-        right = jets._checked(right, abs(right) < jets.DIVISION_FLOOR, "div",
-                              "division by (near-)zero value")
+        right = jets._outer(jets._divisor, right)
     return left / right
 
 
@@ -295,35 +302,61 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": _divide}
 
 
-def _compile(node: ExprNode, params):
-    """Turn an AST into a function of the coordinate pair.
-
-    The function works on floats, jets and arrays alike; operands are
-    evaluated left to right, so the first failing check is the same in
-    every mode.
-    """
+def _trace(node: ExprNode, params, coords):
+    """Evaluate an AST on the coordinate pair (floats, jets or traced
+    values), operands left to right, so the first failing check is the same
+    in every mode.  A sub-expression that fails with constant operands
+    raises :class:`ValueError` naming it."""
     if isinstance(node, (Const, Param)):
-        value = node.value if isinstance(node, Const) else params[node.name]
-        return lambda coords: value
+        return node.value if isinstance(node, Const) else params[node.name]
     if isinstance(node, Coord):
-        index = node.index
-        return lambda coords: coords[index]
-    if isinstance(node, Neg):
-        operand = _compile(node.operand, params)
-        return lambda coords: -operand(coords)
-    if isinstance(node, Call):
-        arg, func = _compile(node.arg, params), getattr(jets, node.func)
-        return lambda coords: func(arg(coords))
-    left, right = _compile(node.left, params), _compile(node.right, params)
-    if node.op == "^" and _has_coord(node.right):
-        # structurally non-constant exponent: u^w = exp(w ln u),
-        # positive base required in either evaluation mode
-        def general_power(coords):
-            base = left(coords)
-            return jets.exp(right(coords) * jets.ln(base))
-        return general_power
-    op = jets.power if node.op == "^" else _BINARY[node.op]
-    return lambda coords: op(left(coords), right(coords))
+        return coords[node.index]
+    try:
+        if isinstance(node, Neg):
+            return -_trace(node.operand, params, coords)
+        if isinstance(node, Call):
+            return getattr(jets, node.func)(_trace(node.arg, params, coords))
+        left = _trace(node.left, params, coords)
+        if node.op == "^" and _has_coord(node.right):
+            # structurally non-constant exponent: u^w = exp(w ln u),
+            # positive base required in either evaluation mode
+            return jets.exp(_trace(node.right, params, coords) * jets.ln(left))
+        right = _trace(node.right, params, coords)
+        return (jets.power if node.op == "^" else _BINARY[node.op])(left, right)
+    except (DomainError, OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"{format_expression(node)!r} fails at every point: "
+                         f"{exc}") from exc
+
+
+_GENERATED: dict = {}
+
+
+def _generated(ast: ExprNode, params, jet: bool):
+    """The straight-line evaluator of a potential, built once per process
+    for each distinct AST and parameter set."""
+    key = (jet, ast, tuple(sorted((k, float(v).hex()) for k, v in params.items())))
+    fn = _GENERATED.get(key)
+    if fn is None:
+        fn = _GENERATED[key] = _generate(ast, params, jet)
+    return fn
+
+
+def _generate(ast: ExprNode, params, jet: bool):
+    trace = jets._Trace()
+    s, x = jets._Symbol(trace, "s"), jets._Symbol(trace, "x")
+    token = jets._TRACE.set(trace)
+    try:
+        result = _trace(ast, params, (Jet3(s, 1.0), Jet3(x, 0.0, 1.0)) if jet else (s, x))
+    finally:
+        jets._TRACE.reset(token)
+    if jet and not isinstance(result, Jet3):  # constant expression
+        result = jets.jet_const(result)
+    lines, texts = trace.source(tuple(result) if jet else (result,))
+    body = [*lines, f"return _jet(({', '.join(texts)}))" if jet else f"return {texts[0]}"]
+    namespace = {f.__name__: f for f in jets._RUNTIME}
+    namespace.update(inf=math.inf, nan=math.nan, _jet=partial(tuple.__new__, Jet3))
+    exec("def generated(s, x):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    return namespace["generated"]
 
 
 def _check_domain(spec: PotentialSpec, s, x):
@@ -344,7 +377,7 @@ def eval_scalar(spec: PotentialSpec, point) -> float:
     """Value of the potential at ``point`` (any (s, x) pair)."""
     s, x = point
     _check_domain(spec, s, x)
-    return float(spec.evaluate((float(s), float(x))))
+    return float(spec.evaluate_value(float(s), float(x)))
 
 
 def eval_jet(spec: PotentialSpec, point) -> Jet3:
@@ -354,10 +387,8 @@ def eval_jet(spec: PotentialSpec, point) -> Jet3:
     :func:`jets.batch`; the jet's coefficients are then arrays or floats.
     """
     s, x = _check_domain(spec, *point)
-    result = spec.evaluate((jet_var(0, s), jet_var(1, x)))
-    if not isinstance(result, Jet3):  # constant expression
-        result = jets.jet_const(result)
-    return result
+    return spec.evaluate(s if isinstance(s, np.ndarray) else float(s),
+                         x if isinstance(x, np.ndarray) else float(x))
 
 
 def eval_jets(spec: PotentialSpec, s, x) -> tuple[Jet3, np.ndarray]:
