@@ -12,6 +12,11 @@ Walther, *Evaluating Derivatives*, ch. 13).  Inside :func:`batch`, arrays
 record the points that fail a check where a float raises, and round exactly
 as floats do: numpy's ``+ - * / sqrt`` are correctly rounded, and ``**``,
 ``exp`` and ``ln`` run element by element through the same Python functions.
+
+A potential is not evaluated through this arithmetic: it is traced through
+it once into straight-line code (see the end of this module), so the rules
+below are written once and the generated code inherits their order of
+operations, bit for bit.
 """
 
 from __future__ import annotations
@@ -131,6 +136,19 @@ def _apply(fn, value, *args):
     return out
 
 
+# Helpers the generated code calls (see "run-time helpers" below), with the
+# number of values each returns.
+_RUNTIME: dict = {}
+
+
+def _runtime(outputs: int):
+    def register(fn):
+        _RUNTIME[fn] = outputs
+        return fn
+    return register
+
+
+@_runtime(1)
 def _ipow(value, n: int):
     return value ** n if value.__class__ is float else _apply(pow, value, n)
 
@@ -302,16 +320,6 @@ def _compose(u: Jet3, c0: float, c1: float, c2: float, c3: float) -> Jet3:
 # ``_compose(u, *<outer derivatives at u.v>)`` for jets and the value helper
 # for scalars.
 
-_RUNTIME: dict = {}     # helper -> number of values it returns
-
-
-def _runtime(outputs: int):
-    def register(fn):
-        _RUNTIME[fn] = outputs
-        return fn
-    return register
-
-
 _TRACE: ContextVar["_Trace | None"] = ContextVar("thermocurv_trace", default=None)
 
 
@@ -319,9 +327,6 @@ def _outer(fn, *args):
     """``fn(*args)``, or its call recorded while a potential is traced."""
     trace = _TRACE.get()
     return fn(*args) if trace is None else trace.call(fn, args)
-
-
-_runtime(1)(_ipow)
 
 
 @_runtime(4)
@@ -562,18 +567,20 @@ class _Trace:
             for a in args:
                 if a.__class__ is _Symbol:
                     uses[a.name] = uses.get(a.name, 0) + 1
-        inline: dict[str, str] = {}
+        inline: dict[str, tuple[str, int]] = {}   # text and nesting depth
 
         def text(a):
-            return inline.pop(a.name, a.name) if a.__class__ is _Symbol else repr(a)
+            return inline.pop(a.name, (a.name, 0)) if a.__class__ is _Symbol else (repr(a), 0)
 
         lines = []
         for targets, fmt, args, pure in reversed(kept):
-            expr = fmt.format(*map(text, args))
-            if pure and uses[targets[0].name] == 1:
-                inline[targets[0].name] = f"({expr})"
+            parts = [text(a) for a in args]
+            expr = fmt.format(*(p[0] for p in parts))
+            depth = 1 + max(p[1] for p in parts)
+            if pure and uses[targets[0].name] == 1 and depth < 12:
+                inline[targets[0].name] = (f"({expr})", depth)
             else:
                 names = [t.name if t.name in uses else "_" for t in targets]
                 lines.append(f"{', '.join(names)} = {expr}")
-        return lines, [text(a) for a in outputs]
+        return lines, [text(a)[0] for a in outputs]
 

@@ -3,9 +3,10 @@
 A potential is written as an arithmetic expression in two coordinate names
 (entropy-like first, control-parameter second) plus named numeric
 parameters, e.g. ``"sqrt(S)/2 * (1 + Q^2/S)"``.  Parsing produces an
-immutable :class:`PotentialSpec` whose AST is compiled once and evaluated
-over plain scalars or over :class:`~thermocurv.jets.Jet3` values; the jet
-route is what feeds every derivative used downstream.
+immutable :class:`PotentialSpec`; its AST is traced once per process into
+straight-line Python source, one function for the
+:class:`~thermocurv.jets.Jet3` that feeds every derivative used downstream
+(on float or array coordinates) and one for plain values.
 
 Grammar (whitespace-insensitive, no implicit multiplication)::
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass, field
@@ -36,6 +38,7 @@ from . import jets
 from .jets import DomainError, Jet3
 
 _FUNCTIONS = ("sqrt", "exp", "ln")
+_MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -150,6 +153,7 @@ class _Parser:
         self.i = 0
         self.coords = coords
         self.params = params
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -193,11 +197,20 @@ class _Parser:
                 return node
 
     def unary(self) -> ExprNode:
-        kind, text, _ = self.peek()
+        # every nesting level (parentheses, call, unary minus, exponent)
+        # passes through here; the limit keeps the parser, the code
+        # generator and the printer well inside the recursion limit
+        kind, text, pos = self.peek()
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {_MAX_NESTING} levels", pos)
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> ExprNode:
         node = self.atom()
@@ -241,13 +254,19 @@ def parse_potential(
 ) -> PotentialSpec:
     """Parse an expression into an immutable :class:`PotentialSpec`.
 
-    Raises :class:`ParseError` (with position) on lexical/syntax problems or
-    unknown identifiers; coordinate and parameter names must be distinct and
-    must not shadow the built-in function names.
+    Raises :class:`ParseError` (with position) on lexical/syntax problems,
+    unknown identifiers or nesting deeper than ``_MAX_NESTING`` levels, and
+    :class:`ValueError` on a malformed argument: the source and name must be
+    strings, parameters finite real numbers, coordinate and parameter names
+    distinct and not the built-in function names.
     """
-    if not src or not src.strip():
+    if not isinstance(src, str) or not isinstance(name, str):
+        raise ValueError("the expression and the name must be strings")
+    if not src.strip():
         raise ParseError("empty potential expression", 0)
-    params = dict(params or {})
+    if not isinstance(params or {}, Mapping):
+        raise ValueError(f"params must map names to numbers, got {params!r}")
+    params = {k: _real(v, f"param {k!r}", finite=True) for k, v in (params or {}).items()}
     if len(coords) != 2 or coords[0] == coords[1]:
         raise ValueError(f"coords must be two distinct identifiers, got {coords!r}")
     for ident in (*coords, *params):
@@ -263,15 +282,29 @@ def parse_potential(
     return spec
 
 
+def _real(value, what: str, finite: bool = False) -> float:
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            value = float(value)
+            if math.isfinite(value) or not finite:
+                return value
+    except OverflowError:
+        pass
+    raise ValueError(f"{what} must be a{' finite' if finite else ''} real number, "
+                     f"got {value!r}")
+
+
 def _normalize_domain(domain, coords) -> tuple[tuple[float, float], tuple[float, float]]:
     if domain is None:
         return ((0.0, math.inf), (0.0, math.inf))
     out = []
     for cname in coords:
-        lo, hi = domain.get(cname, (0.0, math.inf)) if isinstance(domain, Mapping) \
+        entry = domain.get(cname, (0.0, math.inf)) if isinstance(domain, Mapping) \
             else domain[coords.index(cname)]
-        lo = -math.inf if lo is None else float(lo)
-        hi = math.inf if hi is None else float(hi)
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise ValueError(f"domain of {cname} must be [lo, hi], got {entry!r}")
+        lo, hi = (bound if b is None else _real(b, f"domain bound of {cname}")
+                  for b, bound in zip(entry, (-math.inf, math.inf)))
         if not lo < hi:
             raise ValueError(f"empty domain interval for {cname}: ({lo}, {hi})")
         out.append((lo, hi))
@@ -334,11 +367,29 @@ _GENERATED: dict = {}
 def _generated(ast: ExprNode, params, jet: bool):
     """The straight-line evaluator of a potential, built once per process
     for each distinct AST and parameter set."""
-    key = (jet, ast, tuple(sorted((k, float(v).hex()) for k, v in params.items())))
+    key = (jet, _signature(ast), tuple(sorted((k, v.hex()) for k, v in params.items())))
     fn = _GENERATED.get(key)
     if fn is None:
         fn = _GENERATED[key] = _generate(ast, params, jet)
     return fn
+
+
+def _signature(ast: ExprNode) -> tuple:
+    """The AST in prefix order, walked with a stack: a long chain of
+    operators is deeper than hashing the nested nodes can recurse."""
+    out, stack = [], [ast]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BinOp):
+            out.append(node.op)
+            stack += (node.right, node.left)
+        elif isinstance(node, (Neg, Call)):
+            out.append("neg" if isinstance(node, Neg) else node.func)
+            stack.append(node.operand if isinstance(node, Neg) else node.arg)
+        else:
+            out.append(repr(node.value) if isinstance(node, Const) else
+                       f"#{node.index}" if isinstance(node, Coord) else f"${node.name}")
+    return tuple(out)
 
 
 def _generate(ast: ExprNode, params, jet: bool):
@@ -459,11 +510,14 @@ def potential_from_json(obj: dict) -> PotentialSpec:
     if not (isinstance(coords, (list, tuple)) and len(coords) == 2
             and all(isinstance(c, str) for c in coords)):
         raise ValueError(f"coords must be a pair of strings, got {coords!r}")
-    params = obj.get("params") or {}
+    if not (isinstance(name, str) and isinstance(expression, str)):
+        raise ValueError("potential name and expression must be strings")
     domain = obj.get("domain") or {}
-    dom_map = {c: tuple(domain.get(c, (None, None))) for c in coords}
-    return parse_potential(expression, (coords[0], coords[1]), params,
-                           name=str(name), domain=dom_map)
+    if not isinstance(domain, Mapping):
+        raise ValueError(f"domain must map coordinates to [lo, hi], got {domain!r}")
+    dom_map = {c: domain.get(c, (None, None)) for c in coords}
+    return parse_potential(expression, (coords[0], coords[1]), obj.get("params"),
+                           name=name, domain=dom_map)
 
 
 def potential_to_json(spec: PotentialSpec) -> dict:

@@ -177,3 +177,13 @@ def test_scalar_coercion():
     assert (1 - s).v == -2.0
     assert (6.0 / s).v == 2.0
     assert (s ** 2).v == 9.0
+
+
+def test_jet_is_an_immutable_named_tuple():
+    jet = jet_var(0, 2.0)
+    with pytest.raises(AttributeError):
+        jet.v = 3.0
+    assert jet.coeffs() == tuple(jet) and len(jet) == 10
+    # numpy scalars defer to the jet arithmetic instead of broadcasting
+    scaled = np.float64(2.0) * jet
+    assert isinstance(scaled, Jet3) and scaled.coeffs() == (4.0, 2.0) + (0.0,) * 8

@@ -8,6 +8,7 @@ from fdtools import fd_partials
 from thermocurv import (DomainError, ParseError, eval_jet, eval_scalar,
                         format_expression, parse_potential,
                         potential_from_json, potential_to_json)
+from thermocurv.cli import main
 from thermocurv.potentials import UnknownIdentifierError, load_potential_file
 
 
@@ -184,3 +185,46 @@ def test_json_interchange(rn, tmp_path):
         potential_from_json({"name": "x", "coords": ["S", "X"]})
     with pytest.raises(ValueError):
         potential_from_json({"name": "x", "coords": ["S"], "expression": "S"})
+
+
+DOC = {"name": "p", "coords": ["S", "X"], "expression": "S + k*X", "params": {"k": 2}}
+
+
+@pytest.mark.parametrize("change", [
+    {"params": {"k": "x"}}, {"params": {"k": None}}, {"params": [1]},
+    {"params": {"k": float("nan")}}, {"params": {"k": float("inf")}},
+    {"params": {"k": True}}, {"params": {"k": 10 ** 400}},
+    {"domain": {"S": 5}}, {"domain": [1, 2]}, {"domain": {"S": [0, "a"]}},
+    {"domain": {"S": [0, 1, 2]}}, {"expression": 5}, {"name": 5},
+])
+def test_malformed_documents_raise_value_error(change, tmp_path, capsys):
+    doc = {**DOC, **change}
+    with pytest.raises(ValueError):
+        potential_from_json(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["eval", "--potential-file", str(path), "--at", "S=1,X=1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_well_formed_documents_load():
+    spec = potential_from_json({**DOC, "domain": {"S": [0, None], "X": [None, 3]}})
+    assert spec.params == {"k": 2.0} and spec.domain == ((0.0, math.inf), (-math.inf, 3.0))
+    assert eval_scalar(spec, (1.0, 2.0)) == 5.0
+    assert potential_from_json({**DOC, "params": None, "expression": "S"}).params == {}
+
+
+@pytest.mark.parametrize("src", ["(" * 2000 + "S" + ")" * 2000, "-" * 2000 + "S",
+                                 "2^" * 2000 + "S", "sqrt(" * 2000 + "S" + ")" * 2000])
+def test_deep_nesting_is_a_parse_error(src, tmp_path):
+    with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+        parse_potential(src)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({**DOC, "expression": src}), encoding="utf-8")
+    assert main(["eval", "--potential-file", str(path), "--at", "S=1,X=1"]) == 2
+
+
+def test_nesting_below_the_limit_and_long_chains_evaluate():
+    assert eval_scalar(parse_potential("(" * 99 + "S" + ")" * 99), (2.0, 1.0)) == 2.0
+    chain = parse_potential(" + ".join(["S*X"] * 900))   # iterative in the parser
+    assert eval_jet(chain, (2.0, 1.0)).x == 1800.0
