@@ -361,16 +361,17 @@ def _trace(node: ExprNode, params, coords):
                          f"{exc}") from exc
 
 
-_GENERATED: dict = {}
+_GENERATED: dict = {}   # least recently used first
+_MAX_GENERATED = 256
 
 
 def _generated(ast: ExprNode, params, jet: bool):
     """The straight-line evaluator of a potential, built once per process
-    for each distinct AST and parameter set."""
+    for each distinct AST and parameter set (of the last 256 used)."""
     key = (jet, _signature(ast), tuple(sorted((k, v.hex()) for k, v in params.items())))
-    fn = _GENERATED.get(key)
-    if fn is None:
-        fn = _GENERATED[key] = _generate(ast, params, jet)
+    fn = _GENERATED[key] = _GENERATED.pop(key, None) or _generate(ast, params, jet)
+    if len(_GENERATED) > _MAX_GENERATED:
+        del _GENERATED[next(iter(_GENERATED))]
     return fn
 
 

@@ -1,9 +1,8 @@
-"""The closure-tree evaluator, kept as the oracle of the generated code.
+"""The closure-tree evaluator: the oracle of the generated code.
 
 Each AST node becomes a closure over its operands' closures, and jets go
-through :class:`~thermocurv.jets.Jet3` operator overloading: the evaluation
-the package did before it generated straight-line source per potential.
-The generated evaluators must reproduce it bit for bit.
+through :class:`~thermocurv.jets.Jet3` operator overloading, one object per
+operation.  The generated evaluators must reproduce it bit for bit.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from closure_oracle import compile_closure, oracle_jet, oracle_jet_at, oracle_sc
 from thermocurv import eval_jet, eval_scalar, get_entry, parse_potential
 from thermocurv.cli import main
 from thermocurv.jets import ConditioningWarning, DomainError, Jet3, batch
-from thermocurv.potentials import _check_domain, _Parser, _tokenize
+from thermocurv.potentials import _GENERATED, _check_domain, _Parser, _tokenize
 
 WHOLE_PLANE = {"S": (None, None), "X": (None, None)}
 FAILURES = (DomainError, OverflowError, ZeroDivisionError)
@@ -127,6 +127,11 @@ def test_generated_code_is_built_once_per_distinct_potential():
     # -0.0 == 0.0, but the constant baked into the code differs
     neg = parse_potential("k * S + X", params={"k": -0.0})
     assert neg.evaluate is not parse_potential("k * S + X", params={"k": 0.0}).evaluate
+    for k in range(300):   # the cache keeps the most recently used ones
+        parse_potential("S * k + X", params={"k": float(k)})
+    assert len(_GENERATED) <= 256
+    assert parse_potential("S * k + X", params={"k": 299.0}).evaluate is parse_potential(
+        "S * k + X", params={"k": 299.0}).evaluate
 
 
 @pytest.mark.parametrize("src, named", [
