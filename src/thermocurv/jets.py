@@ -329,11 +329,17 @@ def _outer(fn, *args):
     return fn(*args) if trace is None else trace.call(fn, args)
 
 
+@_runtime(1)
+def _divisor(v):
+    """A divisor, checked against the division floor."""
+    return _checked(v, abs(v) < DIVISION_FLOOR, "div",
+                    "division by (near-)zero value")
+
+
 @_runtime(4)
 def _recip_outer(v):
     """1/u and its derivatives -1/u^2, 2/u^3, -6/u^4 at ``v``."""
-    v = _checked(v, abs(v) < DIVISION_FLOOR, "div",
-                 "division by (near-)zero value")
+    v = _divisor(v)
     small = abs(v) < CONDITIONING_FLOOR
     if isinstance(small, np.ndarray):
         failures = _failures()
@@ -350,13 +356,6 @@ def _recip_outer(v):
 
 def _reciprocal(u: Jet3) -> Jet3:
     return _compose(u, *_outer(_recip_outer, u.v))
-
-
-@_runtime(1)
-def _divisor(v):
-    """A scalar divisor, checked against the division floor."""
-    return _checked(v, abs(v) < DIVISION_FLOOR, "div",
-                    "division by (near-)zero value")
 
 
 @_runtime(4)
