@@ -368,7 +368,7 @@ _MAX_GENERATED = 256
 def _generated(ast: ExprNode, params, jet: bool):
     """The straight-line evaluator of a potential, built once per process
     for each distinct AST and parameter set (of the last 256 used)."""
-    key = (jet, _signature(ast), tuple(sorted((k, v.hex()) for k, v in params.items())))
+    key = (jet, _signature(ast), tuple(sorted((k, float(v).hex()) for k, v in params.items())))
     fn = _GENERATED[key] = _GENERATED.pop(key, None) or _generate(ast, params, jet)
     if len(_GENERATED) > _MAX_GENERATED:
         del _GENERATED[next(iter(_GENERATED))]
