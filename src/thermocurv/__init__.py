@@ -8,7 +8,8 @@ where heat capacities diverge.
 
 from .catalog import CatalogEntry, entry_names, get_entry
 from .davies import (ConjugacyScan, DaviesLocus, ExponentFit, conjugacy_scan,
-                     find_davies_points, fit_divergence_exponent)
+                     find_davies_points, fit_divergence_exponent,
+                     fit_divergence_exponents)
 from .geometry import (CurvatureResult, LegendrePoint, LegendreSingularError,
                        MetricTensor2, StatePoint, curvature_fd_general,
                        curvature_from_f_jet, curvature_from_m_jet,
@@ -32,7 +33,7 @@ __all__ = [
     "curvature_fd_general", "curvature_from_f_jet", "curvature_from_m_jet",
     "entry_names",
     "eval_jet", "eval_scalar", "find_davies_points", "fit_divergence_exponent",
-    "format_expression", "get_entry", "jet_const", "jet_var",
+    "fit_divergence_exponents", "format_expression", "get_entry", "jet_const", "jet_var",
     "kappa_difference_residual", "legendre_at", "load_potential_file",
     "metric_f_sx", "metric_from_responses", "metric_m", "parse_potential",
     "potential_from_json", "potential_to_json", "ratio_identity_residual",

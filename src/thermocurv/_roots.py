@@ -131,8 +131,9 @@ def solve_lanes(func, n: int, guess: float, lo: float, hi: float, *, tol_f: floa
     lanes) is wanted at the roots.  Each lane brackets the sign change
     nearest the guess as :func:`expand_bracket` does, also sampling toward
     a finite bound, then takes Newton steps (bisecting when one leaves the
-    bracket) until ``|f| <= tol_f``.  Returns ``(x, payload)`` at the roots,
-    nan where no bracket or a pole was found.
+    bracket) until ``|f| <= tol_f``.  Each outward step samples both sides
+    in one call; a sign change on the side nearer the guess wins.  Returns
+    ``(x, payload)`` at the roots, nan where no bracket or a pole was found.
     """
     first_step = 0.05 * max(1.0, abs(guess))
     x = np.full(n, float(guess))
@@ -141,22 +142,27 @@ def solve_lanes(func, n: int, guess: float, lo: float, hi: float, *, tol_f: floa
     a, b, fa = (np.full(n, math.nan) for _ in range(3))
     ends = [(guess, f), (guess, f)]          # outermost sample on each side
     for k in range(60):
-        if not (np.isnan(a) & ~done).any():
+        search = np.flatnonzero(np.isnan(a) & ~done)
+        if not search.size:
             break
         step = first_step * 2.0 ** k
         # past a finite bound, halve the distance to it instead
         new = [guess - step if guess - step > lo else 0.5 * (ends[0][0] + lo),
                guess + step if guess + step < hi else 0.5 * (ends[1][0] + hi)]
-        for side in sorted((0, 1), key=lambda j: abs(ends[j][0] + new[j] - 2.0 * guess)):
+        sides = [j for j in sorted((0, 1), key=lambda j: abs(ends[j][0] + new[j] - 2.0 * guess))
+                 if lo < new[j] < hi and new[j] != ends[j][0]]
+        if not sides:
+            continue
+        values = func(np.concatenate([search] * len(sides)),
+                      np.repeat([new[j] for j in sides], search.size))[0]
+        for side, f_side in zip(sides, values.reshape(len(sides), -1)):
             (x0, f0), x1 = ends[side], new[side]
-            search = np.flatnonzero(np.isnan(a) & ~done)
-            if search.size and lo < x1 < hi and x1 != x0:
-                f1 = np.full(n, math.nan)
-                f1[search] = func(search, np.full(search.size, x1))[0]
-                take = np.isnan(a) & (np.sign(f0) * np.sign(f1) <= 0.0)
-                a[take], b[take] = min(x0, x1), max(x0, x1)
-                fa[take] = (f0 if side else f1)[take]
-                ends[side] = (x1, f1)
+            f1 = np.full(n, math.nan)
+            f1[search] = f_side
+            take = np.isnan(a) & (np.sign(f0) * np.sign(f1) <= 0.0)
+            a[take], b[take] = min(x0, x1), max(x0, x1)
+            fa[take] = (f0 if side else f1)[take]
+            ends[side] = (x1, f1)
 
     active = ~done & ~np.isnan(a)
     for _ in range(200):

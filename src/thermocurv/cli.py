@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .catalog import GridAxis, UnknownPotentialError, entry_names, get_entry
-from .davies import conjugacy_scan, find_davies_points, fit_divergence_exponent
+from .davies import conjugacy_scan, find_davies_points, fit_divergence_exponents
 from ._roots import NoBracketError, ToleranceNotMetError
 from .geometry import StatePoint, curvature_from_m_jet, singularity_eps
 from .jets import DOMAIN, OVERFLOW, DomainError
@@ -261,26 +261,18 @@ def _cmd_davies(args) -> int:
     direction = (1.0, 0.0) if sweep_idx == 0 else (0.0, 1.0)
     points_doc = []
     for pt, info in zip(locus.points, locus.brackets):
-        fits = {}
-        for which_r, key in (("rf", "fit_RF"), ("rm", "fit_RM")):
-            try:
-                fit = fit_divergence_exponent(
-                    spec, pt, which_r, which_line=args.which,
-                    direction=direction)
-            except DomainError:
-                fit = fit_divergence_exponent(
-                    spec, pt, which_r, which_line=args.which,
-                    direction=(-direction[0], -direction[1]))
-            fits[key] = _fit_doc(fit)
-        points_doc.append({"S": pt.s, "X": pt.x, **fits, "bracket": {
-            "residual": info.residual, "iterations": info.iterations}})
+        fit_rm, fit_rf = fit_divergence_exponents(spec, pt, which_line=args.which,
+                                                  direction=direction)
+        points_doc.append({"S": pt.s, "X": pt.x, "fit_RF": _fit_doc(fit_rf),
+                           "fit_RM": _fit_doc(fit_rm), "bracket": {
+                               "residual": info.residual, "iterations": info.iterations}})
 
     turning: list[float] = []
     if sweep_idx == 0:
         if args.which == "cx":
             scan = conjugacy_scan(spec, "fixed-x", fixed_value=fixed_value,
                                   sweep=(axis.lo, axis.hi), count=count,
-                                  spacing=axis.spacing)
+                                  spacing=axis.spacing, sweep_jet=locus.sweep_jet)
             turning = list(scan.turning_points)
         else:
             for pt in locus.points:

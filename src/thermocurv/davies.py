@@ -15,7 +15,7 @@ squares, where f is the root function's own value along the approach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .potentials import PotentialSpec, eval_jet, eval_jets
 
 __all__ = [
     "DaviesLocus", "BracketInfo", "ExponentFit", "ConjugacyScan",
-    "find_davies_points", "fit_divergence_exponent", "conjugacy_scan",
+    "find_davies_points", "fit_divergence_exponents", "fit_divergence_exponent",
+    "conjugacy_scan",
 ]
 
 _ROOT_KINDS = ("cx", "cy")
@@ -51,6 +52,8 @@ class DaviesLocus:
     temperature vanishes there (extremal boundary rather than a divergence
     of a heat capacity at positive temperature), because they are poles,
     or because the jet cannot be evaluated inside their bracket.
+    ``sweep_jet`` holds the jets at the sweep samples (nan where a sample
+    failed), which a turning-point scan of the same slice can reuse.
     """
 
     which: str                       # "cx" | "cy"
@@ -58,6 +61,7 @@ class DaviesLocus:
     f_def: str
     brackets: tuple[BracketInfo, ...]
     rejected: tuple[StatePoint, ...] = ()
+    sweep_jet: Jet3 | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,8 @@ def find_davies_points(
         return root_fn(eval_jet(spec, to_point(u)))
 
     grid = _grid(*sweep, count, spacing)
-    samples = list(zip(grid.tolist(), root_fn(eval_jets(spec, *to_point(grid))[0]).tolist()))
+    sweep_jet = eval_jets(spec, *to_point(grid))[0]
+    samples = list(zip(grid.tolist(), root_fn(sweep_jet).tolist()))
 
     points, brackets, rejected = [], [], []
     for (u0, f0), (u1, f1) in zip(samples, samples[1:]):
@@ -175,19 +180,12 @@ def find_davies_points(
         points.append(pt)
         brackets.append(BracketInfo(u0, u1, f0, f1, resid, iters))
     return DaviesLocus(which=which, points=tuple(points), f_def=f_def,
-                       brackets=tuple(brackets), rejected=tuple(rejected))
-
-
-# spec, key and samples of the latest approach, which the R^M and R^F fits
-# of a locus point share
-_LAST_APPROACH: list = [None, None, None]
+                       brackets=tuple(brackets), rejected=tuple(rejected),
+                       sweep_jet=sweep_jet)
 
 
 def _approach(spec, point, which_line, ds, dx, start, halvings, eps):
     """(|f|, R^M, R^F) along an approach, without samples where f = 0."""
-    key = (point, which_line, ds, dx, start, halvings, eps)
-    if _LAST_APPROACH[0] is spec and _LAST_APPROACH[1] == key:
-        return _LAST_APPROACH[2]
     t = start * 0.5 ** np.arange(halvings + 1)
     jet, failed = eval_jets(spec, point.s + t * ds, point.x + t * dx)
     if failed.any():
@@ -195,47 +193,12 @@ def _approach(spec, point, which_line, ds, dx, start, halvings, eps):
     f_val = abs(_root_function(which_line)[0](jet))
     curv = curvature_from_m_jet(jet, eps=eps)
     usable = f_val != 0.0   # measure-zero landing exactly on the line
-    result = tuple(v[usable].tolist() for v in (f_val, curv.r_m, curv.r_f))
-    _LAST_APPROACH[:] = [spec, key, result]
-    return result
+    return tuple(v[usable].tolist() for v in (f_val, curv.r_m, curv.r_f))
 
 
-def fit_divergence_exponent(
-    spec: PotentialSpec,
-    locus_point: StatePoint,
-    which_r: str,
-    *,
-    which_line: str = "cx",
-    direction: tuple[float, float] = (1.0, 0.0),
-    start: float = 0.05,
-    halvings: int = 10,
-    eps: float | None = None,
-) -> ExponentFit:
-    """Estimate how a curvature scalar behaves while approaching a
-    divergence line.
-
-    Points are sampled at displacements ``start * 2**-j`` along
-    ``direction`` from the line (so |f| shrinks geometrically, anchored by
-    the local directional derivative of the root function), in one batched
-    evaluation that raises :class:`DomainError` if a sample falls outside
-    the domain; log10|R| is fitted against log10|f|.  A curvature that
-    stays bounded along the window is reported as a finite-limit outcome
-    with the f -> 0 extrapolation, not as a failure.
-    """
-    if which_r not in ("rm", "rf"):
-        raise ValueError(f"which_r must be 'rm' or 'rf', got {which_r!r}")
-    norm = math.hypot(*direction)
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
-    ds, dx = direction[0] / norm, direction[1] / norm
-
-    window, r_m, r_f = _approach(spec, locus_point, which_line, ds, dx,
-                                 start, halvings, eps)
-    values, companions = (r_m, r_f) if which_r == "rm" else (r_f, r_m)
-
-    if len(window) < 6:
-        raise ValueError("approach produced fewer than 6 usable samples")
-
+def _fit(window, values, companions) -> ExponentFit:
+    """The log-log fit of ``values`` against ``window``; ``companions``
+    (the other curvature) sets the scale below which ``values`` vanish."""
     abs_vals = [abs(v) for v in values]
     tiny = 1e-300
     log_f = np.log10(window)
@@ -263,6 +226,53 @@ def fit_divergence_exponent(
                        values=tuple(values), limit=limit)
 
 
+def fit_divergence_exponents(
+    spec: PotentialSpec,
+    locus_point: StatePoint,
+    *,
+    which_line: str = "cx",
+    direction: tuple[float, float] = (1.0, 0.0),
+    start: float = 0.05,
+    halvings: int = 10,
+    eps: float | None = None,
+) -> tuple[ExponentFit, ExponentFit]:
+    """Estimate how both curvature scalars behave while approaching a
+    divergence line; returns the fits of ``(R^M, R^F)``.
+
+    Points are sampled at displacements ``start * 2**-j`` along
+    ``direction`` from the line (so |f| shrinks geometrically, anchored by
+    the local directional derivative of the root function), in one batched
+    evaluation that both fits share.  An approach that leaves the domain is
+    taken along ``-direction`` instead, and :class:`DomainError` is raised
+    if that leaves it too.  log10|R| is fitted against log10|f|.  A
+    curvature that stays bounded along the window is reported as a
+    finite-limit outcome with the f -> 0 extrapolation, not as a failure.
+    """
+    norm = math.hypot(*direction)
+    if norm == 0.0:
+        raise ValueError("direction must be nonzero")
+    ds, dx = direction[0] / norm, direction[1] / norm
+    try:
+        window, r_m, r_f = _approach(spec, locus_point, which_line, ds, dx,
+                                     start, halvings, eps)
+    except DomainError:
+        window, r_m, r_f = _approach(spec, locus_point, which_line, -ds, -dx,
+                                     start, halvings, eps)
+    if len(window) < 6:
+        raise ValueError("approach produced fewer than 6 usable samples")
+    fit_rf = _fit(window, r_f, r_m)    # first, as `davies` reports it first
+    return _fit(window, r_m, r_f), fit_rf
+
+
+def fit_divergence_exponent(spec: PotentialSpec, locus_point: StatePoint,
+                            which_r: str, **kwargs) -> ExponentFit:
+    """The fit of one curvature scalar, ``which_r`` "rm" (R^M) or "rf"
+    (R^F), from :func:`fit_divergence_exponents` with the same keywords."""
+    if which_r not in ("rm", "rf"):
+        raise ValueError(f"which_r must be 'rm' or 'rf', got {which_r!r}")
+    return fit_divergence_exponents(spec, locus_point, **kwargs)[which_r == "rf"]
+
+
 def conjugacy_scan(
     spec: PotentialSpec,
     series: str,
@@ -272,6 +282,7 @@ def conjugacy_scan(
     count: int = 200,
     spacing: str = "linear",
     x_guess: float = 1.0,
+    sweep_jet: Jet3 | None = None,
 ) -> ConjugacyScan:
     """Sample a one-parameter equilibrium series and flag turning points.
 
@@ -282,12 +293,14 @@ def conjugacy_scan(
     value where the control variable's derivative changes sign (a vertical
     tangent of the conjugacy diagram); detection uses a central difference
     over the grid, never across a gap, and refinement drives the exact jet
-    derivative to zero.  Poles are skipped.
+    derivative to zero.  Poles are skipped.  A fixed-X series takes its
+    samples from ``sweep_jet``, the jets at the sweep samples, when given
+    (the :attr:`DaviesLocus.sweep_jet` of the same slice).
     """
     s_grid = _grid(*sweep, count, spacing)
 
     if series == "fixed-x":
-        jet = eval_jets(spec, s_grid, fixed_value)[0]
+        jet = eval_jets(spec, s_grid, fixed_value)[0] if sweep_jet is None else sweep_jet
         tvals, dvals = jet.s, jet.ss                # T and dT/dS at fixed X
 
         def deriv(s: float, k: int) -> float:

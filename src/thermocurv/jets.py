@@ -25,6 +25,7 @@ import math
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -122,7 +123,7 @@ def _apply(fn, value, *args):
         return fn(value, *args)
     items = value.tolist()
     try:
-        return np.array([fn(v, *args) for v in items])
+        return np.fromiter(map(fn, items, *map(repeat, args)), float, len(items))
     except OverflowError:
         if _BATCH.get() is None:
             raise

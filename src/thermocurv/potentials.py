@@ -412,13 +412,19 @@ def _generate(ast: ExprNode, params, jet: bool):
 
 
 def _check_domain(spec: PotentialSpec, s, x):
-    """The coordinates, array points outside the domain recorded as failed."""
+    """The coordinates, array points outside the domain recorded as failed.
+    A number outside raises; the strict test of the open interval also
+    rejects nan and +-inf."""
+    if not (isinstance(s, np.ndarray) or isinstance(x, np.ndarray)):
+        (s_lo, s_hi), (x_lo, x_hi) = spec.domain
+        if s_lo < s < s_hi and x_lo < x < x_hi:
+            return s, x
     out = []
     for value, cname, (lo, hi) in zip((s, x), spec.coords, spec.domain):
         if isinstance(value, np.ndarray):
             inside = (lo < value) & (value < hi) & np.isfinite(value)
             value = jets._checked(value, ~inside, "domain")
-        elif not (lo < value < hi) or not math.isfinite(value):
+        elif not lo < value < hi:
             raise DomainError("domain", value,
                               f"{cname}={value!r} outside ({lo}, {hi})")
         out.append(value)
@@ -449,14 +455,15 @@ def eval_jets(spec: PotentialSpec, s, x) -> tuple[Jet3, np.ndarray]:
     ``jets.OVERFLOW`` (also for a jet that is not finite).  A failed point's
     jet is nan."""
     n = np.broadcast(s, x).size
-    nan = np.full(n, math.nan)
-    jet = None
+    coeffs = [math.nan] * 10
     with jets.batch(n) as failures:
-        jet = eval_jet(spec, (s, x))
-    coeffs = np.broadcast_arrays(*([nan] * 10 if jet is None else jet.coeffs()), nan)[:10]
-    failures.record(jets.OVERFLOW, ~np.isfinite(coeffs).all(axis=0))
-    failed = failures.code != 0
-    return Jet3(*(np.where(failed, nan, c) for c in coeffs)), failures.code
+        coeffs = eval_jet(spec, (s, x))
+    table = np.empty((10, n))               # one row per coefficient
+    for row, coeff in zip(table, coeffs):
+        row[:] = coeff
+    failures.record(jets.OVERFLOW, ~np.isfinite(table).all(axis=0))
+    table[:, failures.code != 0] = math.nan
+    return Jet3(*table), failures.code
 
 
 # -- printing -----------------------------------------------------------------

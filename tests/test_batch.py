@@ -166,3 +166,19 @@ def test_safe_div_signs_match_for_floats_and_arrays():
     for k, (num, den) in enumerate(zip(nums, dens)):
         assert float(batched[k]).hex() == _safe_div(num, den).hex()
     assert batched[1] == -math.inf and batched[3] == math.inf
+
+
+@pytest.mark.parametrize("src, s_mid", [
+    ("exp(S) + X^2", 800.0),      # math.exp overflows
+    ("sqrt(S*S) + X^2", 1e103),   # the chain rule's (2 S)**3 overflows in pow
+])
+def test_elementwise_overflow_fails_only_its_point(src, s_mid):
+    spec = parse_potential(src)
+    s, x = [1.5, s_mid, 2.5], [0.5, 0.75, 1.25]
+    columns, flags = evaluate_points(spec, s, x)
+    assert flags[1] == "err:overflow"
+    for k in (0, 2):
+        alone, alone_flags = evaluate_points(spec, [s[k]], [x[k]])
+        assert "err:" not in flags[k] and flags[k] == alone_flags[0]
+        assert [float(columns[c][k]).hex() for c in COLUMNS[:-1]] == \
+            [float(alone[c][0]).hex() for c in COLUMNS[:-1]]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -15,6 +17,10 @@ from thermocurv._roots import (NoBracketError, expand_bracket, refine_bracket,
                                solve_lanes)
 from thermocurv.cli import main
 from thermocurv.jets import batch
+from thermocurv.potentials import eval_jets
+
+from lanes_oracle import solve_lanes_side_by_side
+from test_codegen import EXPRESSIONS, PARAMS
 
 
 def test_rn_capacity_line_root(rn):
@@ -412,3 +418,122 @@ def test_series_gaps_are_skipped_not_refined():
             locus = find_davies_points(spec, "cx", fixed="X", fixed_value=1.0,
                                        sweep=(0.5, 5.0), count=count)
             assert locus.points == ()
+
+
+# M_X = S + X^2 - 2 X: for S - 1 < Y < S there is a root on each side of
+# X = 1, both in X > 0
+TWO_ROOTS = parse_potential("S^2/2 + S*X + X^3/3 - X^2", name="two-roots")
+
+
+@st.composite
+def two_root_slices(draw):
+    """(spec, Y, guess) where a lane may find a sign change on both sides of
+    the guess in the same outward step."""
+    return TWO_ROOTS, draw(st.floats(0.5, 3.0)), draw(st.floats(0.2, 1.8))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(fixed_y_slices(), two_root_slices()),
+       st.one_of(st.none(), st.floats(1e-9, 0.05), st.floats(5.0, 50.0)))
+def test_one_call_lane_search_matches_the_side_by_side_oracle(case, near_bound):
+    # both sides of each outward step in one call give the brackets, and so
+    # the roots, payloads and gaps, of one call per side, bit for bit
+    spec, y, guess = case
+    guess = guess if near_bound is None else near_bound
+    s_grid = np.linspace(0.3, 6.0, 60)
+    tol_f = 1e-13 * max(1.0, abs(y))
+
+    def run(solve):
+        calls = 0
+
+        def lanes(idx, x):
+            nonlocal calls
+            calls += 1
+            jet = davies.eval_jets(spec, s_grid[idx], x)[0]
+            return jet.x - y, jet.xx, np.stack([jet.s, jet.xx, x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            roots, payload = solve(lanes, s_grid.size, guess, *spec.domain[1], tol_f=tol_f)
+        return roots.tobytes(), payload.tobytes(), calls
+
+    got, want = run(solve_lanes), run(solve_lanes_side_by_side)
+    assert got[:2] == want[:2]
+    assert got[2] <= want[2]
+
+
+def _rn_cut(tmp_path):
+    # the domain ends at S = 3.02, so the approach from the C_X point S = 3
+    # (first sample S = 3.05) leaves it and falls back to the reversed one
+    doc = {"name": "rn-cut", "coords": ["S", "Q"],
+           "expression": "sqrt(S)/2 * (1 + Q^2/S)", "params": {},
+           "domain": {"S": [0, 3.02], "Q": [0, None]}}
+    path = tmp_path / "rn-cut.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["--potential-file", str(path), "--fix", "Q=1", "--sweep", "S=0.5:3.01"]
+
+
+@pytest.mark.parametrize("potential, points, evaluations", [
+    (lambda _: ["--catalog", "quadratic-toy", "--fix", "X=1", "--sweep", "S=0.5:10"], 0, 1),
+    (lambda _: ["--catalog", "reissner-nordstrom", "--fix", "Q=1", "--sweep", "S=0.5:10"],
+     1, 2),
+    (_rn_cut, 1, 3),
+])
+def test_davies_cx_sweep_is_evaluated_once(potential, points, evaluations, tmp_path,
+                                           monkeypatch, capsys):
+    # one array evaluation serves the locus and the turning-point series;
+    # each locus point adds its approach, twice where it falls back
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eval_jets(*args)
+    monkeypatch.setattr(davies, "eval_jets", counting)
+    assert main(["davies", "--which", "cx", *potential(tmp_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["points"]) == points
+    assert len(calls) == evaluations
+
+
+# added to a potential whose C_X line 3 S^2 + X^2 = 1 lies on both sides
+# of S = 0 and of X = 0, or drawn alone
+DRAWN_POTENTIALS = st.one_of(
+    EXPRESSIONS.map(lambda e: f"(S^2 - 1)^2/4 + (1 + S^2)*X^2/2 + {e}"), EXPRESSIONS)
+SWEEPS = st.sampled_from([(-1.5, 1.5), (-0.9, -0.1), (0.1, 0.9), (0.3, 5.0), (-3.0, -1.0),
+                          (-0.6, 0.4)])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(DRAWN_POTENTIALS, PARAMS, st.booleans(), st.sampled_from(["cx", "cy"]), st.booleans(),
+       st.sampled_from([0.5, -0.5, 0.25, 1.5, -2.0]), SWEEPS,
+       st.sampled_from(["", ":2", ":7", ":50"]))
+def test_davies_on_drawn_potentials_keeps_its_contract(
+        fuzz_dir, src, k, negative_s, which, sweep_s, fixed, bounds, count):
+    # exit 0 or 2 and never an uncaught exception, whatever the potential;
+    # every point found lies on the fixed value and inside the sweep
+    doc = {"name": "fuzz", "coords": ["S", "X"], "expression": src, "params": {"k": k}}
+    if negative_s:
+        doc["domain"] = {"S": [None, 0]}
+    path = fuzz_dir / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    (lo, hi), (fix, sweep) = bounds, ("X", "S") if sweep_s else ("S", "X")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore", ConditioningWarning)
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["davies", "--potential-file", str(path), "--which", which,
+                     "--fix", f"{fix}={fixed!r}", "--sweep", f"{sweep}={lo!r}:{hi!r}{count}"])
+    assert code in (0, 2), (src, k, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        return
+    result = json.loads(out.getvalue())
+    assert {"points", "turning_points", "rejected"} <= result.keys()
+    for pt in result["points"] + result["rejected"]:
+        assert pt[fix] == fixed and lo <= pt[sweep] <= hi, (src, k, pt)
+    assert all(lo <= s <= hi for s in result["turning_points"]), (src, k)
