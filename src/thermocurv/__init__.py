@@ -11,9 +11,9 @@ from .davies import (ConjugacyScan, DaviesLocus, ExponentFit, conjugacy_scan,
                      find_davies_points, fit_divergence_exponent,
                      fit_divergence_exponents)
 from .geometry import (CurvatureResult, LegendrePoint, LegendreSingularError,
-                       MetricTensor2, StatePoint, curvature_fd_general,
-                       curvature_from_f_jet, curvature_from_m_jet,
-                       legendre_at, metric_f_sx, metric_m)
+                       MetricTensor2, StatePoint, curvature_from_f_jet,
+                       curvature_from_m_jet, legendre_at, metric_f_sx,
+                       metric_m)
 from .jets import ConditioningWarning, DomainError, Jet3, jet_const, jet_var
 from .potentials import (ParseError, PotentialSpec, eval_jet, eval_scalar,
                          format_expression, load_potential_file,
@@ -30,8 +30,7 @@ __all__ = [
     "DaviesLocus", "DomainError", "ExponentFit", "Jet3", "LegendrePoint",
     "LegendreSingularError", "MetricTensor2", "ParseError", "PotentialSpec",
     "ResponseSet", "StatePoint", "cap_difference_residual", "conjugacy_scan",
-    "curvature_fd_general", "curvature_from_f_jet", "curvature_from_m_jet",
-    "entry_names",
+    "curvature_from_f_jet", "curvature_from_m_jet", "entry_names",
     "eval_jet", "eval_scalar", "find_davies_points", "fit_divergence_exponent",
     "fit_divergence_exponents", "format_expression", "get_entry", "jet_const", "jet_var",
     "kappa_difference_residual", "legendre_at", "load_potential_file",

@@ -106,7 +106,7 @@ def _axis_values(axis: GridAxis) -> list[float]:
     return [axis.lo + step * k for k in range(axis.count)]
 
 
-def evaluate_points(spec, s, x, eps=None):
+def evaluate_points(spec, s, x):
     """The scan columns at the points ``(s[k], x[k])``, in one batched pass.
 
     Returns ``(columns, flags)``: ``columns`` maps each numeric column name
@@ -114,7 +114,7 @@ def evaluate_points(spec, s, x, eps=None):
     point outside the domain gets only ``err:domain`` and one whose jet is
     not finite only ``err:overflow``; their cells after S, X are nan.
     """
-    eps = singularity_eps() if eps is None else eps
+    eps = singularity_eps()
     s = np.asarray(s, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
     jet, code = eval_jets(spec, s, x)

@@ -58,7 +58,6 @@ class DaviesLocus:
 
     which: str                       # "cx" | "cy"
     points: tuple[StatePoint, ...]
-    f_def: str
     brackets: tuple[BracketInfo, ...]
     rejected: tuple[StatePoint, ...] = ()
     sweep_jet: Jet3 | None = field(default=None, repr=False, compare=False)
@@ -94,15 +93,12 @@ class ConjugacyScan:
 
 
 def _root_function(which: str):
+    """The denominator scale of the constant-X ("cx": M_SS) or constant-Y
+    ("cy": the Hessian determinant) heat capacity, as a function of a jet."""
     if which == "cx":
-        def f(jet: Jet3) -> float:
-            return jet.ss
-        return f, "M_SS (denominator scale of the constant-X heat capacity)"
+        return lambda jet: jet.ss
     if which == "cy":
-        def f(jet: Jet3) -> float:
-            return jet.ss * jet.xx - jet.sx * jet.sx
-        return f, ("Hessian determinant (denominator scale of the "
-                   "constant-Y heat capacity)")
+        return lambda jet: jet.ss * jet.xx - jet.sx * jet.sx
     raise ValueError(f"which must be one of {_ROOT_KINDS}, got {which!r}")
 
 
@@ -151,7 +147,7 @@ def find_davies_points(
     skipped; poles and sign changes whose refinement leaves the domain go to
     ``rejected``.  An empty locus is a normal outcome, not an error.
     """
-    root_fn, f_def = _root_function(which)
+    root_fn = _root_function(which)
     if fixed not in spec.coords:
         raise ValueError(f"{fixed!r} is not a coordinate of {spec.name!r}")
     fixed_idx = spec.coords.index(fixed)
@@ -179,19 +175,18 @@ def find_davies_points(
             continue
         points.append(pt)
         brackets.append(BracketInfo(u0, u1, f0, f1, resid, iters))
-    return DaviesLocus(which=which, points=tuple(points), f_def=f_def,
-                       brackets=tuple(brackets), rejected=tuple(rejected),
-                       sweep_jet=sweep_jet)
+    return DaviesLocus(which=which, points=tuple(points), brackets=tuple(brackets),
+                       rejected=tuple(rejected), sweep_jet=sweep_jet)
 
 
-def _approach(spec, point, which_line, ds, dx, start, halvings, eps):
+def _approach(spec, point, which_line, ds, dx):
     """(|f|, R^M, R^F) along an approach, without samples where f = 0."""
-    t = start * 0.5 ** np.arange(halvings + 1)
+    t = 0.05 * 0.5 ** np.arange(11)
     jet, failed = eval_jets(spec, point.s + t * ds, point.x + t * dx)
     if failed.any():
         raise DomainError("domain", point, "the approach leaves the domain")
-    f_val = abs(_root_function(which_line)[0](jet))
-    curv = curvature_from_m_jet(jet, eps=eps)
+    f_val = abs(_root_function(which_line)(jet))
+    curv = curvature_from_m_jet(jet)
     usable = f_val != 0.0   # measure-zero landing exactly on the line
     return tuple(v[usable].tolist() for v in (f_val, curv.r_m, curv.r_f))
 
@@ -232,32 +227,28 @@ def fit_divergence_exponents(
     *,
     which_line: str = "cx",
     direction: tuple[float, float] = (1.0, 0.0),
-    start: float = 0.05,
-    halvings: int = 10,
-    eps: float | None = None,
 ) -> tuple[ExponentFit, ExponentFit]:
     """Estimate how both curvature scalars behave while approaching a
     divergence line; returns the fits of ``(R^M, R^F)``.
 
-    Points are sampled at displacements ``start * 2**-j`` along
-    ``direction`` from the line (so |f| shrinks geometrically, anchored by
-    the local directional derivative of the root function), in one batched
-    evaluation that both fits share.  An approach that leaves the domain is
-    taken along ``-direction`` instead, and :class:`DomainError` is raised
-    if that leaves it too.  log10|R| is fitted against log10|f|.  A
-    curvature that stays bounded along the window is reported as a
-    finite-limit outcome with the f -> 0 extrapolation, not as a failure.
+    Points are sampled at displacements ``0.05 * 2**-j``, ``j = 0..10``,
+    along ``direction`` from the line (so |f| shrinks geometrically,
+    anchored by the local directional derivative of the root function), in
+    one batched evaluation that both fits share.  An approach that leaves
+    the domain is taken along ``-direction`` instead, and
+    :class:`DomainError` is raised if that leaves it too.  log10|R| is
+    fitted against log10|f|.  A curvature that stays bounded along the
+    window is reported as a finite-limit outcome with the f -> 0
+    extrapolation, not as a failure.
     """
     norm = math.hypot(*direction)
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     ds, dx = direction[0] / norm, direction[1] / norm
     try:
-        window, r_m, r_f = _approach(spec, locus_point, which_line, ds, dx,
-                                     start, halvings, eps)
+        window, r_m, r_f = _approach(spec, locus_point, which_line, ds, dx)
     except DomainError:
-        window, r_m, r_f = _approach(spec, locus_point, which_line, -ds, -dx,
-                                     start, halvings, eps)
+        window, r_m, r_f = _approach(spec, locus_point, which_line, -ds, -dx)
     if len(window) < 6:
         raise ValueError("approach produced fewer than 6 usable samples")
     fit_rf = _fit(window, r_f, r_m)    # first, as `davies` reports it first

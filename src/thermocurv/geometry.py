@@ -7,18 +7,17 @@ after the Legendre transform to (T, X) the roles swap.  (The Hessians of the
 other two Legendre transforms are just the negatives of these two metrics,
 so no separate objects exist for them.)
 
-Curvature scalars come in two exact coordinate forms each, plus a
-finite-difference evaluation of the general two-dimensional curvature
-formula that serves as an independent numerical oracle.
+Curvature scalars come in two exact coordinate forms each, both built from
+jets; the finite-difference evaluation of the general two-dimensional
+curvature formula that checks them is a test oracle in ``tests/fdtools.py``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +30,8 @@ DEFAULT_SINGULARITY_EPS = 1e-10
 __all__ = [
     "StatePoint", "MetricTensor2", "CurvatureResult", "LegendrePoint",
     "metric_m", "metric_f_sx", "curvature_from_m_jet", "curvature_from_f_jet",
-    "legendre_at", "curvature_fd_general", "singularity_eps", "hessian_scale",
+    "legendre_at", "singularity_eps", "hessian_scale",
     "NoBracketError", "ToleranceNotMetError", "LegendreSingularError",
-    "SingularMetricError",
 ]
 
 
@@ -113,10 +111,6 @@ class LegendreSingularError(RuntimeError):
 
     This is exactly the locus where the constant-X heat capacity diverges.
     """
-
-
-class SingularMetricError(RuntimeError):
-    """Metric determinant too small for a curvature evaluation."""
 
 
 def hessian_scale(jet: Jet3) -> float:
@@ -259,73 +253,3 @@ def _f_jet_from_m_jet(m: Jet3, s_root: float, t: float) -> Jet3:
         xxx=mssx * s_x * s_x + 2.0 * msxx * s_x + msx * s_xx + mxxx,
     )
 
-
-# -- finite-difference curvature oracle -----------------------------------------
-
-MetricField = Callable[[StatePoint], MetricTensor2]
-
-_FD_STEP = 1e-4
-
-
-def _d1(f, x0: float, h: float):
-    """Five-point central first derivative (works on complex values)."""
-    return (-f(x0 + 2.0 * h) + 8.0 * f(x0 + h)
-            - 8.0 * f(x0 - h) + f(x0 - 2.0 * h)) / (12.0 * h)
-
-
-def curvature_fd_general(
-    metric_field: MetricField,
-    p: StatePoint,
-    h: float = _FD_STEP,
-    eps: float | None = None,
-) -> float:
-    """General two-dimensional curvature scalar by nested finite differences.
-
-    Evaluates the full formula for an arbitrary (possibly non-diagonal)
-    metric field with 5-point stencils, including the 3x3 determinant term.
-    Square roots of a negative determinant run through complex arithmetic;
-    the combination is real and the real part is returned.  This path is the
-    independent oracle for the exact jet-based curvatures.
-    """
-    eps = singularity_eps() if eps is None else eps
-    s0, x0 = p
-    hs = h * max(1.0, abs(s0))
-    hx = h * max(1.0, abs(x0))
-
-    def comps(s, x):
-        g = metric_field(StatePoint(s, x))
-        return g.g11, g.g12, g.g22
-
-    def det(s, x):
-        g11, g12, g22 = comps(s, x)
-        return g11 * g22 - g12 * g12
-
-    d0 = det(s0, x0)
-    g11_0, g12_0, g22_0 = comps(s0, x0)
-    scale = max(1.0, abs(g11_0) + abs(g12_0) + abs(g22_0))
-    if abs(d0) < eps * scale:
-        raise SingularMetricError(f"metric determinant {d0!r} ~ 0 at {p!r}")
-
-    def sqrt_det(s, x):
-        return cmath.sqrt(complex(det(s, x)))
-
-    def a_term(s, x):  # (g11,2 - g12,1) / sqrt(det)
-        g11_2 = _d1(lambda xx_: comps(s, xx_)[0], x, hx)
-        g12_1 = _d1(lambda ss_: comps(ss_, x)[1], s, hs)
-        return (g11_2 - g12_1) / sqrt_det(s, x)
-
-    def b_term(s, x):  # (g22,1 - g12,2) / sqrt(det)
-        g22_1 = _d1(lambda ss_: comps(ss_, x)[2], s, hs)
-        g12_2 = _d1(lambda xx_: comps(s, xx_)[1], x, hx)
-        return (g22_1 - g12_2) / sqrt_det(s, x)
-
-    braces = (_d1(lambda xx_: a_term(s0, xx_), x0, hx)
-              + _d1(lambda ss_: b_term(ss_, x0), s0, hs))
-    first = -braces / sqrt_det(s0, x0)
-
-    d_s = [_d1(lambda ss_: comps(ss_, x0)[i], s0, hs) for i in range(3)]
-    d_x = [_d1(lambda xx_: comps(s0, xx_)[i], x0, hx) for i in range(3)]
-    h_mat = np.array([[g11_0, g12_0, g22_0], d_s, d_x])
-    second = float(np.linalg.det(h_mat)) / (2.0 * d0 * d0)
-
-    return first.real - second

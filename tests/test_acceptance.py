@@ -7,9 +7,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from fdtools import curvature_fd_diagonal
-from thermocurv import (StatePoint, conjugacy_scan,
-                        curvature_fd_general, curvature_from_f_jet,
+from fdtools import curvature_fd_diagonal, curvature_fd_general
+from thermocurv import (StatePoint, conjugacy_scan, curvature_from_f_jet,
                         curvature_from_m_jet, eval_jet, find_davies_points,
                         fit_divergence_exponent, get_entry, legendre_at,
                         metric_f_sx, metric_m, responses_at)

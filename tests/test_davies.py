@@ -227,7 +227,7 @@ def scalar_root_function(spec, which, s, x):
     """The root function of one point by the scalar API, nan where the jet
     cannot be evaluated."""
     try:
-        return davies._root_function(which)[0](eval_jet(spec, (s, x)))
+        return davies._root_function(which)(eval_jet(spec, (s, x)))
     except (DomainError, OverflowError, ZeroDivisionError):
         return math.nan
 
@@ -252,7 +252,7 @@ def test_batched_sweep_matches_scalar_root_function(case, count):
     grid = davies._grid(*sweep, count, "linear")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
-        batched = davies._root_function(which)[0](davies.eval_jets(spec, grid, fixed)[0])
+        batched = davies._root_function(which)(davies.eval_jets(spec, grid, fixed)[0])
         scalar = [scalar_root_function(spec, which, u, fixed) for u in grid.tolist()]
     assert [float(v).hex() for v in batched] == [v.hex() for v in scalar]
 

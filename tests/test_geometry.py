@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdtools import H1, H2, H3, curvature_fd_diagonal, d1, d2, d3, fd_partials
-from thermocurv import (LegendreSingularError, StatePoint, curvature_fd_general,
-                        curvature_from_f_jet, curvature_from_m_jet, eval_jet,
-                        get_entry, legendre_at, metric_f_sx, metric_m,
-                        parse_potential)
+from fdtools import (H1, H2, H3, SingularMetricError, curvature_fd_diagonal,
+                     curvature_fd_general, d1, d2, d3, fd_partials)
+from thermocurv import (LegendreSingularError, StatePoint, curvature_from_f_jet,
+                        curvature_from_m_jet, eval_jet, get_entry, legendre_at,
+                        metric_f_sx, metric_m, parse_potential)
 from thermocurv.jets import Jet3
-from thermocurv.geometry import (MetricTensor2, NoBracketError,
-                                 SingularMetricError, hessian_scale)
+from thermocurv.geometry import MetricTensor2, NoBracketError, hessian_scale
 from conftest import sample_kerr, sample_quad, sample_rn
 
 
