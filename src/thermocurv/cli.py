@@ -19,7 +19,7 @@ import numpy as np
 from .catalog import GridAxis, UnknownPotentialError, entry_names, get_entry
 from .davies import conjugacy_scan, find_davies_points, fit_divergence_exponents
 from ._roots import NoBracketError, ToleranceNotMetError
-from .geometry import StatePoint, curvature_from_m_jet, singularity_eps
+from .geometry import StatePoint, curvature_from_m_jet
 from .jets import DOMAIN, OVERFLOW, DomainError
 from .potentials import (ParseError, eval_jet, eval_jets, eval_scalar,
                          load_potential_file, parse_potential)
@@ -112,15 +112,15 @@ def evaluate_points(spec, s, x):
     Returns ``(columns, flags)``: ``columns`` maps each numeric column name
     to an array, ``flags`` holds the ``;``-joined tokens of each row.  A
     point outside the domain gets only ``err:domain`` and one whose jet is
-    not finite only ``err:overflow``; their cells after S, X are nan.
+    not finite only ``err:overflow``; their cells after S, X are nan.  A
+    row with another non-finite cell and no token gets ``overflow:cells``.
     """
-    eps = singularity_eps()
     s = np.asarray(s, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
     jet, code = eval_jets(spec, s, x)
     with np.errstate(all="ignore"):
-        curv = curvature_from_m_jet(jet, eps=eps)
-        rs = responses_at(jet, StatePoint(s, x), eps=eps)
+        curv = curvature_from_m_jet(jet)
+        rs = responses_at(jet, StatePoint(s, x))
     failed = code != 0
     values = [jet.s, jet.x, jet.ss, jet.sx, jet.xx, curv.det_gm, curv.det_gf,
               curv.r_m, curv.r_f, rs.c_x, rs.c_y, rs.alpha, rs.kappa_t,
@@ -129,6 +129,8 @@ def evaluate_points(spec, s, x):
     tokens = np.full(s.size, "", dtype=object)
     for token, mask in (*curv.flags, *rs.flags):
         tokens[mask & ~failed] += ";" + token
+    finite = np.logical_and.reduce([np.isfinite(v) for v in columns.values()])
+    tokens[~finite & (tokens == "")] = ";overflow:cells"
     tokens[code == DOMAIN] = ";err:domain"
     tokens[code == OVERFLOW] = ";err:overflow"
     return columns, np.array([t[1:] for t in tokens.tolist()], dtype=object)
@@ -347,8 +349,7 @@ def _cmd_check(args) -> int:
         status = "FAIL" if key in failed else "pass"
         print(f"  {status}  {key:26s} max residual {maxima[key]:.3e}")
     if checked == 0:
-        print("no usable grid points", file=sys.stderr)
-        return 2
+        raise ValueError("no usable grid points")
     print("CHECK " + ("FAILED" if failed else "PASSED"))
     return 1 if failed else 0
 

@@ -198,8 +198,8 @@ class _Parser:
 
     def unary(self) -> ExprNode:
         # every nesting level (parentheses, call, unary minus, exponent)
-        # passes through here; the limit keeps the parser, the code
-        # generator and the printer well inside the recursion limit
+        # passes through here; the limit keeps the parser, the only
+        # recursive walker of the tree, well inside the recursion limit
         kind, text, pos = self.peek()
         self.depth += 1
         if self.depth > _MAX_NESTING:
@@ -313,16 +313,33 @@ def _normalize_domain(domain, coords) -> tuple[tuple[float, float], tuple[float,
 
 # -- evaluation ---------------------------------------------------------------
 
+def _children(node: ExprNode) -> tuple:
+    if isinstance(node, BinOp):
+        return node.left, node.right
+    if isinstance(node, (Neg, Call)):
+        return (node.operand if isinstance(node, Neg) else node.arg,)
+    return ()
+
+
+def _fold(ast: ExprNode, visit):
+    """``visit(node, *results of its children)`` from the leaves up,
+    children left to right.  The walk keeps its own stack: a chain of
+    operators is one tree level per link, deeper than recursion can go."""
+    results, stack = [], [(ast, False)]
+    while stack:
+        node, ready = stack.pop()
+        children = _children(node)
+        if ready or not children:
+            first = len(results) - len(children)
+            results[first:] = [visit(node, *results[first:])]
+        else:
+            stack.append((node, True))
+            stack += [(child, False) for child in reversed(children)]
+    return results[0]
+
+
 def _has_coord(node: ExprNode) -> bool:
-    if isinstance(node, Coord):
-        return True
-    if isinstance(node, (Const, Param)):
-        return False
-    if isinstance(node, Neg):
-        return _has_coord(node.operand)
-    if isinstance(node, Call):
-        return _has_coord(node.arg)
-    return _has_coord(node.left) or _has_coord(node.right)
+    return _fold(node, lambda n, *found: isinstance(n, Coord) or any(found))
 
 
 def _divide(left, right):
@@ -335,30 +352,31 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": _divide}
 
 
-def _trace(node: ExprNode, params, coords):
+def _trace(ast: ExprNode, params, coords):
     """Evaluate an AST on the coordinate pair (floats, jets or traced
     values), operands left to right, so the first failing check is the same
     in every mode.  A sub-expression that fails with constant operands
     raises :class:`ValueError` naming it."""
-    if isinstance(node, (Const, Param)):
-        return node.value if isinstance(node, Const) else params[node.name]
-    if isinstance(node, Coord):
-        return coords[node.index]
-    try:
-        if isinstance(node, Neg):
-            return -_trace(node.operand, params, coords)
-        if isinstance(node, Call):
-            return getattr(jets, node.func)(_trace(node.arg, params, coords))
-        left = _trace(node.left, params, coords)
-        if node.op == "^" and _has_coord(node.right):
-            # structurally non-constant exponent: u^w = exp(w ln u),
-            # positive base required in either evaluation mode
-            return jets.exp(_trace(node.right, params, coords) * jets.ln(left))
-        right = _trace(node.right, params, coords)
-        return (jets.power if node.op == "^" else _BINARY[node.op])(left, right)
-    except (DomainError, OverflowError, ZeroDivisionError) as exc:
-        raise ValueError(f"{format_expression(node)!r} fails at every point: "
-                         f"{exc}") from exc
+    def visit(node, *operands):
+        if isinstance(node, (Const, Param)):
+            return node.value if isinstance(node, Const) else params[node.name]
+        if isinstance(node, Coord):
+            return coords[node.index]
+        try:
+            if isinstance(node, Neg):
+                return -operands[0]
+            if isinstance(node, Call):
+                return getattr(jets, node.func)(operands[0])
+            left, right = operands
+            if node.op == "^" and _has_coord(node.right):
+                # structurally non-constant exponent: u^w = exp(w ln u),
+                # positive base required in either evaluation mode
+                return jets.exp(right * jets.ln(left))
+            return (jets.power if node.op == "^" else _BINARY[node.op])(left, right)
+        except (DomainError, OverflowError, ZeroDivisionError) as exc:
+            raise ValueError(f"{format_expression(node)!r} fails at every point: "
+                             f"{exc}") from exc
+    return _fold(ast, visit)
 
 
 _GENERATED: dict = {}   # least recently used first
@@ -383,13 +401,12 @@ def _signature(ast: ExprNode) -> tuple:
         node = stack.pop()
         if isinstance(node, BinOp):
             out.append(node.op)
-            stack += (node.right, node.left)
         elif isinstance(node, (Neg, Call)):
             out.append("neg" if isinstance(node, Neg) else node.func)
-            stack.append(node.operand if isinstance(node, Neg) else node.arg)
         else:
             out.append(repr(node.value) if isinstance(node, Const) else
                        f"#{node.index}" if isinstance(node, Coord) else f"${node.name}")
+        stack += reversed(_children(node))
     return tuple(out)
 
 
@@ -473,25 +490,25 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 def format_expression(node: ExprNode) -> str:
     """Render an AST back to source that reparses to an equivalent tree."""
-    text, _ = _format(node)
+    text, _ = _fold(node, _format)
     return text
 
 
-def _format(node: ExprNode) -> tuple[str, int]:
+def _format(node: ExprNode, *operands: tuple[str, int]) -> tuple[str, int]:
+    """The text and precedence of ``node``, given those of its operands."""
     if isinstance(node, Const):
         return repr(node.value), 5
     if isinstance(node, (Coord, Param)):
         return node.name, 5
     if isinstance(node, Call):
-        return f"{node.func}({_format(node.arg)[0]})", 5
+        return f"{node.func}({operands[0][0]})", 5
     if isinstance(node, Neg):
-        text, prec = _format(node.operand)
+        text, prec = operands[0]
         if prec < _PREC["neg"]:
             text = f"({text})"
         return f"-{text}", _PREC["neg"]
     my = _PREC[node.op]
-    left, lp = _format(node.left)
-    right, rp = _format(node.right)
+    (left, lp), (right, rp) = operands
     if node.op == "^":
         if lp <= my:  # ^ is right-associative
             left = f"({left})"

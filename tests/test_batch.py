@@ -54,8 +54,11 @@ def scalar_row(spec, s, x):
         flags.append("err:responses")
         if jet.s <= 0.0:
             flags.append("neg:T")
-    return ([s, x, jet.s, jet.x, jet.ss, jet.sx, jet.xx, curv.det_gm,
-             curv.det_gf, curv.r_m, curv.r_f, *resp], ";".join(flags))
+    cells = [s, x, jet.s, jet.x, jet.ss, jet.sx, jet.xx, curv.det_gm,
+             curv.det_gf, curv.r_m, curv.r_f, *resp]
+    if not flags and not all(math.isfinite(c) for c in cells):
+        flags.append("overflow:cells")
+    return cells, ";".join(flags)
 
 
 def assert_matches_scalar(spec, points):

@@ -188,15 +188,16 @@ def test_json_interchange(rn, tmp_path):
 
 
 DOC = {"name": "p", "coords": ["S", "X"], "expression": "S + k*X", "params": {"k": 2}}
-
-
-@pytest.mark.parametrize("change", [
+MALFORMED_CHANGES = [
     {"params": {"k": "x"}}, {"params": {"k": None}}, {"params": [1]},
     {"params": {"k": float("nan")}}, {"params": {"k": float("inf")}},
     {"params": {"k": True}}, {"params": {"k": 10 ** 400}},
     {"domain": {"S": 5}}, {"domain": [1, 2]}, {"domain": {"S": [0, "a"]}},
     {"domain": {"S": [0, 1, 2]}}, {"expression": 5}, {"name": 5},
-])
+]
+
+
+@pytest.mark.parametrize("change", MALFORMED_CHANGES)
 def test_malformed_documents_raise_value_error(change, tmp_path, capsys):
     doc = {**DOC, **change}
     with pytest.raises(ValueError):
