@@ -281,7 +281,8 @@ def _cmd_davies(args) -> int:
                 y0 = eval_jet(spec, pt).x
                 scan = conjugacy_scan(spec, "fixed-y", fixed_value=y0,
                                       sweep=(axis.lo, axis.hi), count=count,
-                                      spacing=axis.spacing, x_guess=pt.x)
+                                      spacing=axis.spacing, x_guess=pt.x,
+                                      sweep_jet=locus.sweep_jet)
                 turning.extend(scan.turning_points)
 
     doc = {"which": args.which, "potential": spec.name,

@@ -160,14 +160,15 @@ def find_davies_points(
 
     grid = _grid(*sweep, count, spacing)
     sweep_jet = eval_jets(spec, *to_point(grid))[0]
-    samples = list(zip(grid.tolist(), root_fn(sweep_jet).tolist()))
+    with np.errstate(all="ignore"):         # an overflow is a non-finite sample
+        f = root_fn(sweep_jet)
+    a, b = f[:-1], f[1:]                    # each sample and the next
+    changes = np.isfinite(a) & np.isfinite(b) & (a != 0.0) & ((a > 0.0) != (b > 0.0))
+    u, f = grid.tolist(), f.tolist()
 
     points, brackets, rejected = [], [], []
-    for (u0, f0), (u1, f1) in zip(samples, samples[1:]):
-        if not (math.isfinite(f0) and math.isfinite(f1)):
-            continue
-        if f0 == 0.0 or (f0 > 0.0) == (f1 > 0.0):
-            continue
+    for k in np.flatnonzero(changes).tolist():
+        u0, u1, f0, f1 = u[k], u[k + 1], f[k], f[k + 1]
         root, resid, iters, is_root = _refine(g, u0, u1, f0, f1)
         pt = to_point(root)
         if not is_root or eval_jet(spec, pt).s <= 1e-10 * max(1.0, abs(root)):
@@ -284,9 +285,10 @@ def conjugacy_scan(
     value where the control variable's derivative changes sign (a vertical
     tangent of the conjugacy diagram); detection uses a central difference
     over the grid, never across a gap, and refinement drives the exact jet
-    derivative to zero.  Poles are skipped.  A fixed-X series takes its
-    samples from ``sweep_jet``, the jets at the sweep samples, when given
-    (the :attr:`DaviesLocus.sweep_jet` of the same slice).
+    derivative to zero.  Poles are skipped.  ``sweep_jet`` (the
+    :attr:`DaviesLocus.sweep_jet` of the same slice), the jets at the sweep
+    samples at X = ``fixed_value`` (fixed-X) or ``x_guess`` (fixed-Y), when
+    given replaces the series' samples or the X solve's first evaluation.
     """
     s_grid = _grid(*sweep, count, spacing)
 
@@ -300,8 +302,10 @@ def conjugacy_scan(
         x_lo, x_hi = spec.domain[1]
         tol_f = 1e-13 * max(1.0, abs(fixed_value))
 
+        first = [] if sweep_jet is None else [sweep_jet]   # every lane at x_guess
+
         def lanes(idx, x):   # T, dT/dS along constant Y, X
-            jet = eval_jets(spec, s_grid[idx], x)[0]
+            jet = first.pop() if first else eval_jets(spec, s_grid[idx], x)[0]
             with np.errstate(all="ignore"):
                 det_h = jet.ss * jet.xx - jet.sx * jet.sx
                 return jet.x - fixed_value, jet.xx, np.stack([jet.s, det_h / jet.xx, x])
@@ -319,15 +323,14 @@ def conjugacy_scan(
     else:
         raise ValueError(f"series must be 'fixed-x' or 'fixed-y', got {series!r}")
 
+    with np.errstate(all="ignore"):
+        cd = (tvals[2:] - tvals[:-2]) / (s_grid[2:] - s_grid[:-2])
+        c0, c1 = cd[:-1], cd[1:]
+        changes = (c0 != 0.0) & ((c0 > 0.0) != (c1 > 0.0)) & ~np.isnan(c0 + c1)
     svals, tvals, dvals = s_grid.tolist(), tvals.tolist(), dvals.tolist()
     samples = list(zip(tvals, svals))            # (control T, conjugate S)
     turning = []
-    cd = [(tvals[k + 1] - tvals[k - 1]) / (svals[k + 1] - svals[k - 1])
-          for k in range(1, len(samples) - 1)]
-    for k in range(len(cd) - 1):
-        if (cd[k] == 0.0 or (cd[k] > 0.0) == (cd[k + 1] > 0.0)
-                or math.isnan(cd[k] + cd[k + 1])):
-            continue
+    for k in np.flatnonzero(changes).tolist():
         for i, j in ((k + 1, k + 2), (k, min(k + 3, len(svals) - 1))):
             fa, fb = dvals[i], dvals[j]
             if fa == 0.0 or (fa > 0.0) != (fb > 0.0) and not math.isnan(fa + fb):

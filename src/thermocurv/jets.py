@@ -62,11 +62,13 @@ DOMAIN, OVERFLOW = 1, 2
 
 
 class Failures:
-    """Per point of a batch: first failure code (0: none), ill-conditioning."""
+    """Per point of a batch: first failure code (0: none), ill-conditioning;
+    ``live`` indexes the points being evaluated (all, or one on its own)."""
 
     def __init__(self, n: int):
         self.code = np.zeros(n, np.int8)
         self.ill_conditioned = np.zeros(n, bool)
+        self.live = slice(None)
 
     def record(self, code: int, mask) -> None:
         self.code[(self.code == 0) & mask] = code
@@ -80,8 +82,8 @@ def batch(n: int):
     """Evaluate arrays of ``n`` points; yields their :class:`Failures`.
 
     A float sub-expression that raises fails every point not failed yet and
-    ends the block.  Ill-conditioned divisions give one
-    :class:`ConditioningWarning` for the whole batch.
+    ends the block, and an ill-conditioned float division marks them.  The
+    batch gives one :class:`ConditioningWarning` for its ill-conditioned points.
     """
     failures = Failures(n)
     token = _BATCH.set(failures)
@@ -342,15 +344,12 @@ def _recip_outer(v):
     """1/u and its derivatives -1/u^2, 2/u^3, -6/u^4 at ``v``."""
     v = _divisor(v)
     small = abs(v) < CONDITIONING_FLOOR
-    if isinstance(small, np.ndarray):
-        failures = _failures()
-        failures.ill_conditioned |= small & (failures.code == 0)
+    if isinstance(small, np.ndarray) or (small and _BATCH.get() is not None):
+        failures = _failures()      # a float marks every point still live
+        failures.ill_conditioned[failures.live] |= small & (failures.code[failures.live] == 0)
     elif small:
-        warnings.warn(
-            f"division by small value {v!r}; results may be ill-conditioned",
-            ConditioningWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"division by small value {v!r}; results may be ill-conditioned",
+                      ConditioningWarning, stacklevel=3)
     inv = 1.0 / v
     return inv, -inv * inv, 2.0 * _ipow(inv, 3), -6.0 * _ipow(inv, 4)
 

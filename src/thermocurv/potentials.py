@@ -28,8 +28,9 @@ import math
 import numbers
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
+from itertools import chain, zip_longest
 from typing import Mapping, Union
 
 import numpy as np
@@ -39,6 +40,9 @@ from .jets import DomainError, Jet3
 
 _FUNCTIONS = ("sqrt", "exp", "ln")
 _MAX_NESTING = 100
+# Batches up to this size run point by point: an array operation costs about
+# 1 us at any size, so up to about 35 points the float code is faster.
+POINTWISE_MAX = 35
 
 
 class ParseError(ValueError):
@@ -55,36 +59,68 @@ class UnknownIdentifierError(ParseError):
 
 # -- AST ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """Equality, hash and repr as a frozen dataclass generates them, from a
+    walk with a stack: a chain of operators is one tree level per link."""
+
+    def _pieces(self):
+        """The repr text in order: strings, and each field value that is not
+        a node as a 1-tuple."""
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Node):
+                yield item
+                continue
+            parts = [f"{type(item).__qualname__}("]
+            for k, f in enumerate(fields(item)):
+                value = getattr(item, f.name)
+                parts += [", " * (k > 0) + f"{f.name}=",
+                          value if isinstance(value, _Node) else (value,)]
+            stack += reversed([*parts, ")"])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(a == b for a, b in zip_longest(self._pieces(), other._pieces()))
+
+    def __hash__(self):
+        return hash(tuple(self._pieces()))
+
+    def __repr__(self):
+        return "".join(p if isinstance(p, str) else repr(p[0]) for p in self._pieces())
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Const(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Coord:
+@dataclass(frozen=True, eq=False, repr=False)
+class Coord(_Node):
     index: int
     name: str
 
 
-@dataclass(frozen=True)
-class Param:
+@dataclass(frozen=True, eq=False, repr=False)
+class Param(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     operand: "ExprNode"
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False, repr=False)
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "ExprNode"
     right: "ExprNode"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False, repr=False)
+class Call(_Node):
     func: str
     arg: "ExprNode"
 
@@ -384,40 +420,25 @@ _MAX_GENERATED = 256
 
 
 def _generated(ast: ExprNode, params, jet: bool):
-    """The straight-line evaluator of a potential, built once per process
-    for each distinct AST and parameter set (of the last 256 used)."""
-    key = (jet, _signature(ast), tuple(sorted((k, float(v).hex()) for k, v in params.items())))
+    """The straight-line evaluator of a potential, built once per process for
+    each of the last 256 AST reprs (-0.0 is not 0.0 there) and parameter sets."""
+    key = (jet, repr(ast), tuple(sorted((k, float(v).hex()) for k, v in params.items())))
     fn = _GENERATED[key] = _GENERATED.pop(key, None) or _generate(ast, params, jet)
     if len(_GENERATED) > _MAX_GENERATED:
         del _GENERATED[next(iter(_GENERATED))]
     return fn
 
 
-def _signature(ast: ExprNode) -> tuple:
-    """The AST in prefix order, walked with a stack: a long chain of
-    operators is deeper than hashing the nested nodes can recurse."""
-    out, stack = [], [ast]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BinOp):
-            out.append(node.op)
-        elif isinstance(node, (Neg, Call)):
-            out.append("neg" if isinstance(node, Neg) else node.func)
-        else:
-            out.append(repr(node.value) if isinstance(node, Const) else
-                       f"#{node.index}" if isinstance(node, Coord) else f"${node.name}")
-        stack += reversed(_children(node))
-    return tuple(out)
-
-
 def _generate(ast: ExprNode, params, jet: bool):
     trace = jets._Trace()
     s, x = jets._Symbol(trace, "s"), jets._Symbol(trace, "x")
-    token = jets._TRACE.set(trace)
+    # constants fold as outside a batch: a small divisor warns, so it stays
+    token, outside = jets._TRACE.set(trace), jets._BATCH.set(None)
     try:
         result = _trace(ast, params, (Jet3(s, 1.0), Jet3(x, 0.0, 1.0)) if jet else (s, x))
     finally:
         jets._TRACE.reset(token)
+        jets._BATCH.reset(outside)
     if jet and not isinstance(result, Jet3):  # constant expression
         result = jets.jet_const(result)
     lines, texts = trace.source(tuple(result) if jet else (result,))
@@ -467,14 +488,25 @@ def eval_jet(spec: PotentialSpec, point) -> Jet3:
 
 
 def eval_jets(spec: PotentialSpec, s, x) -> tuple[Jet3, np.ndarray]:
-    """Jets at the points ``(s[k], x[k])`` (arrays, or one a float) in one
-    batched pass, and each point's failure code: 0, ``jets.DOMAIN`` or
-    ``jets.OVERFLOW`` (also for a jet that is not finite).  A failed point's
-    jet is nan."""
+    """Jets at the points ``(s[k], x[k])`` (arrays, or one a float) and each
+    point's failure code: 0, ``jets.DOMAIN`` or ``jets.OVERFLOW`` (also for a
+    jet that is not finite); a failed point's jet is nan.  Up to
+    ``POINTWISE_MAX`` points run one by one on floats, more as arrays."""
     n = np.broadcast(s, x).size
     coeffs = [math.nan] * 10
     with jets.batch(n) as failures:
-        coeffs = eval_jet(spec, (s, x))
+        if n > POINTWISE_MAX:
+            coeffs = eval_jet(spec, (s, x))
+        else:
+            found = [(math.nan,) * 10] * n
+            for k, (a, b) in enumerate(np.broadcast(s, x)):
+                failures.live = k
+                try:
+                    found[k] = spec.evaluate(*_check_domain(spec, float(a), float(b)))
+                except (DomainError, OverflowError, ZeroDivisionError) as exc:
+                    failures.code[k] = jets.DOMAIN if isinstance(exc, DomainError) \
+                        else jets.OVERFLOW
+            coeffs = np.fromiter(chain.from_iterable(found), float, 10 * n).reshape(n, 10).T
     table = np.empty((10, n))               # one row per coefficient
     for row, coeff in zip(table, coeffs):
         row[:] = coeff

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermocurv import (StatePoint, curvature_from_m_jet, eval_jet, get_entry,
-                        parse_potential, responses_at)
+                        parse_potential, potentials, responses_at)
 from thermocurv.cli import COLUMNS, evaluate_points, main
 from thermocurv.geometry import _safe_div
 from thermocurv.jets import ConditioningWarning, DomainError
+from thermocurv.potentials import POINTWISE_MAX, eval_jets
 
 RN = get_entry("reissner-nordstrom").spec
 KERR = get_entry("kerr").spec
@@ -128,7 +129,10 @@ def test_batched_rows_match_scalar_api(spec, points):
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(points, min_size=1, max_size=30))
     def check(drawn):
-        assert_matches_scalar(spec, drawn)
+        assert_matches_scalar(spec, drawn)                 # point by point
+        tiled = drawn * (POINTWISE_MAX // len(drawn) + 1)  # one array pass
+        assert len(tiled) > POINTWISE_MAX
+        assert_matches_scalar(spec, tiled)
     check()
 
 
@@ -160,6 +164,34 @@ def test_batch_warns_once_for_ill_conditioned_divisions():
     with pytest.warns(ConditioningWarning, match="at 3 points") as record:
         evaluate_points(MIXED, s, [1.0] * 4)
     assert len([w for w in record if w.category is ConditioningWarning]) == 1
+
+
+@pytest.mark.parametrize("n", [3, 100])
+@pytest.mark.parametrize("src, s, ill", [
+    # a constant divisor below the floor: every point still live is marked
+    ("S/1e-13 + X", [2.5, 2.0 + 1e-13, -1.0, 3.0], lambda s, x: (s > 0) & (x > 0)),
+    # S - 2 near zero; at S = 2 it is below the division floor (a domain error)
+    ("X^3/(S - 2)", [2.0 + 1e-13, 2.0, 2.0 - 4e-16, 3.0, 2.0 - 2e-13],
+     lambda s, x: (abs(s - 2.0) < 1e-12) & (s != 2.0) & (s > 0) & (x > 0)),
+    # the same divisor from a coordinate passed as a float
+    ("X^3/(S - 2)", 2.0 + 1e-13, lambda s, x: x > 0),
+])
+def test_both_paths_give_the_same_codes_and_one_warning(n, src, s, ill, monkeypatch):
+    spec = parse_potential(src)
+    x = np.linspace(-0.5, 2.0, n)
+    s = np.resize(s, n) if isinstance(s, list) else s
+    outcomes = []
+    for limit in (n, n - 1):        # point by point, then one array pass
+        monkeypatch.setattr(potentials, "POINTWISE_MAX", limit)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            jet, code = eval_jets(spec, s, x)
+        outcomes.append(([c.tobytes() for c in jet], code.tolist(),
+                         [str(w.message) for w in caught if w.category is ConditioningWarning]))
+    assert outcomes[0] == outcomes[1]
+    count = np.count_nonzero(ill(np.broadcast_to(s, n), x))
+    assert outcomes[0][2] == [f"division by small values at {count} points; "
+                              "results may be ill-conditioned"]
 
 
 def test_safe_div_signs_match_for_floats_and_arrays():

@@ -3,20 +3,21 @@ import io
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermocurv import (ConditioningWarning, DomainError, StatePoint,
+from thermocurv import (ConditioningWarning, DomainError, StatePoint, cli,
                         conjugacy_scan, davies, eval_jet, find_davies_points,
                         fit_divergence_exponent, get_entry, parse_potential,
                         responses_at)
 from thermocurv._roots import (NoBracketError, expand_bracket, refine_bracket,
                                solve_lanes)
 from thermocurv.cli import main
-from thermocurv.jets import batch
+from thermocurv.jets import Jet3, batch
 from thermocurv.potentials import eval_jets
 
 from lanes_oracle import solve_lanes_side_by_side
@@ -494,6 +495,62 @@ def test_davies_cx_sweep_is_evaluated_once(potential, points, evaluations, tmp_p
     assert len(calls) == evaluations
 
 
+def test_davies_cy_sweep_is_evaluated_once(tmp_path, monkeypatch, capsys):
+    # the first lane evaluation of the fixed-Y series is the locus sweep at
+    # the same X: 9 array evaluations, where evaluating it again made 10
+    path = tmp_path / "cy.json"
+    path.write_text(json.dumps({"name": "cy-toy", "coords": ["S", "X"],
+                                "expression": "S^2/2 + X^2/2 + S*X^2/2"}), encoding="utf-8")
+    argv = ["davies", "--potential-file", str(path), "--which", "cy", "--fix", "X=1.5",
+            "--sweep", "S=0.1:5"]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eval_jets(*args)
+    monkeypatch.setattr(davies, "eval_jets", counting)
+    assert main(argv) == 0
+    reused, reused_calls = capsys.readouterr().out, len(calls)
+    assert reused_calls == 9 and len(json.loads(reused)["points"]) == 1
+
+    def without_sweep(*args, sweep_jet=None, **kwargs):
+        return conjugacy_scan(*args, **kwargs)
+    monkeypatch.setattr(cli, "conjugacy_scan", without_sweep)
+    calls.clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == reused and len(calls) == reused_calls + 1
+
+
+X_SLICES = [("S^2/2 + X^2/2 + S*X^2/2", st.floats(0.2, 2.5)),
+            ("S^2/2 + X^2/2 + S*X^2/2 + 1/(X - 1.5)",     # X-only divisor, small or zero
+             st.sampled_from([1.5, 1.5 + 1e-13, 1.5 - 2e-13, 1.2, 1.7])),
+            ("sqrt(X - 1) + S^2 + X^2", st.floats(0.5, 1.5)),   # X-only domain
+            ("exp(300*X) * S^2 + X^2", st.floats(2.0, 2.6)),    # X-only overflow
+            ("sqrt(S)/2 * (1 + X^2/S)", st.floats(0.1, 1.5))]
+
+
+@st.composite
+def x_slices(draw):
+    src, fixed = draw(st.sampled_from(X_SLICES))
+    return parse_potential(src), draw(fixed)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(x_slices(), st.sampled_from([(0.1, 5.0), (0.5, 3.0), (1.9, 2.1)]),
+       st.sampled_from([2, 7, 35, 36, 200]))
+def test_reused_sweep_is_the_first_lane_evaluation_bit_for_bit(case, sweep, count):
+    # the fixed-X sweep (X a float) against the lane evaluation it replaces
+    # in the fixed-Y series (X an array of x_guess), every coefficient
+    spec, x = case
+    grid = np.linspace(*sweep, count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        locus = find_davies_points(spec, "cy", fixed="X", fixed_value=x, sweep=sweep,
+                                   count=count)
+        lanes = eval_jets(spec, grid[np.arange(count)], np.full(count, x))[0]
+    assert [c.tobytes() for c in locus.sweep_jet] == [c.tobytes() for c in lanes]
+
+
 # added to a potential whose C_X line 3 S^2 + X^2 = 1 lies on both sides
 # of S = 0 and of X = 0, or drawn alone
 DRAWN_POTENTIALS = st.one_of(
@@ -537,3 +594,63 @@ def test_davies_on_drawn_potentials_keeps_its_contract(
     for pt in result["points"] + result["rejected"]:
         assert pt[fix] == fixed and lo <= pt[sweep] <= hi, (src, k, pt)
     assert all(lo <= s <= hi for s in result["turning_points"]), (src, k)
+
+
+def sign_change_pairs(u, f):
+    """The brackets the per-sample loop of find_davies_points refined."""
+    return [(u0, u1, f0, f1) for (u0, f0), (u1, f1) in zip(zip(u, f), zip(u[1:], f[1:]))
+            if math.isfinite(f0) and math.isfinite(f1)
+            and not (f0 == 0.0 or (f0 > 0.0) == (f1 > 0.0))]
+
+
+def turning_pairs(s, t, d):
+    """The brackets the per-sample loop of conjugacy_scan refined."""
+    pairs = []
+    cd = [(t[k + 1] - t[k - 1]) / (s[k + 1] - s[k - 1]) for k in range(1, len(s) - 1)]
+    for k in range(len(cd) - 1):
+        if cd[k] == 0.0 or (cd[k] > 0.0) == (cd[k + 1] > 0.0) or math.isnan(cd[k] + cd[k + 1]):
+            continue
+        for i, j in ((k + 1, k + 2), (k, min(k + 3, len(s) - 1))):
+            fa, fb = d[i], d[j]
+            if fa == 0.0 or (fa > 0.0) != (fb > 0.0) and not math.isnan(fa + fb):
+                pairs.append((s[i], s[j], fa, fb))
+                break
+    return pairs
+
+
+VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e308, -1e308, 5e-324,
+                          math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(VALUES, VALUES), min_size=2, max_size=40))
+def test_sample_scans_flag_the_pairs_of_the_per_sample_loops(samples):
+    # the masks over the samples pick the brackets the loops picked, signed
+    # zeros, infinities and nan included; the refinement only records them
+    n, (t, d) = len(samples), (np.array(v) for v in zip(*samples))
+    jet = Jet3(np.zeros(n), t, np.zeros(n), d)      # T = M_S, dT/dS = M_SS
+    refined = []
+
+    def record(func, a, b, fa, fb):
+        refined.append(tuple(v.hex() for v in (a, b, fa, fb)))
+        return 0.5 * (a + b), math.inf, 0, False
+
+    def bits(pairs):
+        return [tuple(v.hex() for v in p) for p in pairs]
+
+    grid, spec = np.linspace(0.5, 3.0, n).tolist(), get_entry("kerr").spec
+    with mock.patch.object(davies, "eval_jets", lambda *_: (jet, np.zeros(n, np.int8))), \
+            mock.patch.object(davies, "_refine", record):
+        find_davies_points(spec, "cx", fixed="J", fixed_value=0.5, sweep=(0.5, 3.0), count=n)
+        assert refined == bits(sign_change_pairs(grid, d.tolist()))
+        refined.clear()
+        conjugacy_scan(spec, "fixed-x", fixed_value=0.5, sweep=(0.5, 3.0), count=n,
+                       sweep_jet=jet)
+        assert refined == bits(turning_pairs(grid, t.tolist(), d.tolist()))
+
+
+def test_sweep_finer_than_the_float_spacing_keeps_the_contract(capsys):
+    # neighbouring samples repeat, so a central difference divides by zero
+    assert main(["davies", "--catalog", "reissner-nordstrom", "--fix", "Q=1",
+                 "--sweep", "S=1:1.0000000000000004:50"]) == 0
+    assert json.loads(capsys.readouterr().out)["turning_points"] == []

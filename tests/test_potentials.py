@@ -9,7 +9,8 @@ from thermocurv import (DomainError, ParseError, eval_jet, eval_scalar,
                         format_expression, parse_potential,
                         potential_from_json, potential_to_json)
 from thermocurv.cli import main
-from thermocurv.potentials import UnknownIdentifierError, load_potential_file
+from thermocurv.potentials import (BinOp, Const, Coord, Neg, Param, UnknownIdentifierError,
+                                   load_potential_file)
 
 
 def test_precedence_and_associativity():
@@ -229,3 +230,29 @@ def test_nesting_below_the_limit_and_long_chains_evaluate():
     assert eval_scalar(parse_potential("(" * 99 + "S" + ")" * 99), (2.0, 1.0)) == 2.0
     chain = parse_potential(" + ".join(["S*X"] * 900))   # iterative in the parser
     assert eval_jet(chain, (2.0, 1.0)).x == 1800.0
+
+
+@pytest.mark.parametrize("terms", [1200, 20000])
+def test_long_chain_specs_compare_print_and_hash(terms):
+    src = " + ".join(["S"] * terms) + " + X^2"
+    spec, again = parse_potential(src), parse_potential(src)
+    assert spec.ast is not again.ast
+    assert spec == again and hash(spec.ast) == hash(again.ast)
+    assert spec != parse_potential(src[:-1] + "3")      # only the last leaf differs
+    text = repr(spec)
+    assert text.count("BinOp(op='+'") == terms and text.endswith(
+        "right=BinOp(op='^', left=Coord(index=1, name='X'), right=Const(value=2.0))), "
+        "params={}, domain=((0.0, inf), (0.0, inf)))")
+
+
+def test_ast_nodes_compare_hash_and_print_as_dataclasses():
+    ast = parse_potential("-sqrt(S)^2 + k/X - 3", params={"k": 1.0}).ast
+    assert repr(ast) == (
+        "BinOp(op='-', left=BinOp(op='+', left=Neg(operand=BinOp(op='^', left=Call("
+        "func='sqrt', arg=Coord(index=0, name='S')), right=Const(value=2.0))), "
+        "right=BinOp(op='/', left=Param(name='k'), right=Coord(index=1, name='X'))), "
+        "right=Const(value=3.0))")
+    assert Const(1.0) == Const(1) and hash(Const(1.0)) == hash(Const(1))
+    assert Coord(0, "S") != Param("S") and Neg(Const(1.0)) != Const(1.0)
+    assert BinOp("+", Param("k"), Const(2.0)) != BinOp("-", Param("k"), Const(2.0))
+    assert {ast: 1}[parse_potential("-sqrt(S)^2 + k/X - 3", params={"k": 1.0}).ast] == 1
