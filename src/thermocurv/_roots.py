@@ -137,7 +137,7 @@ def solve_lanes(func, n: int, guess: float, lo: float, hi: float, *, tol_f: floa
     """
     first_step = 0.05 * max(1.0, abs(guess))
     x = np.full(n, float(guess))
-    f, slope, payload = func(np.arange(n), x)
+    f, slope, payload = (np.array(v) for v in func(np.arange(n), x))   # copies: written below
     done = abs(f) <= tol_f
     a, b, fa = (np.full(n, math.nan) for _ in range(3))
     ends = [(guess, f), (guess, f)]          # outermost sample on each side

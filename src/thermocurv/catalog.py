@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .potentials import _GENERATED, PotentialSpec, parse_potential, potential_to_json
+from .potentials import PotentialSpec, parse_potential, potential_to_json
 
 __all__ = ["CatalogEntry", "GridAxis", "get_entry", "entry_names",
            "UnknownPotentialError"]
@@ -110,7 +110,6 @@ _BUILDERS = {
     "kerr": _kerr,
     "quadratic-toy": _quadratic,
 }
-_ENTRIES: dict[str, CatalogEntry] = {}   # built so far
 
 
 def entry_names() -> tuple[str, ...]:
@@ -118,14 +117,10 @@ def entry_names() -> tuple[str, ...]:
 
 
 def get_entry(name: str) -> CatalogEntry:
-    """The entry, built once per process and again when the code cache drops its code."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise UnknownPotentialError(
             f"unknown potential {name!r}; known: {', '.join(entry_names())}"
         ) from None
-    entry = _ENTRIES.get(name)
-    if entry is None or entry.spec.evaluate not in _GENERATED.values():
-        entry = _ENTRIES[name] = builder()
-    return entry
+    return builder()

@@ -303,7 +303,6 @@ def conjugacy_scan(
         tol_f = 1e-13 * max(1.0, abs(fixed_value))
 
         first = [] if sweep_jet is None else [sweep_jet]   # every lane at x_guess
-
         def lanes(idx, x):   # T, dT/dS along constant Y, X
             jet = first.pop() if first else eval_jets(spec, s_grid[idx], x)[0]
             with np.errstate(all="ignore"):

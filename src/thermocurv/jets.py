@@ -62,13 +62,12 @@ DOMAIN, OVERFLOW = 1, 2
 
 
 class Failures:
-    """Per point of a batch: first failure code (0: none), ill-conditioning;
-    ``live`` indexes the points being evaluated (all, or one on its own)."""
+    """Per point of a batch: first failure code (0: none), ill-conditioning."""
 
     def __init__(self, n: int):
         self.code = np.zeros(n, np.int8)
         self.ill_conditioned = np.zeros(n, bool)
-        self.live = slice(None)
+        self.live = slice(None)     # the points being evaluated: all, or one
 
     def record(self, code: int, mask) -> None:
         self.code[(self.code == 0) & mask] = code

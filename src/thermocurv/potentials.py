@@ -64,8 +64,7 @@ class _Node:
     walk with a stack: a chain of operators is one tree level per link."""
 
     def _pieces(self):
-        """The repr text in order: strings, and each field value that is not
-        a node as a 1-tuple."""
+        """The repr text in order: strings, and non-node field values as 1-tuples."""
         stack = [self]
         while stack:
             item = stack.pop()
@@ -420,13 +419,29 @@ _MAX_GENERATED = 256
 
 
 def _generated(ast: ExprNode, params, jet: bool):
-    """The straight-line evaluator of a potential, built once per process for
-    each of the last 256 AST reprs (-0.0 is not 0.0 there) and parameter sets."""
-    key = (jet, repr(ast), tuple(sorted((k, float(v).hex()) for k, v in params.items())))
+    """The straight-line evaluator of a potential, built once per process
+    for each distinct AST and parameter set (of the last 256 used)."""
+    key = (jet, _signature(ast), tuple(sorted((k, float(v).hex()) for k, v in params.items())))
     fn = _GENERATED[key] = _GENERATED.pop(key, None) or _generate(ast, params, jet)
     if len(_GENERATED) > _MAX_GENERATED:
         del _GENERATED[next(iter(_GENERATED))]
     return fn
+
+
+def _signature(ast: ExprNode) -> tuple:
+    """The AST in prefix order, walked with a stack: the code cache's key."""
+    out, stack = [], [ast]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BinOp):
+            out.append(node.op)
+        elif isinstance(node, (Neg, Call)):
+            out.append("neg" if isinstance(node, Neg) else node.func)
+        else:
+            out.append(repr(node.value) if isinstance(node, Const) else
+                       f"#{node.index}" if isinstance(node, Coord) else f"${node.name}")
+        stack += reversed(_children(node))
+    return tuple(out)
 
 
 def _generate(ast: ExprNode, params, jet: bool):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thermocurv import (curvature_from_m_jet, eval_jet, eval_scalar, get_entry,
-                        entry_names, parse_potential, potential_from_json)
+                        entry_names, potential_from_json)
 from thermocurv.catalog import UnknownPotentialError
 
 
@@ -10,12 +10,6 @@ def test_known_names():
     assert entry_names() == ("kerr", "quadratic-toy", "reissner-nordstrom")
     with pytest.raises(UnknownPotentialError):
         get_entry("schwarzschild")
-
-
-def test_entries_are_built_once_per_process():
-    assert get_entry("kerr") is get_entry("kerr")
-    assert get_entry("kerr").spec.evaluate is parse_potential("sqrt(S/4 + J^2/S)",
-                                                               ("S", "J")).evaluate
 
 
 def test_reference_spot_values(rn, kerr, quad):

@@ -521,6 +521,34 @@ def test_davies_cy_sweep_is_evaluated_once(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == reused and len(calls) == reused_calls + 1
 
 
+
+def test_shared_sweep_is_not_written_by_the_fixed_y_scans(tmp_path, monkeypatch, capsys):
+    # two locus points, so two fixed-Y scans start from the same sweep;
+    # M_XX depends on X, so a Newton slope written into it would differ
+    src = "(S-2)^4/12 + 5*S + X^2/2 + S*X^2/2 + X^4/12"
+    spec = parse_potential(src)
+    locus = find_davies_points(spec, "cy", fixed="X", fixed_value=1.5, sweep=(0.1, 5.0))
+    before = [c.tobytes() for c in locus.sweep_jet]
+    assert len(locus.points) == 2
+    for pt in locus.points:
+        conjugacy_scan(spec, "fixed-y", fixed_value=eval_jet(spec, pt).x, sweep=(0.1, 5.0),
+                       x_guess=pt.x, sweep_jet=locus.sweep_jet)
+        assert [c.tobytes() for c in locus.sweep_jet] == before
+
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"name": "two", "coords": ["S", "X"], "expression": src}),
+                    encoding="utf-8")
+    argv = ["davies", "--potential-file", str(path), "--which", "cy", "--fix", "X=1.5",
+            "--sweep", "S=0.1:5"]
+    assert main(argv) == 0
+    reused = capsys.readouterr().out
+
+    def without_sweep(*args, sweep_jet=None, **kwargs):
+        return conjugacy_scan(*args, **kwargs)
+    monkeypatch.setattr(cli, "conjugacy_scan", without_sweep)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == reused
+
 X_SLICES = [("S^2/2 + X^2/2 + S*X^2/2", st.floats(0.2, 2.5)),
             ("S^2/2 + X^2/2 + S*X^2/2 + 1/(X - 1.5)",     # X-only divisor, small or zero
              st.sampled_from([1.5, 1.5 + 1e-13, 1.5 - 2e-13, 1.2, 1.7])),
