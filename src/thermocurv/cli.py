@@ -2,8 +2,8 @@
 reports and identity checks, with CSV/JSON output.
 
 Exit codes: 0 success, 1 check-suite failure, 2 usage/parse/domain error.
-Grids are evaluated in one vectorized pass, so output is deterministic for
-fixed inputs (``--threads`` is accepted and ignored).
+``THERMOCURV_EPS`` is read once per ``eval``, ``scan`` or ``check``, in
+:func:`evaluate_points`; ``davies`` does not depend on it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .catalog import GridAxis, UnknownPotentialError, entry_names, get_entry
 from .davies import conjugacy_scan, find_davies_points, fit_divergence_exponents
 from ._roots import NoBracketError, ToleranceNotMetError
-from .geometry import StatePoint, curvature_from_m_jet
+from .geometry import StatePoint, curvature_from_m_jet, singularity_eps
 from .jets import DOMAIN, OVERFLOW, DomainError
 from .potentials import (ParseError, eval_jet, eval_jets, eval_scalar,
                          load_potential_file, parse_potential)
@@ -70,7 +70,10 @@ def _parse_at(spec, text: str) -> StatePoint:
         name, sep, raw = item.partition("=")
         if not sep:
             raise ValueError(f"--at expects NAME=VALUE pairs, got {item!r}")
-        vals[_coord_index(spec, name.strip())] = float(raw)
+        index = _coord_index(spec, name.strip())
+        if index in vals:
+            raise ValueError(f"--at sets {spec.coords[index]!r} twice")
+        vals[index] = float(raw)
     if sorted(vals) != [0, 1]:
         raise ValueError("--at must set both coordinates exactly once")
     return StatePoint(vals[0], vals[1])
@@ -117,10 +120,11 @@ def evaluate_points(spec, s, x):
     """
     s = np.asarray(s, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
+    eps = singularity_eps()
     jet, code = eval_jets(spec, s, x)
     with np.errstate(all="ignore"):
-        curv = curvature_from_m_jet(jet)
-        rs = responses_at(jet, StatePoint(s, x))
+        curv = curvature_from_m_jet(jet, eps)
+        rs = responses_at(jet, StatePoint(s, x), eps)
     failed = code != 0
     values = [jet.s, jet.x, jet.ss, jet.sx, jet.xx, curv.det_gm, curv.det_gf,
               curv.r_m, curv.r_f, rs.c_x, rs.c_y, rs.alpha, rs.kappa_t,
@@ -202,7 +206,10 @@ def _grid_points(args, spec, entry) -> tuple[np.ndarray, np.ndarray]:
     axes: dict[int, GridAxis] = {}
     for text in args.grid or []:
         name, axis = _parse_grid_axis(text)
-        axes[_coord_index(spec, name)] = axis
+        index = _coord_index(spec, name)
+        if index in axes:
+            raise ValueError(f"--grid gives {spec.coords[index]!r} twice")
+        axes[index] = axis
     if 0 not in axes or 1 not in axes:
         if entry is not None:
             default = entry.default_grid
@@ -369,31 +376,25 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"built-in potential ({', '.join(entry_names())})")
         p.add_argument("--potential-file", metavar="PATH",
                        help="potential-definition JSON file")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--out", metavar="PATH", default=None,
-                       help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted and ignored: grids are evaluated in "
-                            "one vectorized pass")
 
     p_eval = sub.add_parser("eval", help="evaluate one state point")
     add_common(p_eval)
     p_eval.add_argument("--at", required=True, metavar="S=..,X=..",
                         help="coordinate values, e.g. S=1,Q=0.5")
-    p_eval.set_defaults(func=_cmd_eval, default_format="json")
+    p_eval.set_defaults(func=_cmd_eval)
 
     p_scan = sub.add_parser("scan", help="evaluate a coordinate grid")
     add_common(p_scan)
     p_scan.add_argument("--grid", action="append", metavar="NAME=LO:HI:N[:SPACING]",
                         help="one axis per coordinate (repeat)")
-    p_scan.set_defaults(func=_cmd_scan, default_format="csv")
+    p_scan.set_defaults(func=_cmd_scan)
 
     p_dav = sub.add_parser("davies", help="locate divergence lines and fit exponents")
     add_common(p_dav)
     p_dav.add_argument("--which", choices=("cx", "cy"), default="cx")
     p_dav.add_argument("--fix", required=True, metavar="NAME=VALUE")
     p_dav.add_argument("--sweep", required=True, metavar="NAME=LO:HI[:N]")
-    p_dav.set_defaults(func=_cmd_davies, default_format="json")
+    p_dav.set_defaults(func=_cmd_davies)
 
     p_check = sub.add_parser("check", help="run identity/determinant residual suite")
     add_common(p_check)
@@ -402,15 +403,18 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="closed-form reference for RM (overrides catalog)")
     p_check.add_argument("--ref-rf", metavar="EXPR", default=None,
                          help="closed-form reference for RF (overrides catalog)")
-    p_check.set_defaults(func=_cmd_check, default_format="json")
+    p_check.set_defaults(func=_cmd_check)
+
+    for p, fmt in ((p_eval, "json"), (p_scan, "csv")):
+        p.add_argument("--format", choices=("csv", "json"), default=fmt)
+    for p in (p_eval, p_scan, p_dav):
+        p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
     try:
         return args.func(args)
     except BrokenPipeError:

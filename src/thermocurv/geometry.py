@@ -36,7 +36,8 @@ __all__ = [
 
 
 def singularity_eps() -> float:
-    """Divergence-detection epsilon; THERMOCURV_EPS overrides the default."""
+    """``THERMOCURV_EPS`` if set, else the default: the epsilon the CLI
+    passes as ``eps=``.  The library functions never read the environment."""
     raw = os.environ.get("THERMOCURV_EPS")
     if raw is None:
         return DEFAULT_SINGULARITY_EPS
@@ -143,7 +144,7 @@ def metric_f_sx(jet: Jet3) -> MetricTensor2:
     return MetricTensor2(-jet.ss, 0.0, jet.xx, chart="SX", kind="F")
 
 
-def _curvatures(jet: Jet3, eps: float | None):
+def _curvatures(jet: Jet3, eps: float):
     """The complementary pair of curvatures from the jet of a potential P in
     its natural chart: the full-Hessian form of g^P, and the diagonal form
     of the other metric, diag(-P_11, P_22) in this chart.
@@ -152,7 +153,6 @@ def _curvatures(jet: Jet3, eps: float | None):
     div_hessian, div_diagonal)``; a ``div_`` entry holds where that
     scalar's denominator is near zero.
     """
-    eps = singularity_eps() if eps is None else eps
     scale = hessian_scale(jet)
     ss, sx, xx, sss, ssx, sxx, xxx = jet.ss, jet.sx, jet.xx, jet.sss, jet.ssx, jet.sxx, jet.xxx
     num_h = (ss * (sxx * sxx - ssx * xxx)
@@ -166,7 +166,7 @@ def _curvatures(jet: Jet3, eps: float | None):
             (abs(ss) < eps * scale) | (abs(xx) < eps * scale))
 
 
-def curvature_from_m_jet(jet: Jet3, eps: float | None = None) -> CurvatureResult:
+def curvature_from_m_jet(jet: Jet3, eps: float = DEFAULT_SINGULARITY_EPS) -> CurvatureResult:
     """Both curvature scalars from the potential jet in the (S, X) chart.
 
     R^M uses the full-Hessian form, R^F the diagonal form of g^F in this
@@ -177,7 +177,8 @@ def curvature_from_m_jet(jet: Jet3, eps: float | None = None) -> CurvatureResult
                            flags=_flag_tokens(("div:RM", div_m), ("div:RF", div_f)))
 
 
-def curvature_from_f_jet(lp: LegendrePoint, eps: float | None = None) -> CurvatureResult:
+def curvature_from_f_jet(lp: LegendrePoint,
+                         eps: float = DEFAULT_SINGULARITY_EPS) -> CurvatureResult:
     """Both curvature scalars from the free-energy jet in the (T, X) chart.
 
     The roles of the two forms swap relative to :func:`curvature_from_m_jet`:
@@ -198,7 +199,7 @@ def legendre_at(
     x: float,
     s_guess: float,
     *,
-    eps: float | None = None,
+    eps: float = DEFAULT_SINGULARITY_EPS,
 ) -> LegendrePoint:
     """Solve T(s, x) = t for the entropy and build the free-energy jet.
 
@@ -212,7 +213,6 @@ def legendre_at(
     T(s(T,X), X) = T order by order, which keeps the whole pipeline free of
     numerical differencing.
     """
-    eps = singularity_eps() if eps is None else eps
     s_root, m, residual, evals = solve_near(
         lambda s: eval_jet(spec, (s, x)), "s", t, s_guess, *spec.domain[0],
         tol_f=1e-12 * max(1.0, abs(t)))

@@ -40,6 +40,10 @@ CONDITIONING_FLOOR = 1e-12
 # keeps integer powers of negative bases exact.
 _MAX_INT_POW = 100
 
+# Operations the generated code of one potential may hold; a larger one
+# raises ValueError while it is traced, so it fails on load.
+_MAX_TRACE_OPS = 100_000
+
 
 class DomainError(ValueError):
     """An elementary function was evaluated outside its domain."""
@@ -516,6 +520,9 @@ class _Trace:
         if pure and key in self.seen:
             return self.seen[key]
         k = len(self.ops)
+        if k >= _MAX_TRACE_OPS:
+            raise ValueError(f"the potential's generated code passes {_MAX_TRACE_OPS:,} "
+                             "operations")
         targets = tuple(_Symbol(self, f"t{k}" if outputs == 1 else f"t{k}_{j}")
                         for j in range(outputs))
         self.ops.append((targets, fmt, tuple(args), pure))

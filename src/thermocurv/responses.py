@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (MetricTensor2, StatePoint, _flag_tokens, _larger,
-                       hessian_scale, singularity_eps)
+from .geometry import (DEFAULT_SINGULARITY_EPS, MetricTensor2, StatePoint,
+                       _flag_tokens, _larger, hessian_scale)
 from .jets import Jet3, _ipow, _safe_div
 
 __all__ = [
@@ -74,7 +74,8 @@ class ResponseSet:
         return not self.flags and all(math.isfinite(v) for v in vals)
 
 
-def responses_at(jet: Jet3, p: StatePoint, eps: float | None = None) -> ResponseSet:
+def responses_at(jet: Jet3, p: StatePoint,
+                 eps: float = DEFAULT_SINGULARITY_EPS) -> ResponseSet:
     """All response functions at one point from the potential jet there.
 
     The Jacobian relations behind each entry:
@@ -85,7 +86,6 @@ def responses_at(jet: Jet3, p: StatePoint, eps: float | None = None) -> Response
     capacities are still returned and alpha/kappa become nan with an
     ``undef:X`` flag.  Negative X is rejected.
     """
-    eps = singularity_eps() if eps is None else eps
     x = p.x
     t, y = jet.s, jet.x
     mss, msx, mxx = jet.ss, jet.sx, jet.xx

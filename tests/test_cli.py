@@ -1,9 +1,13 @@
+import argparse
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import pytest
 
-from thermocurv.cli import main
+from thermocurv.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -79,9 +83,6 @@ def test_scan_is_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
-    _, threaded, _ = run(capsys, *args, "--threads", "4")
-    _, serial, _ = run(capsys, *args, "--threads", "1")
-    assert threaded == serial == first
 
 
 def test_scan_flags_straddling_the_line(capsys):
@@ -289,6 +290,101 @@ def test_env_epsilon_override(capsys, monkeypatch):
         code, _, err = run(capsys, "eval", "--catalog", "reissner-nordstrom",
                            "--at", "S=3,Q=1")
         assert code == 2 and "THERMOCURV_EPS" in err, bad
+
+
+def test_only_eval_scan_and_check_read_the_epsilon(capsys, monkeypatch):
+    davies = ("davies", "--catalog", "reissner-nordstrom", "--fix", "Q=1",
+              "--sweep", "S=0.5:10")
+    monkeypatch.delenv("THERMOCURV_EPS", raising=False)
+    code, unset, _ = run(capsys, *davies)
+    assert code == 0
+    monkeypatch.setenv("THERMOCURV_EPS", "banana")
+    assert run(capsys, *davies) == (0, unset, "")
+    for argv in (("eval", "--catalog", "reissner-nordstrom", "--at", "S=3,Q=1"),
+                 ("scan", "--catalog", "quadratic-toy", "--grid", "S=1:2:2",
+                  "--grid", "X=1:2:2"),
+                 ("check", "--catalog", "kerr")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "error:" in err and "THERMOCURV_EPS" in err, argv
+
+
+@pytest.mark.parametrize("at", ["S=1,Q=0.5,S=3", "S=1,X=0.5,Q=0.7"])
+def test_a_coordinate_given_twice_is_a_usage_error(capsys, at):
+    code, out, err = run(capsys, "eval", "--catalog", "reissner-nordstrom", "--at", at)
+    assert code == 2 and out == "" and "error:" in err and "twice" in err
+
+
+def test_a_grid_axis_given_twice_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "scan", "--catalog", "reissner-nordstrom",
+                         "--grid", "S=1:2:2", "--grid", "X=1:2:2", "--grid", "S=1:3:2")
+    assert code == 2 and out == "" and "error:" in err and "twice" in err
+
+
+BASE_ARGV = {
+    "eval": ["eval", "--catalog", "quadratic-toy", "--at", "S=1,X=2"],
+    "scan": ["scan", "--catalog", "quadratic-toy", "--grid", "S=1:2:2", "--grid", "X=1:2:2"],
+    "davies": ["davies", "--catalog", "reissner-nordstrom", "--fix", "Q=1",
+               "--sweep", "S=0.5:10"],
+    "check": ["check", "--catalog", "quadratic-toy"],
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    ("eval", "--threads 2"), ("scan", "--threads 2"), ("davies", "--threads 2"),
+    ("check", "--threads 2"), ("check", "--format csv"), ("check", "--out report.txt"),
+    ("davies", "--format csv"),
+])
+def test_removed_options_are_rejected(capsys, tmp_path, monkeypatch, command, option):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*BASE_ARGV[command], *option.split()])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_options_that_stay_still_work(capsys, tmp_path):
+    for command, option in (("eval", ["--format", "csv"]), ("scan", ["--format", "json"]),
+                            ("davies", [])):
+        path = tmp_path / f"{command}.out"
+        assert main([*BASE_ARGV[command], *option, "--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith("S,X,") if command == "eval" else json.loads(text)
+    assert capsys.readouterr().out == ""
+
+
+def readme_cli_section() -> str:
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_cli_commands():
+    """The commands of the ``sh`` block under README's "## CLI", with
+    continuation lines joined and comments dropped."""
+    block = readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    return [argv for line in block.replace("\\\n", " ").splitlines()
+            if (argv := shlex.split(line, comments=True))]
+
+
+def test_readme_lists_the_options_of_each_subcommand():
+    listed = {m[1]: set(re.findall(r"`(--[a-z-]+)`", m[2]))
+              for m in re.finditer(r"^\| `(\w+)` \| (.*) \|$", readme_cli_section(), re.M)}
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    taken = {name: set(p._option_string_actions) - {"-h", "--help", "--catalog",
+                                                    "--potential-file"}
+             for name, p in subparsers.items()}
+    assert listed == taken
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    commands = readme_cli_commands()
+    assert [argv[:2] for argv in commands] == [
+        ["thermocurv", name] for name in ("eval", "scan", "davies", "check")]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "kerr.csv").exists()
 
 
 def test_usage_errors(capsys):

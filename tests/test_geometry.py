@@ -9,7 +9,7 @@ from fdtools import (H1, H2, H3, SingularMetricError, curvature_fd_diagonal,
                      curvature_fd_general, d1, d2, d3, fd_partials)
 from thermocurv import (LegendreSingularError, StatePoint, curvature_from_f_jet,
                         curvature_from_m_jet, eval_jet, get_entry, legendre_at,
-                        metric_f_sx, metric_m, parse_potential)
+                        metric_f_sx, metric_m, parse_potential, responses_at)
 from thermocurv.jets import Jet3
 from thermocurv.geometry import MetricTensor2, NoBracketError, hessian_scale
 from conftest import sample_kerr, sample_quad, sample_rn
@@ -78,6 +78,24 @@ def test_divergence_flags_on_the_heat_capacity_line(rn):
     assert math.isinf(c.r_f) or abs(c.r_f) > 1e12
     eps_big = curvature_from_m_jet(eval_jet(rn.spec, (3.1, 1.0)), eps=1e-2)
     assert "div:RF" in eps_big.flags    # configurable epsilon widens the band
+
+
+@pytest.mark.parametrize("value", ["banana", "1e-2"])
+def test_the_library_ignores_the_epsilon_variable(rn, monkeypatch, value):
+    # at (3.05, 1) only an epsilon near 1e-2 flags the C_X line
+    def flags():
+        p = StatePoint(3.05, 1.0)
+        jet = eval_jet(rn.spec, p)
+        lp = legendre_at(rn.spec, jet.s, p.x, s_guess=p.s)
+        return (curvature_from_m_jet(jet).flags, responses_at(jet, p).flags,
+                curvature_from_f_jet(lp).flags, lp.s_of_tx)
+
+    monkeypatch.delenv("THERMOCURV_EPS", raising=False)
+    unset = flags()
+    monkeypatch.setenv("THERMOCURV_EPS", value)
+    assert flags() == unset == ((), (), (), 3.05)
+    jet = eval_jet(rn.spec, (3.05, 1.0))
+    assert "div:RF" in curvature_from_m_jet(jet, eps=1e-2).flags
 
 
 def curvature_hessian_form(jet: Jet3) -> float:
