@@ -9,8 +9,11 @@ them and any disagreement is surfaced, never reconciled in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .potentials import PotentialSpec, parse_potential, potential_to_json
 
@@ -24,10 +27,47 @@ class UnknownPotentialError(KeyError):
 
 @dataclass(frozen=True)
 class GridAxis:
+    """The one axis of every grid and sweep: ``count`` samples ``lo + k*step``
+    (linear) or ``lo * ratio**k`` (log), the last within rounding of ``hi``.
+    It is checked when built, and its bounds and samples must be finite."""
+
     lo: float
     hi: float
     count: int
     spacing: str = "linear"
+
+    def __post_init__(self):
+        if self.spacing not in ("linear", "log"):
+            raise ValueError(f"spacing must be linear or log, got {self.spacing!r}")
+        if self.count < 1:
+            raise ValueError(f"an axis needs at least 1 sample, got {self.count}")
+        if self.spacing == "log" and not self.lo > 0.0:
+            raise ValueError(f"log spacing needs lo > 0, got {self.lo}")
+        step, k = self._step(), self.count - 1
+        try:        # values() builds rising samples, so its last one bounds them all
+            last = self.lo * step ** k if self.spacing == "log" else self.lo + step * k
+        except OverflowError:               # Python's ** past the largest float
+            last = math.inf
+        if not all(map(math.isfinite, (self.lo, self.hi, last if k else self.lo))):
+            raise ValueError("axis bounds and samples must be finite, got "
+                             f"{self.lo}:{self.hi}:{self.count}")
+        if k and not self.lo < self.hi:
+            raise ValueError(f"an axis needs lo < hi, got {self.lo} >= {self.hi}")
+
+    def _step(self) -> float:
+        """The step (linear) or ratio (log) from one sample to the next."""
+        lo, hi, n = self.lo, self.hi, max(self.count - 1, 1)
+        return (hi / lo) ** (1.0 / n) if self.spacing == "log" else (hi - lo) / n
+
+    def values(self) -> np.ndarray:
+        """The samples as a new float array, ``lo`` first."""
+        if self.count == 1:
+            return np.array([float(self.lo)])
+        step = self._step()
+        if self.spacing == "log":
+            # Python's ** per sample: numpy's vectorised power can round differently
+            return np.array([self.lo * step ** k for k in range(self.count)])
+        return self.lo + step * np.arange(self.count)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 reports and identity checks, with CSV/JSON output.
 
 Exit codes: 0 success, 1 check-suite failure, 2 usage/parse/domain error.
+Each ``--grid`` and ``--sweep`` value is one :class:`GridAxis`, checked and built there.
 ``THERMOCURV_EPS`` is read once per ``eval``, ``scan`` or ``check``, in
 :func:`evaluate_points`; ``davies`` does not depend on it.
 """
@@ -79,34 +80,19 @@ def _parse_at(spec, text: str) -> StatePoint:
     return StatePoint(vals[0], vals[1])
 
 
-def _parse_grid_axis(text: str) -> tuple[str, GridAxis]:
+GRID_SYNTAX, SWEEP_SYNTAX = "NAME=LO:HI:N[:SPACING]", "NAME=LO:HI[:N[:SPACING]]"
+
+
+def _parse_axis(option: str, text: str) -> tuple[str, GridAxis]:
+    """The coordinate name and axis of a ``--grid`` (N required) or
+    ``--sweep`` (N defaults to 200) value; :class:`GridAxis` checks it."""
     name, sep, rest = text.partition("=")
-    if not sep:
-        raise ValueError(f"--grid expects NAME=LO:HI:COUNT[:SPACING], got {text!r}")
     parts = rest.split(":")
-    if len(parts) not in (3, 4):
-        raise ValueError(f"--grid expects NAME=LO:HI:COUNT[:SPACING], got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    spacing = parts[3] if len(parts) == 4 else "linear"
-    if spacing not in ("linear", "log"):
-        raise ValueError(f"grid spacing must be linear or log, got {spacing!r}")
-    if count < 1:
-        raise ValueError("grid count must be >= 1")
-    if count > 1 and not lo < hi:
-        raise ValueError(f"grid needs lo < hi, got {lo} >= {hi}")
-    if spacing == "log" and lo <= 0.0:
-        raise ValueError("log spacing requires lo > 0")
-    return name.strip(), GridAxis(lo, hi, count, spacing)
-
-
-def _axis_values(axis: GridAxis) -> list[float]:
-    if axis.count == 1:
-        return [axis.lo]
-    if axis.spacing == "log":
-        ratio = (axis.hi / axis.lo) ** (1.0 / (axis.count - 1))
-        return [axis.lo * ratio ** k for k in range(axis.count)]
-    step = (axis.hi - axis.lo) / (axis.count - 1)
-    return [axis.lo + step * k for k in range(axis.count)]
+    if not sep or len(parts) not in ((3, 4) if option == "--grid" else (2, 3, 4)):
+        syntax = GRID_SYNTAX if option == "--grid" else SWEEP_SYNTAX
+        raise ValueError(f"{option} expects {syntax}, got {text!r}")
+    count = int(parts[2]) if len(parts) > 2 else 200
+    return name.strip(), GridAxis(float(parts[0]), float(parts[1]), count, *parts[3:])
 
 
 def evaluate_points(spec, s, x):
@@ -205,19 +191,15 @@ def _grid_points(args, spec, entry) -> tuple[np.ndarray, np.ndarray]:
     """The grid as two coordinate arrays, first coordinate in the outer loop."""
     axes: dict[int, GridAxis] = {}
     for text in args.grid or []:
-        name, axis = _parse_grid_axis(text)
+        name, axis = _parse_axis("--grid", text)
         index = _coord_index(spec, name)
         if index in axes:
             raise ValueError(f"--grid gives {spec.coords[index]!r} twice")
         axes[index] = axis
-    if 0 not in axes or 1 not in axes:
-        if entry is not None:
-            default = entry.default_grid
-        else:
-            default = (GridAxis(0.5, 4.0, 8), GridAxis(0.5, 4.0, 8))
-        axes.setdefault(0, default[0])
-        axes.setdefault(1, default[1])
-    svals, xvals = _axis_values(axes[0]), _axis_values(axes[1])
+    default = entry.default_grid if entry is not None else (GridAxis(0.5, 4.0, 8),) * 2
+    for index, axis in enumerate(default):
+        axes.setdefault(index, axis)
+    svals, xvals = axes[0].values(), axes[1].values()
     return np.repeat(svals, len(xvals)), np.tile(xvals, len(svals))
 
 
@@ -236,36 +218,21 @@ def _fit_doc(fit) -> dict:
     return doc
 
 
-def _parse_sweep(text: str) -> tuple[str, GridAxis]:
-    name, sep, rest = text.partition("=")
-    parts = rest.split(":")
-    if not sep or len(parts) not in (2, 3, 4):
-        raise ValueError(f"--sweep expects NAME=LO:HI[:N[:SPACING]], got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    count = int(parts[2]) if len(parts) >= 3 else 200
-    spacing = parts[3] if len(parts) == 4 else "linear"
-    if not lo < hi or count < 2:
-        raise ValueError(f"sweep needs lo < hi and at least 2 samples: {text!r}")
-    return name.strip(), GridAxis(lo, hi, count, spacing)
-
-
 def _cmd_davies(args) -> int:
     spec, _ = _load_spec(args)
     fix_name, sep, fix_raw = args.fix.partition("=")
-    if not sep:
-        raise ValueError(f"--fix expects NAME=VALUE, got {args.fix!r}")
+    fixed_value = float(fix_raw) if sep else math.nan
+    if not math.isfinite(fixed_value):
+        raise ValueError(f"--fix expects NAME=VALUE with a finite VALUE, got {args.fix!r}")
     fixed_idx = _coord_index(spec, fix_name.strip())
-    fixed_value = float(fix_raw)
-    sweep_name, axis = _parse_sweep(args.sweep)
+    sweep_name, axis = _parse_axis("--sweep", args.sweep)
     sweep_idx = _coord_index(spec, sweep_name)
     if sweep_idx == fixed_idx:
         raise ValueError("--fix and --sweep must name different coordinates")
-    count = axis.count
+    sweep = {"sweep": (axis.lo, axis.hi), "count": axis.count, "spacing": axis.spacing}
 
-    locus = find_davies_points(
-        spec, args.which, fixed=spec.coords[fixed_idx],
-        fixed_value=fixed_value, sweep=(axis.lo, axis.hi), count=count,
-        spacing=axis.spacing)
+    locus = find_davies_points(spec, args.which, fixed=spec.coords[fixed_idx],
+                               fixed_value=fixed_value, **sweep)
 
     direction = (1.0, 0.0) if sweep_idx == 0 else (0.0, 1.0)
     points_doc = []
@@ -279,17 +246,14 @@ def _cmd_davies(args) -> int:
     turning: list[float] = []
     if sweep_idx == 0:
         if args.which == "cx":
-            scan = conjugacy_scan(spec, "fixed-x", fixed_value=fixed_value,
-                                  sweep=(axis.lo, axis.hi), count=count,
-                                  spacing=axis.spacing, sweep_jet=locus.sweep_jet)
+            scan = conjugacy_scan(spec, "fixed-x", fixed_value=fixed_value, **sweep,
+                                  sweep_jet=locus.sweep_jet)
             turning = list(scan.turning_points)
         else:
             for pt in locus.points:
                 y0 = eval_jet(spec, pt).x
-                scan = conjugacy_scan(spec, "fixed-y", fixed_value=y0,
-                                      sweep=(axis.lo, axis.hi), count=count,
-                                      spacing=axis.spacing, x_guess=pt.x,
-                                      sweep_jet=locus.sweep_jet)
+                scan = conjugacy_scan(spec, "fixed-y", fixed_value=y0, **sweep,
+                                      x_guess=pt.x, sweep_jet=locus.sweep_jet)
                 turning.extend(scan.turning_points)
 
     doc = {"which": args.which, "potential": spec.name,
@@ -385,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="evaluate a coordinate grid")
     add_common(p_scan)
-    p_scan.add_argument("--grid", action="append", metavar="NAME=LO:HI:N[:SPACING]",
+    p_scan.add_argument("--grid", action="append", metavar=GRID_SYNTAX,
                         help="one axis per coordinate (repeat)")
     p_scan.set_defaults(func=_cmd_scan)
 
@@ -393,12 +357,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_dav)
     p_dav.add_argument("--which", choices=("cx", "cy"), default="cx")
     p_dav.add_argument("--fix", required=True, metavar="NAME=VALUE")
-    p_dav.add_argument("--sweep", required=True, metavar="NAME=LO:HI[:N]")
+    p_dav.add_argument("--sweep", required=True, metavar=SWEEP_SYNTAX)
     p_dav.set_defaults(func=_cmd_davies)
 
     p_check = sub.add_parser("check", help="run identity/determinant residual suite")
     add_common(p_check)
-    p_check.add_argument("--grid", action="append", metavar="NAME=LO:HI:N[:SPACING]")
+    p_check.add_argument("--grid", action="append", metavar=GRID_SYNTAX)
     p_check.add_argument("--ref-rm", metavar="EXPR", default=None,
                          help="closed-form reference for RM (overrides catalog)")
     p_check.add_argument("--ref-rf", metavar="EXPR", default=None,

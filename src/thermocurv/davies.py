@@ -21,6 +21,7 @@ import numpy as np
 
 from ._roots import (NoBracketError, ToleranceNotMetError, refine_bracket,
                      solve_lanes, solve_near)
+from .catalog import GridAxis
 from .geometry import StatePoint, curvature_from_m_jet
 from .jets import DomainError, Jet3
 from .potentials import PotentialSpec, eval_jet, eval_jets
@@ -105,13 +106,7 @@ def _root_function(which: str):
 def _grid(lo: float, hi: float, count: int, spacing: str) -> np.ndarray:
     if count < 2:
         raise ValueError("sweep needs at least 2 samples")
-    if spacing == "log":
-        if lo <= 0.0:
-            raise ValueError("log spacing requires a positive lower bound")
-        return np.geomspace(lo, hi, count)
-    if spacing == "linear":
-        return np.linspace(lo, hi, count)
-    raise ValueError(f"unknown spacing {spacing!r}")
+    return GridAxis(lo, hi, count, spacing).values()
 
 
 def _refine(func, a: float, b: float, fa: float, fb: float):

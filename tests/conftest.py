@@ -4,6 +4,13 @@ import pytest
 from thermocurv import get_entry, parse_potential
 
 
+@pytest.fixture(autouse=True)
+def _default_eps(monkeypatch):
+    """Every test starts without THERMOCURV_EPS, whatever the caller's
+    environment; a test that needs the variable sets it with monkeypatch."""
+    monkeypatch.delenv("THERMOCURV_EPS", raising=False)
+
+
 @pytest.fixture(scope="session")
 def rn():
     return get_entry("reissner-nordstrom")

@@ -387,6 +387,25 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "kerr.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--grid", "S=0.1:inf:5", "--grid", "Q=0.5:1:2"),
+    ("scan", "--grid", "S=-1e308:1e308:3", "--grid", "Q=0.5:1:2"),
+    ("scan", "--grid", "S=1e-320:1e308:3:log", "--grid", "Q=0.5:1:2"),
+    ("scan", "--grid", "S=1:1.7976931348623157e308:5:log", "--grid", "Q=0.5:1:2"),
+    ("check", "--grid", "S=0.1:inf:5", "--grid", "Q=0.5:1:2"),
+    ("check", "--grid", "S=2:2:1", "--grid", "Q=nan:1:1"),
+    ("davies", "--fix", "Q=1", "--sweep", "S=0.1:inf"),
+    ("davies", "--fix", "Q=1", "--sweep", "S=-inf:1"),
+    ("davies", "--fix", "Q=1", "--sweep", "S=-1e308:1e308:3"),
+    ("davies", "--fix", "Q=inf", "--sweep", "S=0.5:10"),
+    ("davies", "--fix", "Q=nan", "--sweep", "S=0.5:10"),
+])
+def test_non_finite_axes_and_fixed_values_exit_2(capsys, argv):
+    # in process, so a stray numpy RuntimeWarning fails the test too
+    code, out, err = run(capsys, argv[0], "--catalog", "reissner-nordstrom", *argv[1:])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "scan", "--catalog", "quadratic-toy",
                        "--grid", "S=3:1:5", "--grid", "X=1:2:2")
@@ -397,6 +416,13 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "davies", "--catalog", "quadratic-toy",
                        "--fix", "X=1", "--sweep", "X=1:2")
     assert code == 2
+    for sweep in ("S=1:2:10:cubic", "S=1:2:1", "S=2:1", "S=2:2:5", "S1:2"):
+        code, _, err = run(capsys, "davies", "--catalog", "quadratic-toy",
+                           "--fix", "X=1", "--sweep", sweep)
+        assert code == 2 and err.startswith("error:"), sweep
+    code, _, err = run(capsys, "scan", "--catalog", "quadratic-toy",
+                       "--grid", "S=1:2", "--grid", "X=1:2:2")
+    assert code == 2 and err.startswith("error:")
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2

@@ -389,6 +389,41 @@ def test_davies_json_reports_brackets_and_rejections(capsys):
     assert bracket["residual"] <= 1e-12 and 1 <= bracket["iterations"] <= 200
 
 
+@st.composite
+def axis_texts(draw):
+    """``LO:HI:N[:log]`` with LO < HI, and LO > 0 on a log axis."""
+    spacing = draw(st.sampled_from(["linear", "log"]))
+    lo = draw(st.floats(1e-3, 1e3) if spacing == "log" else st.floats(-1e3, 1e3))
+    hi = draw(st.floats(lo, 2e3, exclude_min=True))
+    text = f"{lo!r}:{hi!r}:{draw(st.integers(2, 200))}"
+    return text + ":log" if spacing == "log" else text
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(axis_texts())
+def test_scan_and_sweep_sample_one_axis_bit_for_bit(text):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["scan", "--catalog", "quadratic-toy", "--grid", f"S={text}",
+                     "--grid", "X=1:1:1"]) == 0
+    scanned = [float(row.split(",")[0]) for row in out.getvalue().splitlines()[1:]]
+    _, axis = cli._parse_axis("--sweep", f"S={text}")
+    series = conjugacy_scan(get_entry("quadratic-toy").spec, "fixed-x", fixed_value=1.0,
+                            sweep=(axis.lo, axis.hi), count=axis.count,
+                            spacing=axis.spacing).series
+    want = [v.hex() for v in axis.values().tolist()]
+    assert [v.hex() for v in scanned] == want
+    assert [s.hex() for _, s in series] == want
+
+
+def test_non_finite_sweep_is_a_value_error(rn):
+    for sweep in ((0.1, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError):
+            find_davies_points(rn.spec, "cx", fixed="Q", fixed_value=1.0, sweep=sweep)
+    with pytest.raises(ValueError):
+        conjugacy_scan(rn.spec, "fixed-x", fixed_value=1.0, sweep=(0.1, math.inf))
+
+
 def test_unreachable_fixed_y_samples_are_gaps():
     # Y = M_X = X + S/2 = 1 is out of reach for X > 0 once S >= 2
     spec = parse_potential("S^2/2 + X^2/2 + S*X/2", name="shifted")
