@@ -123,24 +123,53 @@ def expand_bracket(func, guess: float, lo: float, hi: float, *, slope):
         f"no sign change found around {guess!r} within ({lo!r}, {hi!r})")
 
 
+def _newton_step(func, lanes, idx, a, b, *, bisect: bool):
+    """One Newton step of the lanes ``idx`` of ``lanes = (x, f, slope,
+    payload)``, in place.  A step that leaves ``(a, b)`` bisects it if
+    ``bisect``, else its lane is not stepped.  Returns the lanes stepped."""
+    x, f, slope, payload = lanes
+    with np.errstate(all="ignore"):
+        cand = x[idx] - f[idx] / slope[idx]
+    inside = (a < cand) & (cand < b)
+    idx, cand = ((idx, np.where(inside, cand, 0.5 * (a + b))) if bisect
+                 else (idx[inside], cand[inside]))
+    if idx.size:
+        x[idx] = cand
+        f[idx], slope[idx], payload[..., idx] = func(idx, cand)
+    return idx
+
+
 def solve_lanes(func, n: int, guess: float, lo: float, hi: float, *, tol_f: float):
     """Solve ``n`` equations ``f_k(x) = 0`` at once, every lane from ``guess``.
 
     ``func(lanes, x)`` gives ``(f, slope, payload)`` of the lanes (an index
     array) at ``x``, nan where undefined; ``payload`` (last axis over the
-    lanes) is wanted at the roots.  Each lane brackets the sign change
-    nearest the guess as :func:`expand_bracket` does, also sampling toward
-    a finite bound, then takes Newton steps (bisecting when one leaves the
-    bracket) until ``|f| <= tol_f``.  Each outward step samples both sides
-    in one call; a sign change on the side nearer the guess wins.  Returns
-    ``(x, payload)`` at the roots, nan where no bracket or a pole was found.
+    lanes) is wanted at the roots.  Every lane takes up to 8 Newton steps
+    from the guess, one call per step for all lanes.  A lane whose step
+    leaves ``(lo, hi)`` or fails to halve ``|f|`` goes back to the guess and
+    its ``f`` and slope there, brackets the sign change nearest the guess as
+    :func:`expand_bracket` does, also sampling toward a finite bound, then
+    takes Newton steps (bisecting when one leaves the bracket) until
+    ``|f| <= tol_f``.  Each outward step samples both sides in one call; a
+    sign change on the side nearer the guess wins.  Returns ``(x, payload)``
+    at the roots, nan where no bracket or a pole was found.
     """
     first_step = 0.05 * max(1.0, abs(guess))
     x = np.full(n, float(guess))
     f, slope, payload = (np.array(v) for v in func(np.arange(n), x))   # copies: written below
+    lanes, f_guess, slope_guess = (x, f, slope, payload), f.copy(), slope.copy()
     done = abs(f) <= tol_f
+    newton = ~done
+    for _ in range(8):
+        idx, resid = np.flatnonzero(newton), abs(f)
+        newton[idx] = False
+        if not (idx := _newton_step(func, lanes, idx, lo, hi, bisect=False)).size:
+            break
+        done[idx] = abs(f[idx]) <= tol_f
+        newton[idx] = ~done[idx] & (abs(f[idx]) <= 0.5 * resid[idx])
+    x[~done], f[~done], slope[~done] = guess, f_guess[~done], slope_guess[~done]
     a, b, fa = (np.full(n, math.nan) for _ in range(3))
-    ends = [(guess, f), (guess, f)]          # outermost sample on each side
+    ends = [(guess, f_guess), (guess, f_guess)]   # outermost sample on each side
     for k in range(60):
         search = np.flatnonzero(np.isnan(a) & ~done)
         if not search.size:
@@ -166,15 +195,10 @@ def solve_lanes(func, n: int, guess: float, lo: float, hi: float, *, tol_f: floa
 
     active = ~done & ~np.isnan(a)
     for _ in range(200):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if not (idx := np.flatnonzero(active)).size:
             break
-        with np.errstate(all="ignore"):
-            cand = x[idx] - f[idx] / slope[idx]
-        inside = (a[idx] < cand) & (cand < b[idx])
-        x[idx] = cand = np.where(inside, cand, 0.5 * (a[idx] + b[idx]))
-        f[idx], slope[idx], payload[..., idx] = func(idx, cand)
-        fc, low = f[idx], (f[idx] > 0.0) == (fa[idx] > 0.0)
+        _newton_step(func, lanes, idx, a[idx], b[idx], bisect=True)
+        cand, fc, low = x[idx], f[idx], (f[idx] > 0.0) == (fa[idx] > 0.0)
         a[idx[low]], fa[idx[low]], b[idx[~low]] = cand[low], fc[low], cand[~low]
         collapsed = b[idx] - a[idx] <= 1e-13 * np.maximum(1.0, abs(cand))
         done[idx] = ok = abs(fc) <= np.where(collapsed, 1e3 * tol_f, tol_f)

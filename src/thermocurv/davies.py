@@ -275,12 +275,14 @@ def conjugacy_scan(
 
     ``series`` selects the family: ``"fixed-x"`` holds the control parameter
     and sweeps the entropy, sampling (T, S); ``"fixed-y"`` holds the
-    conjugate variable Y instead, solving X at every entropy sample; one
-    that cannot be solved is a (nan, S) gap.  A turning point is a sweep
-    value where the control variable's derivative changes sign (a vertical
-    tangent of the conjugacy diagram); detection uses a central difference
-    over the grid, never across a gap, and refinement drives the exact jet
-    derivative to zero.  Poles are skipped.  ``sweep_jet`` (the
+    conjugate variable Y instead, solving X at every entropy sample by
+    Newton steps from ``x_guess`` first, so a sample solves even where the
+    outward bracket search would step over a pair of roots; one that cannot
+    be solved is a (nan, S) gap.  A turning point is a sweep value where the
+    control variable's derivative changes sign (a vertical tangent of the
+    conjugacy diagram); detection uses a central difference over the grid,
+    never across a gap, and refinement drives the exact jet derivative to
+    zero.  Poles are skipped.  ``sweep_jet`` (the
     :attr:`DaviesLocus.sweep_jet` of the same slice), the jets at the sweep
     samples at X = ``fixed_value`` (fixed-X) or ``x_guess`` (fixed-Y), when
     given replaces the series' samples or the X solve's first evaluation.

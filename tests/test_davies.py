@@ -20,7 +20,7 @@ from thermocurv.cli import main
 from thermocurv.jets import Jet3, batch
 from thermocurv.potentials import eval_jets
 
-from lanes_oracle import solve_lanes_side_by_side
+from lanes_oracle import solve_lanes_bracket_first, solve_lanes_side_by_side
 from test_codegen import EXPRESSIONS, PARAMS
 
 
@@ -468,33 +468,84 @@ def two_root_slices(draw):
     return TWO_ROOTS, draw(st.floats(0.5, 3.0)), draw(st.floats(0.2, 1.8))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.one_of(fixed_y_slices(), two_root_slices()),
-       st.one_of(st.none(), st.floats(1e-9, 0.05), st.floats(5.0, 50.0)))
-def test_one_call_lane_search_matches_the_side_by_side_oracle(case, near_bound):
-    # both sides of each outward step in one call give the brackets, and so
-    # the roots, payloads and gaps, of one call per side, bit for bit
+def _solve_slice(solve, case, near_bound):
+    """``solve`` run on the 60 fixed-Y lanes of ``case`` from the guess, or
+    from ``near_bound`` where given: (roots, payload, lane calls)."""
     spec, y, guess = case
     guess = guess if near_bound is None else near_bound
     s_grid = np.linspace(0.3, 6.0, 60)
-    tol_f = 1e-13 * max(1.0, abs(y))
+    calls = 0
 
-    def run(solve):
-        calls = 0
+    def lanes(idx, x):
+        nonlocal calls
+        calls += 1
+        jet = davies.eval_jets(spec, s_grid[idx], x)[0]
+        return jet.x - y, jet.xx, np.stack([jet.s, jet.xx, x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        roots, payload = solve(lanes, s_grid.size, guess, *spec.domain[1],
+                               tol_f=1e-13 * max(1.0, abs(y)))
+    return roots, payload, calls
 
-        def lanes(idx, x):
-            nonlocal calls
-            calls += 1
-            jet = davies.eval_jets(spec, s_grid[idx], x)[0]
-            return jet.x - y, jet.xx, np.stack([jet.s, jet.xx, x])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            roots, payload = solve(lanes, s_grid.size, guess, *spec.domain[1], tol_f=tol_f)
-        return roots.tobytes(), payload.tobytes(), calls
 
-    got, want = run(solve_lanes), run(solve_lanes_side_by_side)
-    assert got[:2] == want[:2]
+lane_slices = st.one_of(fixed_y_slices(), two_root_slices())
+near_bounds = st.one_of(st.none(), st.floats(1e-9, 0.05), st.floats(5.0, 50.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lane_slices, near_bounds)
+def test_one_call_lane_search_matches_the_side_by_side_oracle(case, near_bound):
+    # both sides of each outward step in one call give the brackets, and so
+    # the roots, payloads and gaps, of one call per side, bit for bit
+    got = _solve_slice(solve_lanes, case, near_bound)
+    want = _solve_slice(solve_lanes_side_by_side, case, near_bound)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
     assert got[2] <= want[2]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(lane_slices, near_bounds)
+def test_newton_first_keeps_every_root_of_the_bracket_first_search(case, near_bound):
+    # Newton from the guess may solve a lane the outward search leaves as a
+    # gap, but never loses or moves a root that search finds
+    got = _solve_slice(solve_lanes, case, near_bound)[0]
+    want = _solve_slice(solve_lanes_bracket_first, case, near_bound)[0]
+    for x, x_ref in zip(got.tolist(), want.tolist()):
+        if not math.isnan(x_ref):
+            assert x == pytest.approx(x_ref, rel=1e-9)
+
+
+def test_newton_first_solves_a_lane_the_outward_search_steps_over():
+    # M_X = S + X^2 - 2 X = Y at S = 3.2, Y = 2.216 has roots 1 -+ sqrt(0.016):
+    # from the guess 1.426 one outward step jumps 1.1408 -> 0.8556, over both
+    y, s = 2.216, 3.2
+    tol_f = 1e-13 * y
+
+    def lanes(idx, x):
+        jet = davies.eval_jets(TWO_ROOTS, np.full(idx.size, s), x)[0]
+        return jet.x - y, jet.xx, jet.s
+    roots, _ = solve_lanes(lanes, 1, 1.426, *TWO_ROOTS.domain[1], tol_f=tol_f)
+    assert roots[0] == pytest.approx(1.0 + math.sqrt(1.0 - s + y), rel=1e-12)
+    assert abs(eval_jet(TWO_ROOTS, (s, roots[0])).x - y) <= tol_f
+
+
+def test_unreachable_lanes_stay_on_the_vectorised_search(monkeypatch):
+    # at Y = 0.5, 143 of the 200 lanes cannot reach Y: the Newton steps from
+    # the guess must not send them to a search of their own (the bracket-first
+    # search made 68 evaluations of 18,154 lane points here)
+    calls = []
+
+    def counting(spec, s, x):
+        calls.append(np.size(s))
+        return eval_jets(spec, s, x)
+    monkeypatch.setattr(davies, "eval_jets", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        scan = conjugacy_scan(TWO_ROOTS, "fixed-y", fixed_value=0.5, sweep=(0.1, 5.0),
+                              x_guess=1.2)
+    assert sum(math.isnan(t) for t, _ in scan.series) == 143
+    assert len(calls) <= 76 and sum(calls) <= 1.05 * 18154
 
 
 def _rn_cut(tmp_path):
@@ -532,7 +583,7 @@ def test_davies_cx_sweep_is_evaluated_once(potential, points, evaluations, tmp_p
 
 def test_davies_cy_sweep_is_evaluated_once(tmp_path, monkeypatch, capsys):
     # the first lane evaluation of the fixed-Y series is the locus sweep at
-    # the same X: 9 array evaluations, where evaluating it again made 10
+    # the same X: 3 array evaluations, where evaluating it again made 4
     path = tmp_path / "cy.json"
     path.write_text(json.dumps({"name": "cy-toy", "coords": ["S", "X"],
                                 "expression": "S^2/2 + X^2/2 + S*X^2/2"}), encoding="utf-8")
@@ -546,7 +597,7 @@ def test_davies_cy_sweep_is_evaluated_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(davies, "eval_jets", counting)
     assert main(argv) == 0
     reused, reused_calls = capsys.readouterr().out, len(calls)
-    assert reused_calls == 9 and len(json.loads(reused)["points"]) == 1
+    assert reused_calls == 3 and len(json.loads(reused)["points"]) == 1
 
     def without_sweep(*args, sweep_jet=None, **kwargs):
         return conjugacy_scan(*args, **kwargs)
