@@ -70,7 +70,8 @@ class ExponentFit:
 
     ``kind`` is "divergent" when |R| grows strongly toward the line (the
     slope/intercept then describe |R| ~ 10^intercept * f^slope) and "finite"
-    otherwise, in which case ``limit`` extrapolates R to f -> 0.
+    otherwise, in which case ``limit`` extrapolates R to f -> 0.  Where |R|
+    is negligible (rounding noise), slope, intercept and r_squared are nan.
     """
 
     kind: str
@@ -192,18 +193,16 @@ def _fit(window, values, companions) -> ExponentFit:
     (the other curvature) sets the scale below which ``values`` vanish."""
     abs_vals = [abs(v) for v in values]
     tiny = 1e-300
-    log_f = np.log10(window)
-    log_r = np.log10([max(v, tiny) for v in abs_vals])
-    slope, intercept = np.polyfit(log_f, log_r, 1)
-    fitted = slope * log_f + intercept
-    ss_res = float(np.sum((log_r - fitted) ** 2))
-    ss_tot = float(np.sum((log_r - np.mean(log_r)) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
-
-    companion_scale = max(1.0, max(abs(c) for c in companions))
-    negligible = max(abs_vals) <= 1e-9 * companion_scale
+    slope = intercept = r_squared = math.nan
+    if max(abs_vals) > 1e-9 * max(1.0, max(abs(c) for c in companions)):
+        log_f = np.log10(window)
+        log_r = np.log10([max(v, tiny) for v in abs_vals])
+        slope, intercept = np.polyfit(log_f, log_r, 1)
+        ss_res = float(np.sum((log_r - (slope * log_f + intercept)) ** 2))
+        ss_tot = float(np.sum((log_r - np.mean(log_r)) ** 2))
+        r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
     growth = (abs_vals[-1] + tiny) / (abs_vals[0] + tiny)
-    divergent = (not negligible) and growth >= 1e2 and slope <= -0.5
+    divergent = growth >= 1e2 and slope <= -0.5     # never on a nan slope
 
     limit = None
     if not divergent:

@@ -377,6 +377,20 @@ def test_sqrt_sweep_from_outside_the_domain(tmp_path, capsys):
     assert doc["points"] == [] and doc["turning_points"] == []
 
 
+@pytest.mark.parametrize("sweep", ["S=0.1:10", "S=0.1:10:200:log"])
+def test_kerr_flat_curvature_prints_no_noise_fit(sweep, capsys):
+    # R^M = 0 on Kerr: a log-log fit of its rounding noise gave slopes of
+    # 17.2 and 35.0; only the finite kind and the extrapolated value remain
+    assert main(["davies", "--catalog", "kerr", "--which", "cx", "--fix", "J=0.3",
+                 "--sweep", sweep]) == 0
+    (point,) = json.loads(capsys.readouterr().out)["points"]
+    fit = point["fit_RM"]
+    assert fit["kind"] == "finite" and fit["slope"] is None and fit["r2"] is None
+    assert abs(fit["value"]) <= 1e-9
+    assert point["fit_RF"]["kind"] == "divergent"
+    assert point["fit_RF"]["slope"] == pytest.approx(-2.0, abs=0.02)
+
+
 def test_davies_json_reports_brackets_and_rejections(capsys):
     assert main(["davies", "--catalog", "reissner-nordstrom", "--which", "cy",
                  "--fix", "Q=1", "--sweep", "S=0.2:10"]) == 0
