@@ -125,8 +125,8 @@ def expand_bracket(func, guess: float, lo: float, hi: float, *, slope):
 
 def _newton_step(func, lanes, idx, a, b, *, bisect: bool):
     """One Newton step of the lanes ``idx`` of ``lanes = (x, f, slope,
-    payload)``, in place.  A step that leaves ``(a, b)`` bisects it if
-    ``bisect``, else its lane is not stepped.  Returns the lanes stepped."""
+    payload)``, in place.  A step out of ``(a, b)`` goes to its midpoint if
+    ``bisect``, else is not taken.  Returns the lanes stepped."""
     x, f, slope, payload = lanes
     with np.errstate(all="ignore"):
         cand = x[idx] - f[idx] / slope[idx]

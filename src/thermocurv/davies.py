@@ -70,8 +70,8 @@ class ExponentFit:
 
     ``kind`` is "divergent" when |R| grows strongly toward the line (the
     slope/intercept then describe |R| ~ 10^intercept * f^slope) and "finite"
-    otherwise, in which case ``limit`` extrapolates R to f -> 0.  Where |R|
-    is negligible (rounding noise), slope, intercept and r_squared are nan.
+    otherwise, in which case ``limit`` extrapolates R to f -> 0.  An |R| under
+    1e-9 of the other curvature is not fitted: slope, intercept, r_squared nan.
     """
 
     kind: str

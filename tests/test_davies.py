@@ -379,8 +379,8 @@ def test_sqrt_sweep_from_outside_the_domain(tmp_path, capsys):
 
 @pytest.mark.parametrize("sweep", ["S=0.1:10", "S=0.1:10:200:log"])
 def test_kerr_flat_curvature_prints_no_noise_fit(sweep, capsys):
-    # R^M = 0 on Kerr: a log-log fit of its rounding noise gave slopes of
-    # 17.2 and 35.0; only the finite kind and the extrapolated value remain
+    # R^M = 0 on Kerr: a log-log fit of its rounding noise has slopes such as
+    # 17.2 and 35.0 that mean nothing; the finite kind and the limit remain
     assert main(["davies", "--catalog", "kerr", "--which", "cx", "--fix", "J=0.3",
                  "--sweep", sweep]) == 0
     (point,) = json.loads(capsys.readouterr().out)["points"]
