@@ -3,7 +3,9 @@
 A potential is written as an arithmetic expression in two coordinate names
 (entropy-like first, control-parameter second) plus named numeric
 parameters, e.g. ``"sqrt(S)/2 * (1 + Q^2/S)"``.  Parsing produces an
-immutable :class:`PotentialSpec`; its AST is traced once per process into
+immutable :class:`PotentialSpec` whose expression is a flat postfix
+program: a tuple of steps, each operand before its operator (see
+:class:`_Parser`).  The program is traced once per process into
 straight-line Python source, one function for the
 :class:`~thermocurv.jets.Jet3` that feeds every derivative used downstream
 (on float or array coordinates) and one for plain values.
@@ -28,10 +30,10 @@ import math
 import numbers
 import operator
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, zip_longest
-from typing import Mapping, Union
+from itertools import chain
+from typing import Mapping
 
 import numpy as np
 
@@ -39,6 +41,9 @@ from . import jets
 from .jets import DomainError, Jet3
 
 _FUNCTIONS = ("sqrt", "exp", "ln")
+# every nesting level (parentheses, call, unary minus, exponent) is one
+# level of recursion in the parser, the only recursive walker of an
+# expression; the limit keeps it well inside the recursion limit
 _MAX_NESTING = 100
 # Batches up to this size run point by point: an array operation costs about
 # 1 us at any size, so up to about 35 points the float code is faster.
@@ -57,79 +62,10 @@ class UnknownIdentifierError(ParseError):
     pass
 
 
-# -- AST ---------------------------------------------------------------------
-
-class _Node:
-    """Equality, hash and repr as a frozen dataclass generates them, from a
-    walk with a stack: a chain of operators is one tree level per link."""
-
-    def _pieces(self):
-        """The repr text in order: strings, and non-node field values as 1-tuples."""
-        stack = [self]
-        while stack:
-            item = stack.pop()
-            if not isinstance(item, _Node):
-                yield item
-                continue
-            parts = [f"{type(item).__qualname__}("]
-            for k, f in enumerate(fields(item)):
-                value = getattr(item, f.name)
-                parts += [", " * (k > 0) + f"{f.name}=",
-                          value if isinstance(value, _Node) else (value,)]
-            stack += reversed([*parts, ")"])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(a == b for a, b in zip_longest(self._pieces(), other._pieces()))
-
-    def __hash__(self):
-        return hash(tuple(self._pieces()))
-
-    def __repr__(self):
-        return "".join(p if isinstance(p, str) else repr(p[0]) for p in self._pieces())
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Const(_Node):
-    value: float
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Coord(_Node):
-    index: int
-    name: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Param(_Node):
-    name: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Neg(_Node):
-    operand: "ExprNode"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class BinOp(_Node):
-    op: str  # one of + - * / ^
-    left: "ExprNode"
-    right: "ExprNode"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Call(_Node):
-    func: str
-    arg: "ExprNode"
-
-
-ExprNode = Union[Const, Coord, Param, Neg, BinOp, Call]
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
-    """A named potential: coordinates, parameter bindings, AST and domain.
+    """A named potential: coordinates, parameter bindings, the expression's
+    postfix program (``ast``) and domain.
 
     ``domain`` holds one open interval per coordinate (defaults to
     (0, +inf)); bounds may be ``-inf``/``+inf``.
@@ -137,7 +73,7 @@ class PotentialSpec:
 
     name: str
     coords: tuple[str, str]
-    ast: ExprNode
+    ast: tuple
     params: Mapping[str, float] = field(default_factory=dict)
     domain: tuple[tuple[float, float], tuple[float, float]] = (
         (0.0, math.inf), (0.0, math.inf))
@@ -183,12 +119,21 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Reads the grammar into a postfix program, a tuple of steps in which
+    each operand comes before its operator:
+
+    ``("num", value)``, ``("coord", index, name)``, ``("param", name)``,
+    ``("neg",)``, ``("call", func)``, ``("^", general)`` and ``(op,)`` for
+    ``+ - * /``.  ``general`` marks an exponent in which a coordinate occurs.
+    """
+
     def __init__(self, tokens, coords, params):
         self.tokens = tokens
         self.i = 0
         self.coords = coords
         self.params = params
         self.depth = 0
+        self.steps = []
 
     def peek(self):
         return self.tokens[self.i]
@@ -204,79 +149,82 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def parse(self) -> ExprNode:
-        node = self.expr()
+    def parse(self) -> tuple:
+        self.expr()
         kind, text, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected {text!r} after expression", pos)
-        return node
+        return tuple(self.steps)
 
-    def expr(self) -> ExprNode:
-        node = self.term()
+    def expr(self):
+        self.term()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+            if kind != "op" or text not in "+-":
+                return
+            self.advance()
+            self.term()
+            self.steps.append((text,))
 
-    def term(self) -> ExprNode:
-        node = self.unary()
+    def term(self):
+        self.unary()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary())
-            else:
-                return node
+            if kind != "op" or text not in "*/":
+                return
+            self.advance()
+            self.unary()
+            self.steps.append((text,))
 
-    def unary(self) -> ExprNode:
-        # every nesting level (parentheses, call, unary minus, exponent)
-        # passes through here; the limit keeps the parser, the only
-        # recursive walker of the tree, well inside the recursion limit
+    def unary(self):
         kind, text, pos = self.peek()
         self.depth += 1
         if self.depth > _MAX_NESTING:
             raise ParseError(f"expression nested deeper than {_MAX_NESTING} levels", pos)
         if kind == "op" and text == "-":
             self.advance()
-            node = Neg(self.unary())
+            self.unary()
+            self.steps.append(("neg",))
         else:
-            node = self.power()
+            self.power()
         self.depth -= 1
-        return node
 
-    def power(self) -> ExprNode:
-        node = self.atom()
+    def power(self):
+        self.atom()
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.advance()
             # right-associative; exponent may itself carry a unary minus
-            node = BinOp("^", node, self.unary())
-        return node
+            first = len(self.steps)
+            self.unary()
+            general = any(step[0] == "coord" for step in self.steps[first:])
+            self.steps.append(("^", general))
 
-    def atom(self) -> ExprNode:
+    def atom(self):
         kind, text, pos = self.advance()
         if kind == "num":
-            return Const(float(text))
-        if kind == "ident":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text} overflows", pos)
+            self.steps.append(("num", value))
+        elif kind == "ident":
             if text in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                self.expr()
                 self.expect_op(")")
-                return Call(text, arg)
-            if text in self.coords:
-                return Coord(self.coords.index(text), text)
-            if text in self.params:
-                return Param(text)
-            raise UnknownIdentifierError(f"unknown identifier {text!r}", pos)
-        if kind == "op" and text == "(":
-            node = self.expr()
+                self.steps.append(("call", text))
+            elif text in self.coords:
+                self.steps.append(("coord", self.coords.index(text), text))
+            elif text in self.params:
+                self.steps.append(("param", text))
+            else:
+                raise UnknownIdentifierError(f"unknown identifier {text!r}", pos)
+        elif kind == "op" and text == "(":
+            self.expr()
             self.expect_op(")")
-            return node
-        shown = text if text else "end of input"
-        raise ParseError(f"expected a value, got {shown!r}", pos)
+        else:
+            shown = text if text else "end of input"
+            raise ParseError(f"expected a value, got {shown!r}", pos)
 
 
 def parse_potential(
@@ -290,7 +238,8 @@ def parse_potential(
     """Parse an expression into an immutable :class:`PotentialSpec`.
 
     Raises :class:`ParseError` (with position) on lexical/syntax problems,
-    unknown identifiers or nesting deeper than ``_MAX_NESTING`` levels, and
+    unknown identifiers, a number that overflows or nesting deeper than
+    ``_MAX_NESTING`` levels, and
     :class:`ValueError` on a malformed argument: the source and name must be
     strings, parameters finite real numbers, coordinate and parameter names
     distinct and not the built-in function names.
@@ -309,9 +258,9 @@ def parse_potential(
             raise ValueError(f"identifier {ident!r} shadows a built-in function")
     if set(coords) & set(params):
         raise ValueError("coordinate and parameter names overlap")
-    ast = _Parser(_tokenize(src), tuple(coords), params).parse()
+    program = _Parser(_tokenize(src), tuple(coords), params).parse()
     dom = _normalize_domain(domain, coords)
-    spec = PotentialSpec(name=name, coords=tuple(coords), ast=ast,
+    spec = PotentialSpec(name=name, coords=tuple(coords), ast=program,
                          params=params, domain=dom)
     spec.evaluate  # generated now: a constant sub-expression that fails raises here
     return spec
@@ -348,33 +297,20 @@ def _normalize_domain(domain, coords) -> tuple[tuple[float, float], tuple[float,
 
 # -- evaluation ---------------------------------------------------------------
 
-def _children(node: ExprNode) -> tuple:
-    if isinstance(node, BinOp):
-        return node.left, node.right
-    if isinstance(node, (Neg, Call)):
-        return (node.operand if isinstance(node, Neg) else node.arg,)
-    return ()
+_ARITY = {"num": 0, "coord": 0, "param": 0, "neg": 1, "call": 1,
+          "+": 2, "-": 2, "*": 2, "/": 2, "^": 2}
 
 
-def _fold(ast: ExprNode, visit):
-    """``visit(node, *results of its children)`` from the leaves up,
-    children left to right.  The walk keeps its own stack: a chain of
-    operators is one tree level per link, deeper than recursion can go."""
-    results, stack = [], [(ast, False)]
-    while stack:
-        node, ready = stack.pop()
-        children = _children(node)
-        if ready or not children:
-            first = len(results) - len(children)
-            results[first:] = [visit(node, *results[first:])]
-        else:
-            stack.append((node, True))
-            stack += [(child, False) for child in reversed(children)]
+def _fold(program: tuple, visit):
+    """``visit(step, span, *results of its operands)`` for each step in
+    order, where ``span`` is the slice of the program that holds the
+    step's sub-expression."""
+    results, starts = [], []
+    for end, step in enumerate(program, 1):
+        first = len(results) - _ARITY[step[0]]
+        starts[first:] = [starts[first] if first < len(starts) else end - 1]
+        results[first:] = [visit(step, slice(starts[first], end), *results[first:])]
     return results[0]
-
-
-def _has_coord(node: ExprNode) -> bool:
-    return _fold(node, lambda n, *found: isinstance(n, Coord) or any(found))
 
 
 def _divide(left, right):
@@ -387,70 +323,55 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": _divide}
 
 
-def _trace(ast: ExprNode, params, coords):
-    """Evaluate an AST on the coordinate pair (floats, jets or traced
+def _trace(program: tuple, params, coords):
+    """Evaluate a program on the coordinate pair (floats, jets or traced
     values), operands left to right, so the first failing check is the same
     in every mode.  A sub-expression that fails with constant operands
     raises :class:`ValueError` naming it."""
-    def visit(node, *operands):
-        if isinstance(node, (Const, Param)):
-            return node.value if isinstance(node, Const) else params[node.name]
-        if isinstance(node, Coord):
-            return coords[node.index]
+    def visit(step, span, *operands):
+        kind = step[0]
+        if kind in ("num", "param"):
+            return step[1] if kind == "num" else params[step[1]]
+        if kind == "coord":
+            return coords[step[1]]
         try:
-            if isinstance(node, Neg):
+            if kind == "neg":
                 return -operands[0]
-            if isinstance(node, Call):
-                return getattr(jets, node.func)(operands[0])
+            if kind == "call":
+                return getattr(jets, step[1])(operands[0])
             left, right = operands
-            if node.op == "^" and _has_coord(node.right):
+            if kind == "^" and step[1]:
                 # structurally non-constant exponent: u^w = exp(w ln u),
                 # positive base required in either evaluation mode
                 return jets.exp(right * jets.ln(left))
-            return (jets.power if node.op == "^" else _BINARY[node.op])(left, right)
+            return (jets.power if kind == "^" else _BINARY[kind])(left, right)
         except (DomainError, OverflowError, ZeroDivisionError) as exc:
-            raise ValueError(f"{format_expression(node)!r} fails at every point: "
-                             f"{exc}") from exc
-    return _fold(ast, visit)
+            raise ValueError(f"{format_expression(program[span])!r} fails at every "
+                             f"point: {exc}") from exc
+    return _fold(program, visit)
 
 
 _GENERATED: dict = {}   # least recently used first
 _MAX_GENERATED = 256
 
 
-def _generated(ast: ExprNode, params, jet: bool):
+def _generated(program: tuple, params, jet: bool):
     """The straight-line evaluator of a potential, built once per process
-    for each distinct AST and parameter set (of the last 256 used)."""
-    key = (jet, _signature(ast), tuple(sorted((k, float(v).hex()) for k, v in params.items())))
-    fn = _GENERATED[key] = _GENERATED.pop(key, None) or _generate(ast, params, jet)
+    for each distinct program and parameter set (of the last 256 used)."""
+    key = (jet, program, tuple(sorted((k, float(v).hex()) for k, v in params.items())))
+    fn = _GENERATED[key] = _GENERATED.pop(key, None) or _generate(program, params, jet)
     if len(_GENERATED) > _MAX_GENERATED:
         del _GENERATED[next(iter(_GENERATED))]
     return fn
 
 
-def _signature(ast: ExprNode) -> tuple:
-    """The AST in prefix order, walked with a stack: the code cache's key."""
-    out, stack = [], [ast]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BinOp):
-            out.append(node.op)
-        elif isinstance(node, (Neg, Call)):
-            out.append("neg" if isinstance(node, Neg) else node.func)
-        else:
-            out.append(repr(node.value) if isinstance(node, Const) else
-                       f"#{node.index}" if isinstance(node, Coord) else f"${node.name}")
-        stack += reversed(_children(node))
-    return tuple(out)
-
-
-def _generate(ast: ExprNode, params, jet: bool):
+def _generate(program: tuple, params, jet: bool):
     trace = jets._Trace()
     s, x = jets._Symbol(trace, "s"), jets._Symbol(trace, "x")
     # constants fold as outside a batch: a small divisor warns, so it stays
     token, outside = jets._TRACE.set(trace), jets._BATCH.set(None)
     try:
-        result = _trace(ast, params, (Jet3(s, 1.0), Jet3(x, 0.0, 1.0)) if jet else (s, x))
+        result = _trace(program, params, (Jet3(s, 1.0), Jet3(x, 0.0, 1.0)) if jet else (s, x))
     finally:
         jets._TRACE.reset(token)
         jets._BATCH.reset(outside)
@@ -535,38 +456,39 @@ def eval_jets(spec: PotentialSpec, s, x) -> tuple[Jet3, np.ndarray]:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
-def format_expression(node: ExprNode) -> str:
-    """Render an AST back to source that reparses to an equivalent tree."""
-    text, _ = _fold(node, _format)
+def format_expression(program: tuple) -> str:
+    """Render a program back to source that parses to the same program."""
+    text, _ = _fold(program, _format)
     return text
 
 
-def _format(node: ExprNode, *operands: tuple[str, int]) -> tuple[str, int]:
-    """The text and precedence of ``node``, given those of its operands."""
-    if isinstance(node, Const):
-        return repr(node.value), 5
-    if isinstance(node, (Coord, Param)):
-        return node.name, 5
-    if isinstance(node, Call):
-        return f"{node.func}({operands[0][0]})", 5
-    if isinstance(node, Neg):
+def _format(step: tuple, span, *operands: tuple[str, int]) -> tuple[str, int]:
+    """The text and precedence of a step, given those of its operands."""
+    kind = step[0]
+    if kind == "num":
+        return repr(step[1]), 5
+    if kind in ("coord", "param"):
+        return step[-1], 5
+    if kind == "call":
+        return f"{step[1]}({operands[0][0]})", 5
+    if kind == "neg":
         text, prec = operands[0]
         if prec < _PREC["neg"]:
             text = f"({text})"
         return f"-{text}", _PREC["neg"]
-    my = _PREC[node.op]
+    my = _PREC[kind]
     (left, lp), (right, rp) = operands
-    if node.op == "^":
+    if kind == "^":
         if lp <= my:  # ^ is right-associative
             left = f"({left})"
         if rp < my and rp != _PREC["neg"]:
             right = f"({right})"
-    else:
+    else:  # + - * / are left-associative
         if lp < my:
             left = f"({left})"
-        if rp < my or (rp == my and node.op in "-/"):
+        if rp <= my:
             right = f"({right})"
-    return f"{left} {node.op} {right}", my
+    return f"{left} {kind} {right}", my
 
 
 # -- JSON interchange ---------------------------------------------------------

@@ -1,41 +1,59 @@
 """The closure-tree evaluator: the oracle of the generated code.
 
-Each AST node becomes a closure over its operands' closures, and jets go
-through :class:`~thermocurv.jets.Jet3` operator overloading, one object per
-operation.  The generated evaluators must reproduce it bit for bit.
+Each step of a potential's postfix program becomes a closure over its
+operands' closures, and jets go through :class:`~thermocurv.jets.Jet3`
+operator overloading, one object per operation.  The generated evaluators
+must reproduce it bit for bit.
 """
 
 from __future__ import annotations
 
 from thermocurv import jets
 from thermocurv.jets import Jet3, jet_const, jet_var
-from thermocurv.potentials import (_BINARY, Call, Const, Coord, Neg, Param,
-                                   _check_domain, _has_coord)
+from thermocurv.potentials import _BINARY, _check_domain
+
+_ARITY = {"num": 0, "coord": 0, "param": 0, "neg": 1, "call": 1}   # else 2
 
 
-def compile_closure(node, params):
-    """Turn an AST into a function of the coordinate pair (floats, jets or
-    arrays); operands are evaluated left to right."""
-    if isinstance(node, (Const, Param)):
-        value = node.value if isinstance(node, Const) else params[node.name]
+def compile_closure(program, params):
+    """Turn a postfix program into a function of the coordinate pair
+    (floats, jets or arrays); operands are evaluated left to right.
+
+    Whether a coordinate occurs in an exponent is worked out here from the
+    operands, not read from the parser's ``("^", general)`` flag."""
+    stack = []   # per operand: its closure and whether a coordinate occurs in it
+    for step in program:
+        arity = _ARITY.get(step[0], 2)
+        operands = stack[len(stack) - arity:]
+        del stack[len(stack) - arity:]
+        varies = step[0] == "coord" or any(v for _, v in operands)
+        stack.append((_closure(step, params, *(c for c, _ in operands),
+                               general=arity == 2 and operands[1][1]), varies))
+    return stack[0][0]
+
+
+def _closure(step, params, *operands, general):
+    kind = step[0]
+    if kind in ("num", "param"):
+        value = step[1] if kind == "num" else params[step[1]]
         return lambda coords: value
-    if isinstance(node, Coord):
-        index = node.index
+    if kind == "coord":
+        index = step[1]
         return lambda coords: coords[index]
-    if isinstance(node, Neg):
-        operand = compile_closure(node.operand, params)
+    if kind == "neg":
+        operand, = operands
         return lambda coords: -operand(coords)
-    if isinstance(node, Call):
-        arg, func = compile_closure(node.arg, params), getattr(jets, node.func)
+    if kind == "call":
+        (arg,), func = operands, getattr(jets, step[1])
         return lambda coords: func(arg(coords))
-    left, right = compile_closure(node.left, params), compile_closure(node.right, params)
-    if node.op == "^" and _has_coord(node.right):
+    left, right = operands
+    if kind == "^" and general:
         # structurally non-constant exponent: u^w = exp(w ln u)
         def general_power(coords):
             base = left(coords)
             return jets.exp(right(coords) * jets.ln(base))
         return general_power
-    op = jets.power if node.op == "^" else _BINARY[node.op]
+    op = jets.power if kind == "^" else _BINARY[kind]
     return lambda coords: op(left(coords), right(coords))
 
 

@@ -109,6 +109,21 @@ def test_generated_code_matches_the_closure_tree(src, k, points):
         lambda a, b: oracle_jet_at(spec, a, b), spec, s, x), (src, k, points)
 
 
+@pytest.mark.parametrize("src, want", [("S^(X^0)", "ln"), ("S^(X - X)", "ln"), ("S^2", 1.0)])
+def test_an_exponent_with_a_coordinate_needs_a_positive_base(src, want):
+    # X^0 and X - X are 1 and 0 at every point, but a coordinate occurs in
+    # them, so the power is exp(w ln S); the oracle decides that by itself
+    spec = parse_potential(src, domain=WHOLE_PLANE)
+    for evaluate in (eval_jet, eval_scalar, oracle_jet, oracle_scalar):
+        if want == "ln":
+            with pytest.raises(DomainError) as info:
+                evaluate(spec, (-1.0, 0.5))
+            assert info.value.func == "ln"
+        else:
+            result = evaluate(spec, (-1.0, 0.5))
+            assert (result.v if isinstance(result, Jet3) else result) == want
+
+
 @pytest.mark.parametrize("name", ["reissner-nordstrom", "kerr", "quadratic-toy"])
 def test_catalog_jets_match_the_closure_tree(name):
     spec = get_entry(name).spec

@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fdtools import fd_partials
+from test_codegen import EXPRESSIONS, PARAMS, WHOLE_PLANE
 from thermocurv import (DomainError, ParseError, eval_jet, eval_scalar,
                         format_expression, parse_potential,
                         potential_from_json, potential_to_json)
 from thermocurv.cli import main
-from thermocurv.potentials import (BinOp, Const, Coord, Neg, Param, UnknownIdentifierError,
-                                   load_potential_file)
+from thermocurv.potentials import UnknownIdentifierError, load_potential_file
 
 
 def test_precedence_and_associativity():
@@ -44,6 +45,9 @@ def test_syntax_error_positions():
     assert err.value.position == 1
     with pytest.raises(UnknownIdentifierError) as err:
         parse_potential("S + foo", ("S", "X"))
+    assert err.value.position == 4
+    with pytest.raises(ParseError, match="number 1e400 overflows") as err:
+        parse_potential("S + 1e400*X", ("S", "X"))
     assert err.value.position == 4
 
 
@@ -128,6 +132,31 @@ def test_roundtrip_print_parse(rn, kerr, quad):
             assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
 
 
+@pytest.mark.parametrize("src, text", [
+    ("S + (X + 1)", "S + (X + 1.0)"), ("S * (X / 1e200)", "S * (X / 1e+200)"),
+    ("S - (X - 1)", "S - (X - 1.0)"), ("S + X + 1", "S + X + 1.0"),
+    ("S / (X * 2)", "S / (X * 2.0)"), ("S^X^2 - -S", "S ^ X ^ 2.0 - -S")])
+def test_printing_keeps_the_grouping_of_a_right_operand(src, text):
+    spec = parse_potential(src, domain=WHOLE_PLANE)
+    assert format_expression(spec.ast) == text
+    again = potential_from_json(potential_to_json(spec))
+    assert again == spec
+    assert eval_scalar(again, (1e200, 1e200)) == eval_scalar(spec, (1e200, 1e200))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(EXPRESSIONS, PARAMS)
+def test_printed_potentials_parse_back_to_the_same_spec(src, k):
+    try:
+        spec = parse_potential(src, ("S", "X"), {"k": k}, domain=WHOLE_PLANE)
+    except ValueError:
+        return
+    again = parse_potential(format_expression(spec.ast), spec.coords, spec.params,
+                            domain=WHOLE_PLANE)
+    assert again == spec, (src, format_expression(spec.ast))
+    assert potential_from_json(potential_to_json(spec)) == spec
+
+
 def test_domain_checks():
     spec = parse_potential("sqrt(S) + X", ("S", "X"),
                            domain={"S": (1.0, 10.0), "X": (None, None)})
@@ -195,6 +224,7 @@ MALFORMED_CHANGES = [
     {"params": {"k": True}}, {"params": {"k": 10 ** 400}},
     {"domain": {"S": 5}}, {"domain": [1, 2]}, {"domain": {"S": [0, "a"]}},
     {"domain": {"S": [0, 1, 2]}}, {"expression": 5}, {"name": 5},
+    {"expression": "S + 1e400*X"},
 ]
 
 
@@ -248,21 +278,14 @@ def test_long_chain_specs_compare_print_and_hash(terms):
     spec, again = parse_potential(src), parse_potential(src)
     assert spec.ast is not again.ast
     assert spec == again and hash(spec.ast) == hash(again.ast)
+    assert {spec.ast: 1}[again.ast] == 1
     assert spec != parse_potential(src[:-1] + "3")      # only the last leaf differs
     text = repr(spec)
-    assert text.count("BinOp(op='+'") == terms and text.endswith(
-        "right=BinOp(op='^', left=Coord(index=1, name='X'), right=Const(value=2.0))), "
+    assert text.count("('+',)") == terms and text.endswith(
+        "('coord', 1, 'X'), ('num', 2.0), ('^', False), ('+',)), "
         "params={}, domain=((0.0, inf), (0.0, inf)))")
-
-
-def test_ast_nodes_compare_hash_and_print_as_dataclasses():
-    ast = parse_potential("-sqrt(S)^2 + k/X - 3", params={"k": 1.0}).ast
-    assert repr(ast) == (
-        "BinOp(op='-', left=BinOp(op='+', left=Neg(operand=BinOp(op='^', left=Call("
-        "func='sqrt', arg=Coord(index=0, name='S')), right=Const(value=2.0))), "
-        "right=BinOp(op='/', left=Param(name='k'), right=Coord(index=1, name='X'))), "
-        "right=Const(value=3.0))")
-    assert Const(1.0) == Const(1) and hash(Const(1.0)) == hash(Const(1))
-    assert Coord(0, "S") != Param("S") and Neg(Const(1.0)) != Const(1.0)
-    assert BinOp("+", Param("k"), Const(2.0)) != BinOp("-", Param("k"), Const(2.0))
-    assert {ast: 1}[parse_potential("-sqrt(S)^2 + k/X - 3", params={"k": 1.0}).ast] == 1
+    # steps that differ only in kind or operator
+    assert parse_potential("S").ast != parse_potential("S", ("A", "B"), {"S": 1.0}).ast
+    assert parse_potential("-1").ast != parse_potential("1").ast
+    assert parse_potential("k + 2", params={"k": 1.0}).ast != parse_potential(
+        "k - 2", params={"k": 1.0}).ast
