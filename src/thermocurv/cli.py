@@ -3,8 +3,8 @@ reports and identity checks, with CSV/JSON output.
 
 Exit codes: 0 success, 1 check-suite failure, 2 usage/parse/domain error.
 Each ``--grid`` and ``--sweep`` value is one :class:`GridAxis`, checked and built there.
-``THERMOCURV_EPS`` is read once per ``eval``, ``scan`` or ``check``, in
-:func:`evaluate_points`; ``davies`` does not depend on it.
+``THERMOCURV_EPS`` is read once per ``eval``, ``scan`` or ``check``, before any
+output is opened; ``davies`` does not depend on it.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 from .catalog import GridAxis, UnknownPotentialError, entry_names, get_entry
 from .davies import conjugacy_scan, find_davies_points, fit_divergence_exponents
 from ._roots import NoBracketError, ToleranceNotMetError
-from .geometry import StatePoint, curvature_from_m_jet, singularity_eps
-from .jets import DOMAIN, OVERFLOW, DomainError
-from .potentials import (ParseError, eval_jet, eval_jets, eval_scalar,
+from .geometry import DEFAULT_SINGULARITY_EPS, StatePoint, curvature_from_m_jet, singularity_eps
+from .jets import DOMAIN, OVERFLOW, DomainError, one_warning
+from .potentials import (POINTWISE_MAX, ParseError, eval_jet, eval_jets, eval_scalar,
                          load_potential_file, parse_potential)
 from .responses import (ResponseSet, cap_difference_residual,
                         kappa_difference_residual, metric_from_responses,
@@ -34,7 +34,7 @@ COLUMNS = ["S", "X", "T", "Y", "M_SS", "M_SX", "M_XX", "detGM", "detGF",
 
 CHECK_THRESHOLD = 1e-8
 
-# CSV rows formatted and written at a time
+# grid points evaluated, checked or written at a time
 _WRITE_BLOCK = 4096
 
 
@@ -95,7 +95,7 @@ def _parse_axis(option: str, text: str) -> tuple[str, GridAxis]:
     return name.strip(), GridAxis(float(parts[0]), float(parts[1]), count, *parts[3:])
 
 
-def evaluate_points(spec, s, x):
+def evaluate_points(spec, s, x, eps: float = DEFAULT_SINGULARITY_EPS):
     """The scan columns at the points ``(s[k], x[k])``, in one batched pass.
 
     Returns ``(columns, flags)``: ``columns`` maps each numeric column name
@@ -106,7 +106,6 @@ def evaluate_points(spec, s, x):
     """
     s = np.asarray(s, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
-    eps = singularity_eps()
     jet, code = eval_jets(spec, s, x)
     with np.errstate(all="ignore"):
         curv = curvature_from_m_jet(jet, eps)
@@ -142,23 +141,23 @@ def _write_json(path, doc) -> None:
             out.close()
 
 
-def _write_rows(args, spec, columns, flags) -> None:
+def _write_rows(args, spec, blocks) -> None:
     head = {"potential": spec.name, "coords": {"S": spec.coords[0], "X": spec.coords[1]},
             "columns": COLUMNS}
-    table = np.column_stack([columns[name] for name in COLUMNS[:-1]])
+    tables = ((np.column_stack([columns[name] for name in COLUMNS[:-1]]).tolist(), flags)
+              for columns, flags in blocks)
     if args.format == "json":
         _write_json(args.out, {**head, "rows": [[_jsonable(v) for v in cells] + [tag]
-                                                for cells, tag in zip(table.tolist(), flags)]})
+                                                for table, flags in tables
+                                                for cells, tag in zip(table, flags)]})
         return
     out, close = _open_out(args.out)
     try:
         # the bytes csv.writer gives these cells: none needs quoting
         out.write(",".join(COLUMNS) + "\r\n")
         row = "%.17g," * (len(COLUMNS) - 1) + "%s\r\n"
-        for start in range(0, len(flags), _WRITE_BLOCK):
-            stop = start + _WRITE_BLOCK
-            out.write("".join([row % (*cells, tag) for cells, tag in
-                               zip(table[start:stop].tolist(), flags[start:stop])]))
+        for table, flags in tables:
+            out.write("".join([row % (*cells, tag) for cells, tag in zip(table, flags)]))
     finally:
         if close:
             out.close()
@@ -169,13 +168,13 @@ def _write_rows(args, spec, columns, flags) -> None:
 def _cmd_eval(args) -> int:
     spec, _ = _load_spec(args)
     point = _parse_at(spec, args.at)
-    columns, flags = evaluate_points(spec, [point.s], [point.x])
+    columns, flags = evaluate_points(spec, [point.s], [point.x], singularity_eps())
     if flags[0] == "err:domain":
         raise DomainError("domain", tuple(point), f"point outside {spec.name!r} domain")
     if flags[0] == "err:overflow":
         raise ValueError(f"the jet of {spec.name!r} overflows at {args.at}")
     if args.format == "csv":
-        _write_rows(args, spec, columns, flags)
+        _write_rows(args, spec, [(columns, flags)])
         return 0
     doc = {
         "potential": spec.name,
@@ -187,8 +186,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _grid_points(args, spec, entry) -> tuple[np.ndarray, np.ndarray]:
-    """The grid as two coordinate arrays, first coordinate in the outer loop."""
+def _grid_axes(args, spec, entry) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of the two grid axes; the first coordinate is the outer loop."""
     axes: dict[int, GridAxis] = {}
     for text in args.grid or []:
         name, axis = _parse_axis("--grid", text)
@@ -199,14 +198,24 @@ def _grid_points(args, spec, entry) -> tuple[np.ndarray, np.ndarray]:
     default = entry.default_grid if entry is not None else (GridAxis(0.5, 4.0, 8),) * 2
     for index, axis in enumerate(default):
         axes.setdefault(index, axis)
-    svals, xvals = axes[0].values(), axes[1].values()
-    return np.repeat(svals, len(xvals)), np.tile(xvals, len(svals))
+    return axes[0].values(), axes[1].values()
+
+
+def _grid_blocks(spec, svals, xvals, eps: float):
+    """:func:`evaluate_points` on ``_WRITE_BLOCK`` grid points at a time, with one
+    ``ConditioningWarning``.  A tail of ``POINTWISE_MAX`` points or fewer joins the
+    block before it, so no point's evaluation path depends on the block boundaries."""
+    n = svals.size * xvals.size
+    stops = [*range(_WRITE_BLOCK, n - POINTWISE_MAX, _WRITE_BLOCK), n]
+    with one_warning():
+        for k in map(np.arange, [0, *stops], stops):
+            yield evaluate_points(spec, svals[k // xvals.size], xvals[k % xvals.size], eps)
 
 
 def _cmd_scan(args) -> int:
     spec, entry = _load_spec(args)
-    columns, flags = evaluate_points(spec, *_grid_points(args, spec, entry))
-    _write_rows(args, spec, columns, flags)
+    _write_rows(args, spec, _grid_blocks(spec, *_grid_axes(args, spec, entry),
+                                         singularity_eps()))
     return 0
 
 
@@ -266,7 +275,7 @@ def _cmd_davies(args) -> int:
 
 def _cmd_check(args) -> int:
     spec, entry = _load_spec(args)
-    s, x = _grid_points(args, spec, entry)
+    axes = _grid_axes(args, spec, entry)
 
     def compile_ref(expr):
         ref_spec = parse_potential(expr, spec.coords, spec.params, name="reference")
@@ -277,43 +286,43 @@ def _cmd_check(args) -> int:
     rf_ref = compile_ref(args.ref_rf) if args.ref_rf else (
         entry.reference_rf if entry is not None else None)
 
-    c, flags = evaluate_points(spec, s, x)
-    responses = ("T", "Y", "CX", "CY", "alpha", "kappaT", "kappaS", "gamma")
-    usable = (flags == "") & np.isfinite([c[k] for k in responses]).all(axis=0)
-    if entry is not None:
-        usable &= entry.in_domain(s, x)
-    c = {k: v[usable] for k, v in c.items()}
-    checked = int(np.count_nonzero(usable))
-    rs = ResponseSet(point=StatePoint(c["S"], c["X"]), t=c["T"], y=c["Y"],
-                     c_x=c["CX"], c_y=c["CY"], alpha=c["alpha"],
-                     kappa_t=c["kappaT"], kappa_s=c["kappaS"], gamma=c["gamma"])
-    det_gm = c["detGM"]
-
     def relative(diff, ref):
         return abs(diff) / np.fmax(abs(ref), 1.0)
 
-    with np.errstate(all="ignore"):
-        residuals = {
-            "identity:capacities": [cap_difference_residual(rs)],
-            "identity:susceptibilities": [kappa_difference_residual(rs)],
-            "identity:ratio": [ratio_identity_residual(rs)],
-            "det:response-form": [
-                relative(det_gm - rs.t / (rs.point.x * rs.kappa_t * rs.c_x), det_gm),
-                relative(det_gm - rs.t / (rs.point.x * rs.kappa_s * rs.c_y), det_gm)],
-            "det:metric-ratio": [relative(c["detGF"] + rs.gamma * det_gm, c["detGF"])],
-            "metric:response-form": [
-                relative(a - b, b) for a, b in zip(
-                    metric_from_responses(rs)[:3], (c["M_SS"], c["M_SX"], c["M_XX"]))],
-        }
-        for key, ref, computed in (("golden:RM", rm_ref, c["RM"]),
-                                   ("golden:RF", rf_ref, c["RF"])):
-            if ref is not None:
-                # closed-form references are scalar functions
-                want = np.array([ref(a, b) for a, b in zip(c["S"].tolist(), c["X"].tolist())])
-                residuals[key] = [relative(computed - want, want)]
-    # the largest residual, nan ignored
-    maxima = {key: float(np.fmax.reduce(np.abs(np.concatenate(parts)), initial=0.0))
-              for key, parts in residuals.items()}
+    responses = ("T", "Y", "CX", "CY", "alpha", "kappaT", "kappaS", "gamma")
+    checked, maxima = 0, {}     # running, so the report is the same for any blocks
+    for c, flags in _grid_blocks(spec, *axes, singularity_eps()):
+        usable = (flags == "") & np.isfinite([c[k] for k in responses]).all(axis=0)
+        if entry is not None:
+            usable &= entry.in_domain(c["S"], c["X"])
+        c = {k: v[usable] for k, v in c.items()}
+        checked += int(np.count_nonzero(usable))
+        rs = ResponseSet(point=StatePoint(c["S"], c["X"]), t=c["T"], y=c["Y"],
+                         c_x=c["CX"], c_y=c["CY"], alpha=c["alpha"],
+                         kappa_t=c["kappaT"], kappa_s=c["kappaS"], gamma=c["gamma"])
+        det_gm = c["detGM"]
+        with np.errstate(all="ignore"):
+            residuals = {
+                "identity:capacities": [cap_difference_residual(rs)],
+                "identity:susceptibilities": [kappa_difference_residual(rs)],
+                "identity:ratio": [ratio_identity_residual(rs)],
+                "det:response-form": [
+                    relative(det_gm - rs.t / (rs.point.x * rs.kappa_t * rs.c_x), det_gm),
+                    relative(det_gm - rs.t / (rs.point.x * rs.kappa_s * rs.c_y), det_gm)],
+                "det:metric-ratio": [relative(c["detGF"] + rs.gamma * det_gm, c["detGF"])],
+                "metric:response-form": [
+                    relative(a - b, b) for a, b in zip(
+                        metric_from_responses(rs)[:3], (c["M_SS"], c["M_SX"], c["M_XX"]))],
+            }
+            for key, ref, computed in (("golden:RM", rm_ref, c["RM"]),
+                                       ("golden:RF", rf_ref, c["RF"])):
+                if ref is not None:
+                    # closed-form references are scalar functions
+                    want = np.array(list(map(ref, c["S"].tolist(), c["X"].tolist())))
+                    residuals[key] = [relative(computed - want, want)]
+        maxima = {key: float(np.fmax.reduce(np.abs(np.concatenate(parts)),  # nan ignored
+                                            initial=maxima.get(key, 0.0)))
+                  for key, parts in residuals.items()}
 
     failed = [k for k, v in maxima.items() if v > CHECK_THRESHOLD]
     print(f"potential: {spec.name}   points checked: {checked}")

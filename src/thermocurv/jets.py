@@ -78,6 +78,24 @@ class Failures:
 
 
 _BATCH: ContextVar[Failures | None] = ContextVar("thermocurv_batch", default=None)
+_ILL_TOTAL: ContextVar[list[int] | None] = ContextVar("thermocurv_ill", default=None)
+
+
+@contextmanager
+def one_warning():
+    """One :class:`ConditioningWarning`, at the end, for the points the batches
+    inside add to the yielded total; inside another, adds to that one's total."""
+    outer = _ILL_TOTAL.get()
+    token = _ILL_TOTAL.set(total := [0])
+    try:
+        yield total
+    finally:
+        _ILL_TOTAL.reset(token)
+    if outer is not None:
+        outer[0] += total[0]
+    elif total[0]:
+        warnings.warn(f"division by small values at {total[0]} points; results may "
+                      "be ill-conditioned", ConditioningWarning, stacklevel=3)
 
 
 @contextmanager
@@ -90,17 +108,15 @@ def batch(n: int):
     """
     failures = Failures(n)
     token = _BATCH.set(failures)
-    try:
-        with np.errstate(all="ignore"):
-            yield failures
-    except (DomainError, OverflowError, ZeroDivisionError) as exc:
-        failures.record(DOMAIN if isinstance(exc, DomainError) else OVERFLOW, True)
-    finally:
-        _BATCH.reset(token)
-    ill = int(np.count_nonzero(failures.ill_conditioned))
-    if ill:
-        warnings.warn(f"division by small values at {ill} points; results may "
-                      "be ill-conditioned", ConditioningWarning, stacklevel=3)
+    with one_warning() as ill:
+        try:
+            with np.errstate(all="ignore"):
+                yield failures
+        except (DomainError, OverflowError, ZeroDivisionError) as exc:
+            failures.record(DOMAIN if isinstance(exc, DomainError) else OVERFLOW, True)
+        finally:
+            _BATCH.reset(token)
+        ill[0] = int(np.count_nonzero(failures.ill_conditioned))
 
 
 def _failures() -> Failures:

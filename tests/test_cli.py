@@ -308,6 +308,16 @@ def test_only_eval_scan_and_check_read_the_epsilon(capsys, monkeypatch):
         assert code == 2 and "error:" in err and "THERMOCURV_EPS" in err, argv
 
 
+def test_a_bad_epsilon_stops_a_scan_before_any_output(capsys, monkeypatch, tmp_path):
+    out = tmp_path / "scan.csv"
+    monkeypatch.setenv("THERMOCURV_EPS", "banana")
+    for dest in (["--out", str(out)], []):
+        code, stdout, err = run(capsys, "scan", "--catalog", "quadratic-toy",
+                                "--grid", "S=1:2:2", "--grid", "X=1:2:2", *dest)
+        assert (code, stdout) == (2, "") and "THERMOCURV_EPS" in err
+    assert not out.exists() and not (tmp_path / "scan.csv.meta.json").exists()
+
+
 @pytest.mark.parametrize("at", ["S=1,Q=0.5,S=3", "S=1,X=0.5,Q=0.7"])
 def test_a_coordinate_given_twice_is_a_usage_error(capsys, at):
     code, out, err = run(capsys, "eval", "--catalog", "reissner-nordstrom", "--at", at)
