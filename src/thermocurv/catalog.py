@@ -4,7 +4,8 @@ Each entry pairs a parsed potential with independently known reference
 expressions for both curvature scalars and for the divergence function whose
 zero set is the constant-X heat-capacity line.  The references are
 transcribed literally; golden tests compare the computed pipeline against
-them and any disagreement is surfaced, never reconciled in place.
+them and any disagreement is surfaced, never reconciled in place.  They take
+floats or arrays: ``np.float_power`` rounds as ``**`` on floats, numpy's may not.
 """
 
 from __future__ import annotations
@@ -43,31 +44,27 @@ class GridAxis:
             raise ValueError(f"an axis needs at least 1 sample, got {self.count}")
         if self.spacing == "log" and not self.lo > 0.0:
             raise ValueError(f"log spacing needs lo > 0, got {self.lo}")
-        step, k = self._step(), self.count - 1
-        try:        # values() builds rising samples, so its last one bounds them all
-            last = self.lo * step ** k if self.spacing == "log" else self.lo + step * k
-        except OverflowError:               # Python's ** past the largest float
-            last = math.inf
+        k = self.count - 1
+        with np.errstate(over="ignore"):    # values() rises, so its last sample bounds all
+            last = self._samples(k)
         if not all(map(math.isfinite, (self.lo, self.hi, last if k else self.lo))):
             raise ValueError("axis bounds and samples must be finite, got "
                              f"{self.lo}:{self.hi}:{self.count}")
         if k and not self.lo < self.hi:
             raise ValueError(f"an axis needs lo < hi, got {self.lo} >= {self.hi}")
 
-    def _step(self) -> float:
-        """The step (linear) or ratio (log) from one sample to the next."""
+    def _samples(self, k):
+        """Samples ``k`` (an int or an int array) of an axis of two or more."""
         lo, hi, n = self.lo, self.hi, max(self.count - 1, 1)
-        return (hi / lo) ** (1.0 / n) if self.spacing == "log" else (hi - lo) / n
+        if self.spacing == "log":
+            return lo * np.float_power((hi / lo) ** (1.0 / n), k)
+        return lo + (hi - lo) / n * k
 
     def values(self) -> np.ndarray:
         """The samples as a new float array, ``lo`` first."""
         if self.count == 1:
             return np.array([float(self.lo)])
-        step = self._step()
-        if self.spacing == "log":
-            # Python's ** per sample: numpy's vectorised power can round differently
-            return np.array([self.lo * step ** k for k in range(self.count)])
-        return self.lo + step * np.arange(self.count)
+        return self._samples(np.arange(self.count))
 
 
 @dataclass(frozen=True)
@@ -90,10 +87,10 @@ def _rn() -> CatalogEntry:
         "sqrt(S)/2 * (1 + Q^2/S)", ("S", "Q"), name="reissner-nordstrom")
 
     def rm(s, q):
-        return 2.0 * s ** 1.5 / (s - q * q) ** 2
+        return 2.0 * np.float_power(s, 1.5) / np.float_power(s - q * q, 2)
 
     def rf(s, q):
-        return 4.0 * s ** 1.5 / (s - 3.0 * q * q) ** 2
+        return 4.0 * np.float_power(s, 1.5) / np.float_power(s - 3.0 * q * q, 2)
 
     def f(s, q):
         return s - 3.0 * q * q
@@ -112,14 +109,14 @@ def _kerr() -> CatalogEntry:
     spec = parse_potential("sqrt(S/4 + J^2/S)", ("S", "J"), name="kerr")
 
     def f(s, j):
-        return s ** 4 - 24.0 * s * s * j * j - 48.0 * j ** 4
+        return np.float_power(s, 4) - 24.0 * s * s * j * j - 48.0 * np.float_power(j, 4)
 
     def rm(s, j):
         return 0.0
 
     def rf(s, j):
-        return (18.0 * (s * s + 4.0 * j * j) ** 3.5 * (s * s - 4.0 * j * j)
-                / (s ** 1.5 * f(s, j) ** 2))
+        return (18.0 * np.float_power(s * s + 4.0 * j * j, 3.5) * (s * s - 4.0 * j * j)
+                / (np.float_power(s, 1.5) * np.float_power(f(s, j), 2)))
 
     return CatalogEntry(
         spec=spec, reference_rm=rm, reference_rf=rf, reference_f=f,

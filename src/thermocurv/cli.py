@@ -134,30 +134,33 @@ def _open_out(path):
 def _write_json(path, doc) -> None:
     out, close = _open_out(path)
     try:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(doc, indent=2) + "\n")
     finally:
         if close:
             out.close()
 
 
 def _write_rows(args, spec, blocks) -> None:
+    def axis_cells(values):     # a block repeats S and X: format each bit pattern once
+        keys = values.view(np.int64).tolist()
+        text = {k: "%.17g," % v for k, v in dict(zip(keys, values.tolist())).items()}
+        return list(map(text.__getitem__, keys))
     head = {"potential": spec.name, "coords": {"S": spec.coords[0], "X": spec.coords[1]},
             "columns": COLUMNS}
-    tables = ((np.column_stack([columns[name] for name in COLUMNS[:-1]]).tolist(), flags)
-              for columns, flags in blocks)
     if args.format == "json":
-        _write_json(args.out, {**head, "rows": [[_jsonable(v) for v in cells] + [tag]
-                                                for table, flags in tables
-                                                for cells, tag in zip(table, flags)]})
+        _write_json(args.out, {**head, "rows": [
+            [_jsonable(v) for v in cells] + [tag] for c, flags in blocks for cells, tag in
+            zip(np.column_stack([c[name] for name in COLUMNS[:-1]]).tolist(), flags)]})
         return
     out, close = _open_out(args.out)
     try:
         # the bytes csv.writer gives these cells: none needs quoting
         out.write(",".join(COLUMNS) + "\r\n")
-        row = "%.17g," * (len(COLUMNS) - 1) + "%s\r\n"
-        for table, flags in tables:
-            out.write("".join([row % (*cells, tag) for cells, tag in zip(table, flags)]))
+        row = "%s%s" + "%.17g," * (len(COLUMNS) - 3) + "%s\r\n"
+        for c, flags in blocks:
+            table = np.column_stack([c[name] for name in COLUMNS[2:-1]]).tolist()
+            out.write("".join([row % (s, x, *cells, tag) for s, x, cells, tag in zip(
+                axis_cells(c["S"]), axis_cells(c["X"]), table, flags)]))
     finally:
         if close:
             out.close()
@@ -316,9 +319,8 @@ def _cmd_check(args) -> int:
             }
             for key, ref, computed in (("golden:RM", rm_ref, c["RM"]),
                                        ("golden:RF", rf_ref, c["RF"])):
-                if ref is not None:
-                    # closed-form references are scalar functions
-                    want = np.array(list(map(ref, c["S"].tolist(), c["X"].tolist())))
+                if ref is not None:     # an array, or a float (Kerr's R^M is 0.0)
+                    want = ref(c["S"], c["X"])
                     residuals[key] = [relative(computed - want, want)]
         maxima = {key: float(np.fmax.reduce(np.abs(np.concatenate(parts)),  # nan ignored
                                             initial=maxima.get(key, 0.0)))

@@ -10,8 +10,8 @@ machine-precision derivatives with no differencing.
 The coefficients may be floats or equal-length numpy arrays (Griewank &
 Walther, *Evaluating Derivatives*, ch. 13).  Inside :func:`batch`, arrays
 record the points that fail a check where a float raises, and round exactly
-as floats do: numpy's ``+ - * / sqrt`` are correctly rounded, and ``**``,
-``exp`` and ``ln`` run element by element through the same Python functions.
+as floats do: numpy's ``+ - * / sqrt`` round correctly, ``np.float_power`` is
+libm's ``pow`` per element, and ``exp`` and ``ln`` call ``math`` per element.
 
 A potential is not evaluated through this arithmetic: it is traced through
 it once into straight-line code (see the end of this module), so the rules
@@ -25,7 +25,6 @@ import math
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -137,24 +136,40 @@ def _checked(value, bad, func: str, detail: str = ""):
     return value
 
 
-def _apply(fn, value, *args):
-    """``fn(value, *args)`` with Python floats, element by element for an
-    array; array elements that overflow become nan and fail their point."""
+def _apply(fn, value):
+    """``fn(value)`` with Python floats, element by element for an array;
+    array elements that overflow become nan and fail their point."""
     if not isinstance(value, np.ndarray):
-        return fn(value, *args)
+        return fn(value)
     items = value.tolist()
     try:
-        return np.fromiter(map(fn, items, *map(repeat, args)), float, len(items))
+        return np.fromiter(map(fn, items), float, len(items))
     except OverflowError:
         if _BATCH.get() is None:
             raise
     out = np.empty(len(items))
     for k, v in enumerate(items):
         try:
-            out[k] = fn(v, *args)
+            out[k] = fn(v)
         except OverflowError:
             out[k] = math.nan
     _failures().record(OVERFLOW, np.isnan(out) & ~np.isnan(value))
+    return out
+
+
+def _pow(fn, value, p):
+    """``fn(value, p)``; on an array libm's ``pow`` per element, rounding as ``fn``
+    does (``np.power`` may not).  Overflows fail their point, or raise outside a batch."""
+    if not isinstance(value, np.ndarray):
+        return fn(value, p)
+    with np.errstate(over="ignore"):
+        out = np.float_power(value, p)
+    over = np.isinf(out) & np.isfinite(value) & math.isfinite(p)
+    if over.any():
+        if _BATCH.get() is None:
+            raise OverflowError("math range error")
+        out[over] = math.nan
+        _failures().record(OVERFLOW, over)
     return out
 
 
@@ -172,7 +187,7 @@ def _runtime(outputs: int):
 
 @_runtime(1)
 def _ipow(value, n: int):
-    return value ** n if value.__class__ is float else _apply(pow, value, n)
+    return value ** n if value.__class__ is float else _pow(pow, value, n)
 
 
 def _safe_div(num, den):
@@ -467,15 +482,15 @@ def _positive_base(v, p):
 @_runtime(4)
 def _pow_outer(v, p):
     v = _positive_base(v, p)
-    return (_apply(math.pow, v, p),
-            p * _apply(math.pow, v, p - 1.0),
-            p * (p - 1.0) * _apply(math.pow, v, p - 2.0),
-            p * (p - 1.0) * (p - 2.0) * _apply(math.pow, v, p - 3.0))
+    return (_pow(math.pow, v, p),
+            p * _pow(math.pow, v, p - 1.0),
+            p * (p - 1.0) * _pow(math.pow, v, p - 2.0),
+            p * (p - 1.0) * (p - 2.0) * _pow(math.pow, v, p - 3.0))
 
 
 @_runtime(1)
 def _pow_value(v, p):
-    return _apply(math.pow, _positive_base(v, p), p)
+    return _pow(math.pow, _positive_base(v, p), p)
 
 
 def power(u, p):

@@ -405,9 +405,15 @@ def _check_domain(spec: PotentialSpec, s, x):
     return out
 
 
-def eval_scalar(spec: PotentialSpec, point) -> float:
-    """Value of the potential at ``point`` (any (s, x) pair)."""
+def eval_scalar(spec: PotentialSpec, point) -> float | np.ndarray:
+    """Value of the potential at ``point`` (any (s, x) pair, or two arrays)."""
     s, x = point
+    if isinstance(s, np.ndarray):   # the first point that fails raises as it does alone
+        with jets.batch(s.size) as failures:
+            value = spec.evaluate_value(*_check_domain(spec, s, x))
+        for k in np.flatnonzero(failures.code)[:1]:
+            eval_scalar(spec, (s.item(k), x.item(k)))
+        return np.broadcast_to(value, s.shape)
     _check_domain(spec, s, x)
     return float(spec.evaluate_value(float(s), float(x)))
 
