@@ -7,9 +7,8 @@ where heat capacities diverge.
 """
 
 from .catalog import CatalogEntry, entry_names, get_entry
-from .davies import (ConjugacyScan, DaviesLocus, ExponentFit, conjugacy_scan,
-                     find_davies_points, fit_divergence_exponent,
-                     fit_divergence_exponents)
+from .davies import (ConjugacyScan, DaviesLocus, Divergence, conjugacy_scan,
+                     divergence_orders, find_davies_points)
 from .geometry import (CurvatureResult, LegendrePoint, LegendreSingularError,
                        MetricTensor2, StatePoint, curvature_from_f_jet,
                        curvature_from_m_jet, legendre_at, metric_f_sx,
@@ -27,12 +26,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CatalogEntry", "ConditioningWarning", "ConjugacyScan", "CurvatureResult",
-    "DaviesLocus", "DomainError", "ExponentFit", "Jet3", "LegendrePoint",
+    "DaviesLocus", "Divergence", "DomainError", "Jet3", "LegendrePoint",
     "LegendreSingularError", "MetricTensor2", "ParseError", "PotentialSpec",
     "ResponseSet", "StatePoint", "cap_difference_residual", "conjugacy_scan",
-    "curvature_from_f_jet", "curvature_from_m_jet", "entry_names",
-    "eval_jet", "eval_scalar", "find_davies_points", "fit_divergence_exponent",
-    "fit_divergence_exponents", "format_expression", "get_entry", "jet_const", "jet_var",
+    "curvature_from_f_jet", "curvature_from_m_jet", "divergence_orders", "entry_names",
+    "eval_jet", "eval_scalar", "find_davies_points", "format_expression", "get_entry",
+    "jet_const", "jet_var",
     "kappa_difference_residual", "legendre_at", "load_potential_file",
     "metric_f_sx", "metric_from_responses", "metric_m", "parse_potential",
     "potential_from_json", "potential_to_json", "ratio_identity_residual",

@@ -18,11 +18,11 @@ import sys
 import numpy as np
 
 from .catalog import GridAxis, UnknownPotentialError, entry_names, get_entry
-from .davies import conjugacy_scan, find_davies_points, fit_divergence_exponents
+from .davies import conjugacy_scan, divergence_orders, find_davies_points
 from ._roots import NoBracketError, ToleranceNotMetError
 from .geometry import DEFAULT_SINGULARITY_EPS, StatePoint, curvature_from_m_jet, singularity_eps
 from .jets import DOMAIN, OVERFLOW, DomainError, one_warning
-from .potentials import (POINTWISE_MAX, ParseError, eval_jet, eval_jets, eval_scalar,
+from .potentials import (POINTWISE_MAX, ParseError, eval_jets, eval_scalar,
                          load_potential_file, parse_potential)
 from .responses import (ResponseSet, cap_difference_residual,
                         kappa_difference_residual, metric_from_responses,
@@ -223,11 +223,10 @@ def _cmd_scan(args) -> int:
 
 
 def _fit_doc(fit) -> dict:
-    doc = {"kind": fit.kind, "slope": _jsonable(fit.slope),
-           "r2": _jsonable(fit.r_squared)}
-    if fit.limit is not None:
-        doc["value"] = _jsonable(fit.limit)
-    return doc
+    """A :class:`Divergence` as JSON: the order is the log-log ``slope``."""
+    return {"kind": fit.kind, **{key: _jsonable(v) for key, v in (
+        ("slope", fit.order), ("coefficient", fit.coefficient), ("value", fit.value))
+        if v is not None}}
 
 
 def _cmd_davies(args) -> int:
@@ -246,11 +245,9 @@ def _cmd_davies(args) -> int:
     locus = find_davies_points(spec, args.which, fixed=spec.coords[fixed_idx],
                                fixed_value=fixed_value, **sweep)
 
-    direction = (1.0, 0.0) if sweep_idx == 0 else (0.0, 1.0)
     points_doc = []
-    for pt, info in zip(locus.points, locus.brackets):
-        fit_rm, fit_rf = fit_divergence_exponents(spec, pt, which_line=args.which,
-                                                  direction=direction)
+    for pt, jet, info in zip(locus.points, locus.jets, locus.brackets):
+        fit_rm, fit_rf = divergence_orders(jet, args.which)
         points_doc.append({"S": pt.s, "X": pt.x, "fit_RF": _fit_doc(fit_rf),
                            "fit_RM": _fit_doc(fit_rm), "bracket": {
                                "residual": info.residual, "iterations": info.iterations}})
@@ -262,9 +259,8 @@ def _cmd_davies(args) -> int:
                                   sweep_jet=locus.sweep_jet)
             turning = list(scan.turning_points)
         else:
-            for pt in locus.points:
-                y0 = eval_jet(spec, pt).x
-                scan = conjugacy_scan(spec, "fixed-y", fixed_value=y0, **sweep,
+            for pt, jet in zip(locus.points, locus.jets):
+                scan = conjugacy_scan(spec, "fixed-y", fixed_value=jet.x, **sweep,
                                       x_guess=pt.x, sweep_jet=locus.sweep_jet)
                 turning.extend(scan.turning_points)
 
@@ -322,11 +318,12 @@ def _cmd_check(args) -> int:
                 if ref is not None:     # an array, or a float (Kerr's R^M is 0.0)
                     want = ref(c["S"], c["X"])
                     residuals[key] = [relative(computed - want, want)]
-        maxima = {key: float(np.fmax.reduce(np.abs(np.concatenate(parts)),  # nan ignored
-                                            initial=maxima.get(key, 0.0)))
+        # a residual that could not be computed is nan, and so is its key's maximum
+        maxima = {key: float(np.maximum.reduce(np.abs(np.concatenate(parts)),
+                                               initial=maxima.get(key, 0.0)))
                   for key, parts in residuals.items()}
 
-    failed = [k for k, v in maxima.items() if v > CHECK_THRESHOLD]
+    failed = [k for k, v in maxima.items() if not v <= CHECK_THRESHOLD]
     print(f"potential: {spec.name}   points checked: {checked}")
     for key in sorted(maxima):
         status = "FAIL" if key in failed else "pass"
@@ -364,7 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="one axis per coordinate (repeat)")
     p_scan.set_defaults(func=_cmd_scan)
 
-    p_dav = sub.add_parser("davies", help="locate divergence lines and fit exponents")
+    p_dav = sub.add_parser("davies", help="locate divergence lines and how the "
+                                          "curvatures behave there")
     add_common(p_dav)
     p_dav.add_argument("--which", choices=("cx", "cy"), default="cx")
     p_dav.add_argument("--fix", required=True, metavar="NAME=VALUE")
@@ -394,7 +392,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (ParseError, DomainError, UnknownPotentialError, ValueError,
+    except (ParseError, DomainError, UnknownPotentialError, ValueError, OverflowError,
             OSError, json.JSONDecodeError, NoBracketError,
             ToleranceNotMetError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -1,4 +1,4 @@
-"""Divergence-line location, curvature divergence exponents, and
+"""Divergence-line location, curvature divergence orders, and
 turning-point (conjugacy) scans.
 
 A line where the constant-X heat capacity blows up is the zero set of M_SS;
@@ -6,30 +6,32 @@ the constant-Y analogue is the zero set of the Hessian determinant.  Both
 are located by bracketing sign changes along one-dimensional sweeps, each
 evaluated in one batched pass, and refining with a secant/bisection hybrid.
 
-Divergence rates are estimated from observables only: curvature values are
-sampled along a straight approach to the line with geometrically shrinking
-displacement, and the slope of log|R| against log|f| is fitted by least
-squares, where f is the root function's own value along the approach.
+How each curvature behaves at a located point is read from the jet there:
+each is N / (2 D^2), and the matching curvature's D holds the line's root
+function f, so it diverges as f^-2 unless its numerator N vanishes, while
+the other one stays finite unless the two lines cross.  Nothing is sampled
+along an approach to the line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ._roots import (NoBracketError, ToleranceNotMetError, refine_bracket,
                      solve_lanes, solve_near)
 from .catalog import GridAxis
-from .geometry import StatePoint, curvature_from_m_jet
+from .geometry import (DEFAULT_SINGULARITY_EPS, StatePoint, curvature_from_m_jet,
+                       curvature_numerators, hessian_scale)
 from .jets import DomainError, Jet3
 from .potentials import PotentialSpec, eval_jet, eval_jets
 
 __all__ = [
-    "DaviesLocus", "BracketInfo", "ExponentFit", "ConjugacyScan",
-    "find_davies_points", "fit_divergence_exponents", "fit_divergence_exponent",
-    "conjugacy_scan",
+    "DaviesLocus", "BracketInfo", "Divergence", "ConjugacyScan",
+    "find_davies_points", "divergence_orders", "conjugacy_scan",
 ]
 
 _ROOT_KINDS = ("cx", "cy")
@@ -54,7 +56,8 @@ class DaviesLocus:
     of a heat capacity at positive temperature), because they are poles,
     or because the jet cannot be evaluated inside their bracket.
     ``sweep_jet`` holds the jets at the sweep samples (nan where a sample
-    failed), which a turning-point scan of the same slice can reuse.
+    failed), which a turning-point scan of the same slice can reuse, and
+    ``jets`` the jet at each of ``points``.
     """
 
     which: str                       # "cx" | "cy"
@@ -62,25 +65,22 @@ class DaviesLocus:
     brackets: tuple[BracketInfo, ...]
     rejected: tuple[StatePoint, ...] = ()
     sweep_jet: Jet3 | None = field(default=None, repr=False, compare=False)
+    jets: tuple[Jet3, ...] = field(default=(), repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class ExponentFit:
-    """Log-log divergence fit along an approach to a divergence line.
+class Divergence(NamedTuple):
+    """How one curvature scalar behaves at a point of a divergence line.
 
-    ``kind`` is "divergent" when |R| grows strongly toward the line (the
-    slope/intercept then describe |R| ~ 10^intercept * f^slope) and "finite"
-    otherwise, in which case ``limit`` extrapolates R to f -> 0.  An |R| under
-    1e-9 of the other curvature is not fitted: slope, intercept, r_squared nan.
+    ``kind`` is "divergent" (R ~ ``coefficient`` * f^``order`` along any
+    approach, with f the line's root function), "finite" (R tends to
+    ``value``) or "undetermined" (the jet at the point cannot tell).  A field
+    that does not apply to the kind is None.
     """
 
     kind: str
-    slope: float
-    intercept: float
-    r_squared: float
-    window: tuple[float, ...]        # |f| per sample, outermost first
-    values: tuple[float, ...]        # curvature per sample
-    limit: float | None = None
+    order: float | None = None
+    coefficient: float | None = None
+    value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -162,101 +162,57 @@ def find_davies_points(
     changes = np.isfinite(a) & np.isfinite(b) & (a != 0.0) & ((a > 0.0) != (b > 0.0))
     u, f = grid.tolist(), f.tolist()
 
-    points, brackets, rejected = [], [], []
+    points, brackets, rejected, jets = [], [], [], []
     for k in np.flatnonzero(changes).tolist():
         u0, u1, f0, f1 = u[k], u[k + 1], f[k], f[k + 1]
         root, resid, iters, is_root = _refine(g, u0, u1, f0, f1)
         pt = to_point(root)
-        if not is_root or eval_jet(spec, pt).s <= 1e-10 * max(1.0, abs(root)):
+        jet = eval_jet(spec, pt) if is_root else None
+        if jet is None or jet.s <= 1e-10 * max(1.0, abs(root)):
             rejected.append(pt)
             continue
         points.append(pt)
         brackets.append(BracketInfo(u0, u1, f0, f1, resid, iters))
+        jets.append(jet)
     return DaviesLocus(which=which, points=tuple(points), brackets=tuple(brackets),
-                       rejected=tuple(rejected), sweep_jet=sweep_jet)
+                       rejected=tuple(rejected), sweep_jet=sweep_jet, jets=tuple(jets))
 
 
-def _approach(spec, point, which_line, ds, dx):
-    """(|f|, R^M, R^F) along an approach, without samples where f = 0."""
-    t = 0.05 * 0.5 ** np.arange(11)
-    jet, failed = eval_jets(spec, point.s + t * ds, point.x + t * dx)
-    if failed.any():
-        raise DomainError("domain", point, "the approach leaves the domain")
-    f_val = abs(_root_function(which_line)(jet))
-    curv = curvature_from_m_jet(jet)
-    usable = f_val != 0.0   # measure-zero landing exactly on the line
-    return tuple(v[usable].tolist() for v in (f_val, curv.r_m, curv.r_f))
+def divergence_orders(jet: Jet3, which_line: str) -> tuple[Divergence, Divergence]:
+    """How ``(R^M, R^F)`` behave at a point of a ``which_line`` line, read from
+    the potential's jet ``jet`` there.
 
-
-def _fit(window, values, companions) -> ExponentFit:
-    """The log-log fit of ``values`` against ``window``; ``companions``
-    (the other curvature) sets the scale below which ``values`` vanish."""
-    abs_vals = [abs(v) for v in values]
-    tiny = 1e-300
-    slope = intercept = r_squared = math.nan
-    if max(abs_vals) > 1e-9 * max(1.0, max(abs(c) for c in companions)):
-        log_f = np.log10(window)
-        log_r = np.log10([max(v, tiny) for v in abs_vals])
-        slope, intercept = np.polyfit(log_f, log_r, 1)
-        ss_res = float(np.sum((log_r - (slope * log_f + intercept)) ** 2))
-        ss_tot = float(np.sum((log_r - np.mean(log_r)) ** 2))
-        r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
-    growth = (abs_vals[-1] + tiny) / (abs_vals[0] + tiny)
-    divergent = growth >= 1e2 and slope <= -0.5     # never on a nan slope
-
-    limit = None
-    if not divergent:
-        # quadratic extrapolation to f = 0 from the innermost samples
-        k = min(5, len(window))
-        coeffs = np.polyfit(window[-k:], values[-k:], 2)
-        limit = float(np.polyval(coeffs, 0.0))
-    return ExponentFit(kind="divergent" if divergent else "finite",
-                       slope=float(slope), intercept=float(intercept),
-                       r_squared=float(r_squared), window=tuple(window),
-                       values=tuple(values), limit=limit)
-
-
-def fit_divergence_exponents(
-    spec: PotentialSpec,
-    locus_point: StatePoint,
-    *,
-    which_line: str = "cx",
-    direction: tuple[float, float] = (1.0, 0.0),
-) -> tuple[ExponentFit, ExponentFit]:
-    """Estimate how both curvature scalars behave while approaching a
-    divergence line; returns the fits of ``(R^M, R^F)``.
-
-    Points are sampled at displacements ``0.05 * 2**-j``, ``j = 0..10``,
-    along ``direction`` from the line (so |f| shrinks geometrically,
-    anchored by the local directional derivative of the root function), in
-    one batched evaluation that both fits share.  An approach that leaves
-    the domain is taken along ``-direction`` instead, and
-    :class:`DomainError` is raised if that leaves it too.  log10|R| is
-    fitted against log10|f|.  A curvature that stays bounded along the
-    window is reported as a finite-limit outcome with the f -> 0
-    extrapolation, not as a failure.
+    R^M = N_M / (2 det H^2) and R^F = N_F / (2 M_SS^2 M_XX^2)
+    (:func:`curvature_numerators`).  The matching curvature, R^F on a "cx" line
+    (f = M_SS) and R^M on a "cy" line (f = det H), is N / (2 f^2 factor) with
+    factor M_XX^2 or 1, so it is "divergent" with order -2 and coefficient
+    N / (2 factor) when |N| is above rounding, 1e-12 of the sum of its terms'
+    magnitudes; at rounding (or with M_XX ~ 0 on a "cx" line) it is
+    "undetermined", since the 3-jet cannot tell N = 0 on a neighbourhood from
+    N = 0 at the point.  The other curvature is "finite" with its value at the
+    point, 0.0 with its N at rounding, and "undetermined" where its own
+    denominator vanishes too (the two lines cross).
     """
-    norm = math.hypot(*direction)
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
-    ds, dx = direction[0] / norm, direction[1] / norm
-    try:
-        window, r_m, r_f = _approach(spec, locus_point, which_line, ds, dx)
-    except DomainError:
-        window, r_m, r_f = _approach(spec, locus_point, which_line, -ds, -dx)
-    if len(window) < 6:
-        raise ValueError("approach produced fewer than 6 usable samples")
-    fit_rf = _fit(window, r_f, r_m)    # first, as `davies` reports it first
-    return _fit(window, r_m, r_f), fit_rf
+    _root_function(which_line)      # rejects an unknown line
+    curv = curvature_from_m_jet(jet)
+    (num_m, scale_m), (num_f, scale_f) = curvature_numerators(jet)
 
+    def diverging(num, scale, factor):
+        if abs(num) > 1e-12 * scale:                    # never for nan
+            return Divergence("divergent", order=-2.0, coefficient=num / (2.0 * factor))
+        return Divergence("undetermined")
 
-def fit_divergence_exponent(spec: PotentialSpec, locus_point: StatePoint,
-                            which_r: str, **kwargs) -> ExponentFit:
-    """The fit of one curvature scalar, ``which_r`` "rm" (R^M) or "rf"
-    (R^F), from :func:`fit_divergence_exponents` with the same keywords."""
-    if which_r not in ("rm", "rf"):
-        raise ValueError(f"which_r must be 'rm' or 'rf', got {which_r!r}")
-    return fit_divergence_exponents(spec, locus_point, **kwargs)[which_r == "rf"]
+    def finite(num, scale, token, value):
+        if token in curv.flags or math.isnan(num):
+            return Divergence("undetermined")
+        return Divergence("finite", value=0.0 if abs(num) <= 1e-12 * scale else value)
+
+    if which_line == "cy":
+        return diverging(num_m, scale_m, 1.0), finite(num_f, scale_f, "div:RF", curv.r_f)
+    rf = (diverging(num_f, scale_f, jet.xx * jet.xx)
+          if abs(jet.xx) >= DEFAULT_SINGULARITY_EPS * hessian_scale(jet)
+          else Divergence("undetermined"))
+    return finite(num_m, scale_m, "div:RM", curv.r_m), rf
 
 
 def conjugacy_scan(

@@ -30,7 +30,7 @@ DEFAULT_SINGULARITY_EPS = 1e-10
 __all__ = [
     "StatePoint", "MetricTensor2", "CurvatureResult", "LegendrePoint",
     "metric_m", "metric_f_sx", "curvature_from_m_jet", "curvature_from_f_jet",
-    "legendre_at", "singularity_eps", "hessian_scale",
+    "curvature_numerators", "legendre_at", "singularity_eps", "hessian_scale",
     "NoBracketError", "ToleranceNotMetError", "LegendreSingularError",
 ]
 
@@ -154,16 +154,35 @@ def _curvatures(jet: Jet3, eps: float):
     scalar's denominator is near zero.
     """
     scale = hessian_scale(jet)
-    ss, sx, xx, sss, ssx, sxx, xxx = jet.ss, jet.sx, jet.xx, jet.sss, jet.ssx, jet.sxx, jet.xxx
-    num_h = (ss * (sxx * sxx - ssx * xxx)
-             + xx * (ssx * ssx - sxx * sss)
-             + sx * (sss * xxx - ssx * sxx))
+    ss, sx, xx = jet.ss, jet.sx, jet.xx
+    num_h, num_d = _numerators(jet)
     det_h = ss * xx - sx * sx
-    num_d = (-ss * sxx * sxx + xx * ssx * ssx
-             + ss * ssx * xxx - xx * sxx * sss)
     return (_safe_div(num_h, 2.0 * det_h * det_h), _safe_div(num_d, 2.0 * ss * ss * xx * xx),
             det_h, -ss * xx, abs(det_h) < eps * scale,
             (abs(ss) < eps * scale) | (abs(xx) < eps * scale))
+
+
+def _numerators(jet: Jet3):
+    """``(N_hessian, N_diagonal)`` of :func:`_curvatures`: each curvature there
+    is N / (2 D^2), with D the determinant of its metric's form."""
+    ss, sx, xx, sss, ssx, sxx, xxx = jet.ss, jet.sx, jet.xx, jet.sss, jet.ssx, jet.sxx, jet.xxx
+    return ((ss * (sxx * sxx - ssx * xxx)
+             + xx * (ssx * ssx - sxx * sss)
+             + sx * (sss * xxx - ssx * sxx)),
+            (-ss * sxx * sxx + xx * ssx * ssx
+             + ss * ssx * xxx - xx * sxx * sss))
+
+
+def curvature_numerators(jet: Jet3):
+    """``((N_M, scale_M), (N_F, scale_F))`` in the (S, X) chart, where
+    R^M = N_M / (2 det H^2) and R^F = N_F / (2 M_SS^2 M_XX^2).  A scale is the
+    sum of the magnitudes of the numerator's terms, which bounds its rounding."""
+    ss, sx, xx, sss, ssx, sxx, xxx = jet.ss, jet.sx, jet.xx, jet.sss, jet.ssx, jet.sxx, jet.xxx
+    diagonal = (abs(ss * sxx * sxx) + abs(xx * ssx * ssx)
+                + abs(ss * ssx * xxx) + abs(xx * sxx * sss))
+    hessian = diagonal + abs(sx * sss * xxx) + abs(sx * ssx * sxx)
+    num_m, num_f = _numerators(jet)
+    return (num_m, hessian), (num_f, diagonal)
 
 
 def curvature_from_m_jet(jet: Jet3, eps: float = DEFAULT_SINGULARITY_EPS) -> CurvatureResult:

@@ -7,10 +7,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from approach_oracle import fit_divergence_exponent
 from fdtools import curvature_fd_diagonal, curvature_fd_general
 from thermocurv import (StatePoint, conjugacy_scan, curvature_from_f_jet,
-                        curvature_from_m_jet, eval_jet, find_davies_points,
-                        fit_divergence_exponent, get_entry, legendre_at,
+                        curvature_from_m_jet, divergence_orders, eval_jet,
+                        find_davies_points, get_entry, legendre_at,
                         metric_f_sx, metric_m, responses_at)
 from thermocurv.responses import (cap_difference_residual,
                                   kappa_difference_residual,
@@ -79,6 +80,10 @@ def test_criterion_3_rn_davies_root_and_exponent():
         fit_rm = fit_divergence_exponent(spec, root, "rm")
         assert fit_rm.kind == "finite"
         assert abs(fit_rm.limit - 2.0 * 3.0 ** 1.5 / 4.0) <= 1e-6
+        # what davies prints: read from the jet at the located point
+        rm, rf = divergence_orders(locus.jets[0], "cx")
+        assert rf.kind == "divergent" and rf.order == -2.0
+        assert rm.kind == "finite" and abs(rm.value - 2.0 * 3.0 ** 1.5 / 4.0) <= 1e-12
 
 
 def test_criterion_4_kerr_davies_root():
@@ -91,6 +96,9 @@ def test_criterion_4_kerr_davies_root():
         fit_rf = fit_divergence_exponent(spec, locus.points[0], "rf")
         assert fit_rf.kind == "divergent"
         assert abs(fit_rf.slope + 2.0) <= 0.02
+        rm, rf = divergence_orders(locus.jets[0], "cx")
+        assert rf.kind == "divergent" and rf.order == -2.0
+        assert rm.kind == "finite" and rm.value == 0.0
 
 
 def test_criterion_5_identity_suite():

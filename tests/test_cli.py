@@ -7,6 +7,8 @@ import shlex
 
 import pytest
 
+import approach_oracle
+from thermocurv import DomainError, StatePoint, load_potential_file
 from thermocurv.cli import _build_parser, main
 
 
@@ -187,7 +189,8 @@ def test_davies_rn(capsys):
 
 def test_davies_fit_falls_back_to_the_reversed_approach(tmp_path, capsys):
     # the domain ends at S = 3.02, so the forward approach from the C_X point
-    # S = 3 (first sample S = 3.05) leaves it and the fits approach from below
+    # S = 3 (first sample S = 3.05) leaves it and the sampled fits approach
+    # from below; davies reads the jet at the point and needs neither
     doc = {"name": "rn-cut", "coords": ["S", "Q"],
            "expression": "sqrt(S)/2 * (1 + Q^2/S)", "params": {},
            "domain": {"S": [0, 3.02], "Q": [0, None]}}
@@ -202,6 +205,15 @@ def test_davies_fit_falls_back_to_the_reversed_approach(tmp_path, capsys):
     assert pt["fit_RF"]["slope"] == pytest.approx(-2.0, abs=0.05)
     assert pt["fit_RM"]["kind"] == "finite"
     assert pt["fit_RM"]["value"] == pytest.approx(1.5 * math.sqrt(3.0), abs=1e-8)
+
+    spec, point = load_potential_file(str(path)), StatePoint(pt["S"], pt["X"])
+    with pytest.raises(DomainError):
+        approach_oracle._approach(spec, point, "cx", 1.0, 0.0)
+    fit_rm, fit_rf = approach_oracle.fit_divergence_exponents(spec, point)
+    assert fit_rf.kind == "divergent"
+    assert fit_rf.slope == pytest.approx(-2.0, abs=0.05)
+    assert fit_rm.kind == "finite"
+    assert fit_rm.limit == pytest.approx(1.5 * math.sqrt(3.0), abs=1e-8)
 
 
 def test_davies_quadratic_empty(capsys):

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -7,12 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermocurv import (ConditioningWarning, DomainError, StatePoint, cli,
-                        conjugacy_scan, davies, eval_jet, find_davies_points,
-                        fit_divergence_exponent, get_entry, parse_potential,
+                        conjugacy_scan, davies, divergence_orders, eval_jet,
+                        find_davies_points, get_entry, load_potential_file, parse_potential,
                         responses_at)
 from thermocurv._roots import (NoBracketError, expand_bracket, refine_bracket,
                                solve_lanes)
@@ -20,6 +21,7 @@ from thermocurv.cli import main
 from thermocurv.jets import Jet3, batch
 from thermocurv.potentials import eval_jets
 
+from approach_oracle import fit_divergence_exponent, fit_divergence_exponents
 from lanes_oracle import solve_lanes_bracket_first, solve_lanes_side_by_side
 from test_codegen import EXPRESSIONS, PARAMS
 
@@ -73,6 +75,14 @@ def test_cy_toy_constant_y_line(cy_toy):
     assert locus.points[0].s == pytest.approx(1.25, abs=1e-10)
 
 
+def assert_coefficient_matches(fit, order):
+    # R f^2 on the innermost sample of the sampled approach is the jet's coefficient,
+    # up to the numerator's own variation over the window
+    assert order.kind == "divergent" and order.order == -2.0
+    inner = fit.values[-1] * fit.window[-1] ** 2
+    assert abs(inner - order.coefficient) <= 1e-3 * abs(order.coefficient)
+
+
 def test_rn_divergence_exponents(rn):
     root = StatePoint(3.0, 1.0)
     fit_rf = fit_divergence_exponent(rn.spec, root, "rf")
@@ -87,6 +97,11 @@ def test_rn_divergence_exponents(rn):
     # closed form 2 S^{3/2} / (S - Q^2)^2 at the root
     assert fit_rm.limit == pytest.approx(2.0 * 3.0 ** 1.5 / 4.0, abs=1e-6)
 
+    rm, rf = divergence_orders(eval_jet(rn.spec, root), "cx")
+    assert_coefficient_matches(fit_rf, rf)
+    assert rm.kind == "finite"
+    assert rm.value == pytest.approx(2.0 * 3.0 ** 1.5 / 4.0, rel=1e-14)
+
 
 def test_kerr_divergence_exponents(kerr):
     s_star = math.sqrt(12.0 + 8.0 * math.sqrt(3.0))
@@ -99,6 +114,10 @@ def test_kerr_divergence_exponents(kerr):
     assert fit_rm.kind == "finite"
     assert abs(fit_rm.limit) <= 1e-9
 
+    rm, rf = divergence_orders(eval_jet(kerr.spec, root), "cx")
+    assert_coefficient_matches(fit_rf, rf)
+    assert rm == ("finite", None, None, 0.0)     # N_M at rounding: the closed form
+
 
 def test_complementary_divergence(rn, kerr, cy_toy):
     """Where the constant-X capacity diverges, only the free-energy curvature
@@ -109,6 +128,8 @@ def test_complementary_divergence(rn, kerr, cy_toy):
         rm = fit_divergence_exponent(spec, root, "rm")
         assert rf.kind == "divergent" and rf.slope <= -1.0 and rf.r_squared > 0.99
         assert rm.kind == "finite"
+        orders = divergence_orders(eval_jet(spec, root), "cx")
+        assert [o.kind for o in orders] == ["finite", "divergent"]
     # reversed statement, exercised on the synthetic constant-Y line
     root = StatePoint(1.25, 1.5)
     rm = fit_divergence_exponent(cy_toy, root, "rm", which_line="cy")
@@ -117,6 +138,10 @@ def test_complementary_divergence(rn, kerr, cy_toy):
     assert rf.kind == "finite"
     # R^F limit from the closed form -1/(2 (1 + S)^2) of this potential
     assert rf.limit == pytest.approx(-1.0 / (2.0 * 2.25 ** 2), rel=1e-6)
+    jet_rm, jet_rf = divergence_orders(eval_jet(cy_toy, root), "cy")
+    assert_coefficient_matches(rm, jet_rm)
+    assert jet_rf.kind == "finite"
+    assert jet_rf.value == pytest.approx(-1.0 / (2.0 * 2.25 ** 2), rel=1e-14)
 
 
 def test_kappa_t_vanishes_on_approach(rn):
@@ -191,6 +216,8 @@ def test_fixed_y_refinement_without_an_x_root_drops_the_turning_point(cy_toy, mo
 
 def test_fit_rejects_bad_arguments(rn):
     with pytest.raises(ValueError):
+        divergence_orders(eval_jet(rn.spec, (3.0, 1.0)), "cz")
+    with pytest.raises(ValueError):
         fit_divergence_exponent(rn.spec, StatePoint(3.0, 1.0), "bogus")
     with pytest.raises(ValueError):
         fit_divergence_exponent(rn.spec, StatePoint(3.0, 1.0), "rf",
@@ -213,6 +240,12 @@ def test_sweep_over_second_coordinate(rn):
                                   direction=(0.0, 1.0))
     assert fit.kind == "divergent"
     assert fit.slope == pytest.approx(-2.0, abs=0.02)
+    # the jet rule takes no direction: a Q sweep reads what an S sweep reads
+    (rm, rf), (want_rm, want_rf) = (divergence_orders(jet, "cx") for jet in (
+        locus.jets[0], eval_jet(rn.spec, (3.0, 1.0))))
+    assert rf.kind == "divergent" and rf.order == -2.0
+    assert rf.coefficient == pytest.approx(want_rf.coefficient, rel=1e-6)
+    assert rm.kind == "finite" and rm.value == pytest.approx(want_rm.value, rel=1e-9)
 
 
 # -- batched pipeline against the scalar API --------------------------------
@@ -378,17 +411,20 @@ def test_sqrt_sweep_from_outside_the_domain(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sweep", ["S=0.1:10", "S=0.1:10:200:log"])
-def test_kerr_flat_curvature_prints_no_noise_fit(sweep, capsys):
+def test_kerr_flat_curvature_prints_no_noise_fit(sweep, kerr, capsys):
     # R^M = 0 on Kerr: a log-log fit of its rounding noise has slopes such as
-    # 17.2 and 35.0 that mean nothing; the finite kind and the limit remain
+    # 17.2 and 35.0 that mean nothing.  Its numerator is at rounding, so the
+    # jet rule prints the closed form 0.0, and the sampled oracle fits nothing
     assert main(["davies", "--catalog", "kerr", "--which", "cx", "--fix", "J=0.3",
                  "--sweep", sweep]) == 0
     (point,) = json.loads(capsys.readouterr().out)["points"]
-    fit = point["fit_RM"]
-    assert fit["kind"] == "finite" and fit["slope"] is None and fit["r2"] is None
-    assert abs(fit["value"]) <= 1e-9
+    assert point["fit_RM"] == {"kind": "finite", "value": 0.0}
     assert point["fit_RF"]["kind"] == "divergent"
     assert point["fit_RF"]["slope"] == pytest.approx(-2.0, abs=0.02)
+    fit_rm, fit_rf = fit_divergence_exponents(kerr.spec, StatePoint(point["S"], point["X"]))
+    assert fit_rm.kind == "finite" and math.isnan(fit_rm.slope) and math.isnan(fit_rm.r_squared)
+    assert abs(fit_rm.limit) <= 1e-9
+    assert fit_rf.kind == "divergent" and fit_rf.slope == pytest.approx(-2.0, abs=0.02)
 
 
 def test_davies_json_reports_brackets_and_rejections(capsys):
@@ -563,8 +599,8 @@ def test_unreachable_lanes_stay_on_the_vectorised_search(monkeypatch):
 
 
 def _rn_cut(tmp_path):
-    # the domain ends at S = 3.02, so the approach from the C_X point S = 3
-    # (first sample S = 3.05) leaves it and falls back to the reversed one
+    # the domain ends at S = 3.02, just past the C_X point S = 3, where the
+    # sampled approach (first sample S = 3.05) had to fall back to the reversed one
     doc = {"name": "rn-cut", "coords": ["S", "Q"],
            "expression": "sqrt(S)/2 * (1 + Q^2/S)", "params": {},
            "domain": {"S": [0, 3.02], "Q": [0, None]}}
@@ -576,13 +612,13 @@ def _rn_cut(tmp_path):
 @pytest.mark.parametrize("potential, points, evaluations", [
     (lambda _: ["--catalog", "quadratic-toy", "--fix", "X=1", "--sweep", "S=0.5:10"], 0, 1),
     (lambda _: ["--catalog", "reissner-nordstrom", "--fix", "Q=1", "--sweep", "S=0.5:10"],
-     1, 2),
-    (_rn_cut, 1, 3),
+     1, 1),
+    (_rn_cut, 1, 1),
 ])
 def test_davies_cx_sweep_is_evaluated_once(potential, points, evaluations, tmp_path,
                                            monkeypatch, capsys):
-    # one array evaluation serves the locus and the turning-point series;
-    # each locus point adds its approach, twice where it falls back
+    # one array evaluation serves the locus and the turning-point series; a
+    # locus point adds none, since its curvatures are read from its jet
     calls = []
 
     def counting(*args):
@@ -597,7 +633,7 @@ def test_davies_cx_sweep_is_evaluated_once(potential, points, evaluations, tmp_p
 
 def test_davies_cy_sweep_is_evaluated_once(tmp_path, monkeypatch, capsys):
     # the first lane evaluation of the fixed-Y series is the locus sweep at
-    # the same X: 3 array evaluations, where evaluating it again made 4
+    # the same X: 2 array evaluations, where evaluating it again made 3
     path = tmp_path / "cy.json"
     path.write_text(json.dumps({"name": "cy-toy", "coords": ["S", "X"],
                                 "expression": "S^2/2 + X^2/2 + S*X^2/2"}), encoding="utf-8")
@@ -611,7 +647,7 @@ def test_davies_cy_sweep_is_evaluated_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(davies, "eval_jets", counting)
     assert main(argv) == 0
     reused, reused_calls = capsys.readouterr().out, len(calls)
-    assert reused_calls == 3 and len(json.loads(reused)["points"]) == 1
+    assert reused_calls == 2 and len(json.loads(reused)["points"]) == 1
 
     def without_sweep(*args, sweep_jet=None, **kwargs):
         return conjugacy_scan(*args, **kwargs)
@@ -782,3 +818,81 @@ def test_sweep_finer_than_the_float_spacing_keeps_the_contract(capsys):
     assert main(["davies", "--catalog", "reissner-nordstrom", "--fix", "Q=1",
                  "--sweep", "S=1:1.0000000000000004:50"]) == 0
     assert json.loads(capsys.readouterr().out)["turning_points"] == []
+
+
+# The sampled fit's window, 0.05 * 2^-j (j = 0..10), is not local where a
+# curvature changes on a shorter scale (large third derivatives, or the other
+# line nearby); the same fit on a window 2^-14 as wide settles those points.
+FINE_START = 0.05 * 2.0 ** -14
+
+
+def reads_the_same(order, fit):
+    """Whether a sampled fit reads what the jet rule reads: a divergence of
+    slope -2 +- 0.25 (the numerator varies over the window), or a finite
+    limit within 1e-2 of the value at the point."""
+    if order.kind == "divergent":
+        return fit.kind == "divergent" and abs(fit.slope + 2.0) <= 0.25
+    return (fit.kind == "finite"
+            and abs(fit.limit - order.value) <= 1e-2 * max(1.0, abs(order.value)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(DRAWN_POTENTIALS, PARAMS, st.booleans(), st.sampled_from([0.5, -0.5, 0.25, 1.5, -2.0]),
+       SWEEPS)
+# the C_X and C_Y lines cross S at 2.2633 and 2.2650: over the wide window
+# each approach runs into the other line, where its finite curvature diverges
+@example("(S^2 - 1)^2/4 + (1 + S^2)*X^2/2 + ln((S - 2))", -1.5, True, 0.25, (0.3, 5.0))
+def test_jet_classification_agrees_with_the_sampled_fit(src, k, sweep_s, fixed, bounds):
+    # at every located point with T > 0, on either line, the jet rule reads
+    # each curvature as the sampled oracle does, unless the jet cannot tell
+    fix, direction = ("X", (1.0, 0.0)) if sweep_s else ("S", (0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            spec = parse_potential(src, params={"k": k})
+            loci = [find_davies_points(spec, which, fixed=fix, fixed_value=fixed,
+                                       sweep=bounds, count=50) for which in ("cx", "cy")]
+        except ValueError:          # a constant part fails at every point
+            return
+        for which, pt, jet in ((locus.which, pt, jet) for locus in loci
+                               for pt, jet in zip(locus.points, locus.jets)):
+            assert jet.s > 0.0
+            fit = functools.partial(fit_divergence_exponents, spec, pt, which_line=which,
+                                    direction=direction)
+            try:
+                coarse = fit()
+            except (DomainError, ValueError):    # the approach leaves the domain
+                continue
+            for index, order in enumerate(divergence_orders(jet, which)):
+                if order.kind == "undetermined" or reads_the_same(order, coarse[index]):
+                    continue
+                fine = fit(start=FINE_START)[index]
+                assert reads_the_same(order, fine), (src, k, which, pt, order, fine)
+
+
+def test_vanishing_numerator_is_undetermined(tmp_path, capsys):
+    # M_SSX = M_SXX = 0 on the whole plane, so N_F = 0 and R^F = 0 off the C_X
+    # line S = sqrt(2); the 3-jet at the point cannot tell that from N_F = 0
+    # at the point alone.  R^M's numerator vanishes too: its value is 0.0
+    path = tmp_path / "flat-rf.json"
+    path.write_text(json.dumps({"name": "flat-rf", "coords": ["S", "X"],
+                                "expression": "S^4/12 - S^2 + S*X + X^2"}), encoding="utf-8")
+    assert main(["davies", "--potential-file", str(path), "--fix", "X=3",
+                 "--sweep", "S=0.5:3"]) == 0
+    (point,) = json.loads(capsys.readouterr().out)["points"]
+    assert point["S"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert point["fit_RF"] == {"kind": "undetermined"}
+    assert point["fit_RM"] == {"kind": "finite", "value": 0.0}
+    sp = pytest.importorskip("sympy")
+    s_sym, x_sym = sp.symbols("S X")
+    m = s_sym ** 4 / 12 - s_sym ** 2 + s_sym * x_sym + x_sym ** 2
+    d = {key: sp.diff(m, *[{"s": s_sym, "x": x_sym}[c] for c in key])
+         for key in ("ss", "xx", "sss", "ssx", "sxx", "xxx")}
+    assert sp.simplify(-d["ss"] * d["sxx"] ** 2 + d["xx"] * d["ssx"] ** 2
+                       + d["ss"] * d["ssx"] * d["xxx"] - d["xx"] * d["sxx"] * d["sss"]) == 0
+    # the sampled fits read both as finite with limit 0
+    fit_rm, fit_rf = fit_divergence_exponents(load_potential_file(str(path)),
+                                              StatePoint(point["S"], point["X"]))
+    assert fit_rm.kind == fit_rf.kind == "finite"
+    assert fit_rm.limit == fit_rf.limit == 0.0

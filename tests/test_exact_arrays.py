@@ -194,6 +194,31 @@ def test_check_reference_outside_its_domain_exits_2(option, expr, message, capsy
     assert captured.err.startswith(message), captured.err
 
 
+@pytest.mark.parametrize("expr", ["exp(S*300)", "S^400.5"])
+def test_check_reference_that_overflows_exits_2(expr, capsys):
+    # math.exp/math.pow raise OverflowError at the first point; exit 1 would
+    # read as a failed check
+    code = main(["check", "--catalog", "reissner-nordstrom", "--grid", "S=0.5:10:5:log",
+                 "--grid", "Q=0.05:1.5:5", "--ref-rm", expr])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: math range error\n"
+
+
+@pytest.mark.parametrize("refs, failing", [
+    (["--ref-rm", "(S*1e300*1e300) - (S*1e300*1e300)", "--ref-rf", "(S*1e300*1e300)"],
+     ["golden:RF", "golden:RM"]),                   # nan and inf at every point
+    (["--ref-rm", "(S*1e200)*(S*1e200)"], ["golden:RM"]),
+])
+def test_check_fails_a_residual_it_could_not_compute(refs, failing, capsys):
+    code = main(["check", "--catalog", "reissner-nordstrom", "--grid", "S=0.5:10:5:log",
+                 "--grid", "Q=0.05:1.5:5", *refs])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and lines[-1] == "CHECK FAILED"
+    assert [ln.split()[1] for ln in lines if ln.split()[0] == "FAIL"] == failing
+    assert all(ln.endswith("max residual nan") for ln in lines if ln.split()[0] == "FAIL")
+
+
 def test_check_with_an_exact_reference_expression_passes(capsys):
     assert main(["check", "--catalog", "reissner-nordstrom",
                  "--ref-rm", "2*S^1.5/(S - Q^2)^2", "--ref-rf", "4*S^1.5/(S - 3*Q^2)^2"]) == 0
