@@ -217,9 +217,10 @@ def solve_near(jet_at, coord: str, target: float, guess: float, lo: float,
     secant: inside the last sign change the steps crossed, else inside the
     one :func:`expand_bracket` finds.  Every point is evaluated once.
     Returns ``(root, jet at the root, |residual| <= tol_f, jets evaluated)``
-    or raises as :func:`expand_bracket` and :func:`refine_bracket` do.
+    or raises as :func:`expand_bracket` and :func:`refine_bracket` do, and as
+    :class:`ToleranceNotMetError` on a nan residual or a target that is not finite.
     """
-    d2, d3 = coord * 2, coord * 3        # "ss", "sss" or "xx", "xxx"
+    d1, d2, d3 = {"s": (1, 3, 6), "x": (2, 5, 9)}[coord]   # Jet3 slots of P_u, P_uu, P_uuu
     jets = {}
 
     def jet(u: float):
@@ -228,7 +229,7 @@ def solve_near(jet_at, coord: str, target: float, guess: float, lo: float,
         return jets[u]
 
     def residual(u: float) -> float:
-        return getattr(jet(u), coord) - target
+        return jet(u)[d1] - target
 
     root, f = guess, residual(guess)
     bracket = None               # the last sign change between two iterates
@@ -236,18 +237,20 @@ def solve_near(jet_at, coord: str, target: float, guess: float, lo: float,
         if abs(f) <= tol_f:
             break
         m = jets[root]
-        p2, p3 = getattr(m, d2), getattr(m, d3)
+        p2, p3 = m[d2], m[d3]
         step = _safe_div(2.0 * f * p2, 2.0 * p2 * p2 - f * p3)
         new = root - math.copysign(min(abs(step), 0.5 * max(1.0, abs(root))), step)
         if not lo < new < hi:
             break
-        if ((f_new := residual(new)) > 0.0) != (f > 0.0):
+        if ((f_new := jet(new)[d1] - target) > 0.0) != (f > 0.0):
             bracket = (root, new, f, f_new)
         if abs(f_new) > 0.9 * abs(f):
             break
         root, f = new, f_new
     if abs(f) > tol_f:
         a, b, fa, fb = bracket or expand_bracket(
-            residual, guess, lo, hi, slope=lambda u: getattr(jet(u), d2))
+            residual, guess, lo, hi, slope=lambda u: jet(u)[d2])
         root, f = refine_bracket(residual, a, b, fa, fb, tol_f=tol_f)[:2]
+    elif not math.isfinite(f):   # a nan residual, or an infinite target
+        raise ToleranceNotMetError(f"residual {f!r} at {root!r} is not finite")
     return root, jets[root], abs(f), len(jets)

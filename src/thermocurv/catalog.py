@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import PotentialSpec, parse_potential, potential_to_json
+from .potentials import _GENERATED, PotentialSpec, parse_potential, potential_to_json
 
 __all__ = ["CatalogEntry", "GridAxis", "get_entry", "entry_names",
            "UnknownPotentialError"]
@@ -147,6 +147,7 @@ _BUILDERS = {
     "kerr": _kerr,
     "quadratic-toy": _quadratic,
 }
+_ENTRIES: dict[str, CatalogEntry] = {}      # built so far
 
 
 def entry_names() -> tuple[str, ...]:
@@ -154,10 +155,11 @@ def entry_names() -> tuple[str, ...]:
 
 
 def get_entry(name: str) -> CatalogEntry:
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise UnknownPotentialError(
-            f"unknown potential {name!r}; known: {', '.join(entry_names())}"
-        ) from None
-    return builder()
+    """The entry, built once per process and again once the code cache drops its code."""
+    entry = _ENTRIES.get(name)
+    if entry is None or entry.spec.evaluate not in _GENERATED.values():
+        if name not in _BUILDERS:
+            raise UnknownPotentialError(
+                f"unknown potential {name!r}; known: {', '.join(entry_names())}")
+        entry = _ENTRIES[name] = _BUILDERS[name]()
+    return entry

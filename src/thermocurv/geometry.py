@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -71,8 +70,7 @@ class MetricTensor2(NamedTuple):
         return self.g11 * self.g22 - self.g12 * self.g12
 
 
-@dataclass(frozen=True)
-class CurvatureResult:
+class CurvatureResult(NamedTuple):
     """Both curvature scalars plus the metric determinants in one chart.
 
     Near-singular denominators set a ``div:RM`` / ``div:RF`` flag; the value
@@ -89,8 +87,7 @@ class CurvatureResult:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class LegendrePoint:
+class LegendrePoint(NamedTuple):
     """Free-energy data at fixed (T, X): solved entropy, F value, F jet.
 
     The jet's first slot differentiates along T, the second along X, so
@@ -121,6 +118,8 @@ def hessian_scale(jet: Jet3) -> float:
 
 def _larger(a, b):
     """max(a, b) for floats or arrays; a nan ``b`` gives ``a``."""
+    if a.__class__ is float and b.__class__ is float:
+        return b if b > a else a
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.fmax(a, b)
     return max(a, b)
@@ -165,7 +164,7 @@ def _curvatures(jet: Jet3, eps: float):
 def _numerators(jet: Jet3):
     """``(N_hessian, N_diagonal)`` of :func:`_curvatures`: each curvature there
     is N / (2 D^2), with D the determinant of its metric's form."""
-    ss, sx, xx, sss, ssx, sxx, xxx = jet.ss, jet.sx, jet.xx, jet.sss, jet.ssx, jet.sxx, jet.xxx
+    _, _, _, ss, sx, xx, sss, ssx, sxx, xxx = jet
     return ((ss * (sxx * sxx - ssx * xxx)
              + xx * (ssx * ssx - sxx * sss)
              + sx * (sss * xxx - ssx * sxx)),
@@ -192,8 +191,8 @@ def curvature_from_m_jet(jet: Jet3, eps: float = DEFAULT_SINGULARITY_EPS) -> Cur
     chart; determinants are reported in the same chart.
     """
     r_m, r_f, det_gm, det_gf, div_m, div_f = _curvatures(jet, eps)
-    return CurvatureResult(r_m=r_m, r_f=r_f, det_gm=det_gm, det_gf=det_gf, chart="SX",
-                           flags=_flag_tokens(("div:RM", div_m), ("div:RF", div_f)))
+    return CurvatureResult(r_m, r_f, det_gm, det_gf, "SX",
+                           _flag_tokens(("div:RM", div_m), ("div:RF", div_f)))
 
 
 def curvature_from_f_jet(lp: LegendrePoint,
@@ -206,8 +205,8 @@ def curvature_from_f_jet(lp: LegendrePoint,
     determinants are the (T, X)-chart ones.
     """
     r_f, r_m, det_gf, det_gm, div_f, div_m = _curvatures(lp.f_jet, eps)
-    return CurvatureResult(r_m=r_m, r_f=r_f, det_gm=det_gm, det_gf=det_gf, chart="TX",
-                           flags=_flag_tokens(("div:RF", div_f), ("div:RM", div_m)))
+    return CurvatureResult(r_m, r_f, det_gm, det_gf, "TX",
+                           _flag_tokens(("div:RF", div_f), ("div:RM", div_m)))
 
 
 # -- Legendre transform --------------------------------------------------------
@@ -232,8 +231,11 @@ def legendre_at(
     T(s(T,X), X) = T order by order, which keeps the whole pipeline free of
     numerical differencing.
     """
-    s_root, m, residual, evals = solve_near(
-        lambda s: eval_jet(spec, (s, x)), "s", t, s_guess, *spec.domain[0],
+    (s_lo, s_hi), (x_lo, x_hi) = spec.domain
+    inside = x_lo < x < x_hi
+    s_root, m, residual, evals = solve_near(    # eval_jet, with its check of x made once
+        lambda s: (spec.evaluate(float(s), float(x)) if inside and s_lo < s < s_hi
+                   else eval_jet(spec, (s, x))), "s", t, s_guess, s_lo, s_hi,
         tol_f=1e-12 * max(1.0, abs(t)))
     if abs(m.ss) < eps * hessian_scale(m):
         raise LegendreSingularError(
@@ -241,8 +243,7 @@ def legendre_at(
             "singular (constant-X heat capacity diverges here)")
 
     f_jet = _f_jet_from_m_jet(m, s_root, t)
-    return LegendrePoint(t=t, x=x, s_of_tx=s_root, f_value=m.v - t * s_root,
-                         f_jet=f_jet, residual=residual, iterations=evals)
+    return LegendrePoint(t, x, s_root, f_jet.v, f_jet, residual, evals)
 
 
 def _f_jet_from_m_jet(m: Jet3, s_root: float, t: float) -> Jet3:
@@ -252,23 +253,22 @@ def _f_jet_from_m_jet(m: Jet3, s_root: float, t: float) -> Jet3:
     each order is linear in the one new unknown, so the relations solve in
     sequence.
     """
-    mss, msx, mxx = m.ss, m.sx, m.xx
-    msss, mssx, msxx, mxxx = m.sss, m.ssx, m.sxx, m.xxx
+    mv, _, mx, mss, msx, mxx, msss, mssx, msxx, mxxx = m
     s_t = 1.0 / mss
     s_x = -msx / mss
     s_tt = -msss * s_t * s_t / mss
     s_tx = -s_t * (msss * s_x + mssx) / mss
     s_xx = -(msss * s_x * s_x + 2.0 * mssx * s_x + msxx) / mss
     return Jet3(
-        v=m.v - t * s_root,
-        s=-s_root,                      # F_T = -S
-        x=m.x,                          # F_X = Y
-        ss=-s_t,                        # F_TT
-        sx=-s_x,                        # F_TX = M_SX / M_SS
-        xx=mxx + msx * s_x,             # F_XX = M_XX - M_SX^2 / M_SS
-        sss=-s_tt,
-        ssx=-s_tx,
-        sxx=-s_xx,
-        xxx=mssx * s_x * s_x + 2.0 * msxx * s_x + msx * s_xx + mxxx,
+        mv - t * s_root,
+        -s_root,                        # F_T = -S
+        mx,                             # F_X = Y
+        -s_t,                           # F_TT
+        -s_x,                           # F_TX = M_SX / M_SS
+        mxx + msx * s_x,                # F_XX = M_XX - M_SX^2 / M_SS
+        -s_tt,                          # F_TTT
+        -s_tx,                          # F_TTX
+        -s_xx,                          # F_TXX
+        mssx * s_x * s_x + 2.0 * msxx * s_x + msx * s_xx + mxxx,   # F_XXX
     )
 

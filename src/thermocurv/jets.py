@@ -193,6 +193,8 @@ def _ipow(value, n: int):
 def _safe_div(num, den):
     """num / den for floats or arrays; 0/0 is nan and x/0 is inf with the
     sign of x, whatever the sign of the zero."""
+    if num.__class__ is float and den.__class__ is float and den != 0.0:
+        return num / den
     if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(den == 0.0,
@@ -376,6 +378,8 @@ def _divisor(v):
 @_runtime(4)
 def _recip_outer(v):
     """1/u and its derivatives -1/u^2, 2/u^3, -6/u^4 at ``v``."""
+    if v.__class__ is float and abs(v) >= CONDITIONING_FLOOR:    # nothing to check
+        return (inv := 1.0 / v), -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4
     v = _divisor(v)
     small = abs(v) < CONDITIONING_FLOOR
     if isinstance(small, np.ndarray) or (small and _BATCH.get() is not None):
@@ -394,8 +398,9 @@ def _reciprocal(u: Jet3) -> Jet3:
 
 @_runtime(4)
 def _sqrt_outer(v):
-    v = _checked(v, v <= 0.0, "sqrt")
-    if isinstance(v, np.ndarray):
+    if v.__class__ is float and v > 0.0:                    # nothing to check
+        r = math.sqrt(v)
+    elif isinstance(v := _checked(v, v <= 0.0, "sqrt"), np.ndarray):
         r = np.sqrt(v)
         # fail the points where the float path divides by zero below
         _failures().record(OVERFLOW, r * v * v == 0.0)

@@ -3,6 +3,7 @@ import pytest
 
 from thermocurv import (curvature_from_m_jet, eval_jet, eval_scalar, get_entry,
                         entry_names, potential_from_json)
+from thermocurv import catalog
 from thermocurv.catalog import UnknownPotentialError
 
 
@@ -10,6 +11,14 @@ def test_known_names():
     assert entry_names() == ("kerr", "quadratic-toy", "reissner-nordstrom")
     with pytest.raises(UnknownPotentialError):
         get_entry("schwarzschild")
+
+
+@pytest.mark.parametrize("name", ["reissner-nordstrom", "kerr", "quadratic-toy"])
+def test_an_entry_is_built_once(monkeypatch, name):
+    first = get_entry(name)
+    parsed = []
+    monkeypatch.setattr(catalog, "parse_potential", lambda *a, **k: parsed.append(a))
+    assert get_entry(name) is first and parsed == []
 
 
 def test_reference_spot_values(rn, kerr, quad):

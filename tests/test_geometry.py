@@ -11,7 +11,9 @@ from thermocurv import (LegendreSingularError, StatePoint, curvature_from_f_jet,
                         curvature_from_m_jet, eval_jet, get_entry, legendre_at,
                         metric_f_sx, metric_m, parse_potential, responses_at)
 from thermocurv.jets import Jet3
-from thermocurv.geometry import MetricTensor2, NoBracketError, hessian_scale
+from thermocurv import _roots
+from thermocurv.geometry import (MetricTensor2, NoBracketError, ToleranceNotMetError,
+                                 hessian_scale)
 from conftest import sample_kerr, sample_quad, sample_rn
 
 
@@ -165,6 +167,28 @@ def test_legendre_no_bracket(rn):
     # at Q = 1 the temperature maxes out near 0.096; t = 10 has no root
     with pytest.raises(NoBracketError):
         legendre_at(rn.spec, 10.0, 1.0, s_guess=2.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_legendre_never_converges_on_a_target_that_is_not_finite(rn, monkeypatch, t):
+    # abs(nan) <= tol is false and an infinite target makes the tolerance
+    # infinite: the solve must say so, without a bracket search
+    monkeypatch.setattr(_roots, "expand_bracket", None)
+    with pytest.raises(ToleranceNotMetError, match="not finite"):
+        legendre_at(rn.spec, t, 0.5, s_guess=2.0)
+
+
+def test_solve_near_never_converges_on_a_nan_residual(monkeypatch):
+    monkeypatch.setattr(_roots, "expand_bracket", None)
+    jets = []
+
+    def jet_at(u):
+        jets.append(u)
+        return Jet3(0.0, math.nan, 0.0, 1.0, 0.0, 1.0)
+
+    with pytest.raises(ToleranceNotMetError, match="residual nan at 2.0"):
+        _roots.solve_near(jet_at, "s", 0.5, 2.0, 0.0, math.inf, tol_f=1e-12)
+    assert jets == [2.0]
 
 
 def test_legendre_refines_the_sign_change_its_steps_crossed():

@@ -1,4 +1,5 @@
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from fdtools import fd_partials
 from thermocurv import jet_const, jet_var
-from thermocurv.jets import (ConditioningWarning, DomainError, Jet3, exp, ln,
+from thermocurv.jets import (CONDITIONING_FLOOR, DIVISION_FLOOR, ConditioningWarning,
+                             DomainError, Jet3, _recip_outer, _sqrt_outer, exp, ln,
                              power, sqrt)
 
 
@@ -187,3 +189,49 @@ def test_jet_is_an_immutable_named_tuple():
     # numpy scalars defer to the jet arithmetic instead of broadcasting
     scaled = np.float64(2.0) * jet
     assert isinstance(scaled, Jet3) and scaled.coeffs() == (4.0, 2.0) + (0.0,) * 8
+
+
+# The outer derivatives of 1/u and sqrt(u) at the edges of their checks: each
+# four results in hex, or the exception and its ``func``, then the number of
+# ConditioningWarnings.  Values at or above the conditioning floor (and any
+# positive one for sqrt) skip the checks; every other value is checked.
+_BELOW_FLOOR = math.nextafter(CONDITIONING_FLOOR, 0.0)
+
+
+@pytest.mark.parametrize("fn, v, want, warned", [
+    (_recip_outer, CONDITIONING_FLOOR, ("0x1.d1a94a2000000p+39", "-0x1.a784379d99db4p+79",
+                                        "0x1.812f9cf7920e3p+120", "-0x1.06be538795656p+162"), 0),
+    (_recip_outer, -CONDITIONING_FLOOR, ("-0x1.d1a94a2000000p+39", "-0x1.a784379d99db4p+79",
+                                         "-0x1.812f9cf7920e3p+120", "-0x1.06be538795656p+162"), 0),
+    (_recip_outer, _BELOW_FLOOR, ("0x1.d1a94a2000002p+39", "-0x1.a784379d99db8p+79",
+                                  "0x1.812f9cf7920e8p+120", "-0x1.06be53879565bp+162"), 1),
+    (_recip_outer, DIVISION_FLOOR, (OverflowError, None), 1),
+    (_recip_outer, 5e-324, (DomainError, "div"), 0),
+    (_recip_outer, 0.0, (DomainError, "div"), 0),
+    (_recip_outer, -0.0, (DomainError, "div"), 0),
+    (_recip_outer, math.inf, ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0"), 0),
+    (_recip_outer, -math.inf, ("-0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0"), 0),
+    (_recip_outer, math.nan, ("nan",) * 4, 0),
+    (_sqrt_outer, CONDITIONING_FLOOR, ("0x1.0c6f7a0b5ed8dp-20", "0x1.e848000000000p+18",
+                                       "-0x1.bc16d674ec801p+57", "0x1.2eec2eb3869b0p+98"), 0),
+    (_sqrt_outer, -CONDITIONING_FLOOR, (DomainError, "sqrt"), 0),
+    (_sqrt_outer, _BELOW_FLOOR, ("0x1.0c6f7a0b5ed8dp-20", "0x1.e848000000000p+18",
+                                 "-0x1.bc16d674ec802p+57", "0x1.2eec2eb3869b3p+98"), 0),
+    (_sqrt_outer, DIVISION_FLOOR, (ZeroDivisionError, None), 0),
+    (_sqrt_outer, 5e-324, (ZeroDivisionError, None), 0),
+    (_sqrt_outer, 0.0, (DomainError, "sqrt"), 0),
+    (_sqrt_outer, -0.0, (DomainError, "sqrt"), 0),
+    (_sqrt_outer, math.inf, ("inf", "0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"), 0),
+    (_sqrt_outer, -math.inf, (DomainError, "sqrt"), 0),
+    (_sqrt_outer, math.nan, ("nan",) * 4, 0),
+])
+def test_outer_helpers_at_the_edges_of_their_checks(fn, v, want, warned):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if isinstance(want[0], str):
+            assert tuple(x.hex() for x in fn(v)) == want
+        else:
+            with pytest.raises(want[0]) as info:
+                fn(v)
+            assert getattr(info.value, "func", None) == want[1]
+    assert sum(issubclass(w.category, ConditioningWarning) for w in caught) == warned
