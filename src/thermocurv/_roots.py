@@ -242,7 +242,7 @@ def solve_near(jet_at, coord: str, target: float, guess: float, lo: float,
         new = root - math.copysign(min(abs(step), 0.5 * max(1.0, abs(root))), step)
         if not lo < new < hi:
             break
-        if ((f_new := jet(new)[d1] - target) > 0.0) != (f > 0.0):
+        if ((f_new := residual(new)) > 0.0) != (f > 0.0):
             bracket = (root, new, f, f_new)
         if abs(f_new) > 0.9 * abs(f):
             break

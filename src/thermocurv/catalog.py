@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potentials import _GENERATED, PotentialSpec, parse_potential, potential_to_json
+from .potentials import PotentialSpec, is_cached, parse_potential, potential_to_json
 
 __all__ = ["CatalogEntry", "GridAxis", "get_entry", "entry_names",
            "UnknownPotentialError"]
@@ -147,7 +147,7 @@ _BUILDERS = {
     "kerr": _kerr,
     "quadratic-toy": _quadratic,
 }
-_ENTRIES: dict[str, CatalogEntry] = {}      # built so far
+_ENTRIES: dict[str, CatalogEntry] = {}   # built once, and again once the code cache drops its code
 
 
 def entry_names() -> tuple[str, ...]:
@@ -155,9 +155,8 @@ def entry_names() -> tuple[str, ...]:
 
 
 def get_entry(name: str) -> CatalogEntry:
-    """The entry, built once per process and again once the code cache drops its code."""
     entry = _ENTRIES.get(name)
-    if entry is None or entry.spec.evaluate not in _GENERATED.values():
+    if entry is None or not is_cached(entry.spec):
         if name not in _BUILDERS:
             raise UnknownPotentialError(
                 f"unknown potential {name!r}; known: {', '.join(entry_names())}")

@@ -118,11 +118,9 @@ def hessian_scale(jet: Jet3) -> float:
 
 def _larger(a, b):
     """max(a, b) for floats or arrays; a nan ``b`` gives ``a``."""
-    if a.__class__ is float and b.__class__ is float:
-        return b if b > a else a
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.fmax(a, b)
-    return max(a, b)
+    return b if b > a else a             # max(a, b), without the call
 
 
 def _flag_tokens(*pairs):
@@ -231,11 +229,8 @@ def legendre_at(
     T(s(T,X), X) = T order by order, which keeps the whole pipeline free of
     numerical differencing.
     """
-    (s_lo, s_hi), (x_lo, x_hi) = spec.domain
-    inside = x_lo < x < x_hi
-    s_root, m, residual, evals = solve_near(    # eval_jet, with its check of x made once
-        lambda s: (spec.evaluate(float(s), float(x)) if inside and s_lo < s < s_hi
-                   else eval_jet(spec, (s, x))), "s", t, s_guess, s_lo, s_hi,
+    s_root, m, residual, evals = solve_near(
+        lambda s: eval_jet(spec, (s, x)), "s", t, s_guess, *spec.domain[0],
         tol_f=1e-12 * max(1.0, abs(t)))
     if abs(m.ss) < eps * hessian_scale(m):
         raise LegendreSingularError(

@@ -378,16 +378,15 @@ def _divisor(v):
 @_runtime(4)
 def _recip_outer(v):
     """1/u and its derivatives -1/u^2, 2/u^3, -6/u^4 at ``v``."""
-    if v.__class__ is float and abs(v) >= CONDITIONING_FLOOR:    # nothing to check
-        return (inv := 1.0 / v), -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4
-    v = _divisor(v)
-    small = abs(v) < CONDITIONING_FLOOR
-    if isinstance(small, np.ndarray) or (small and _BATCH.get() is not None):
-        failures = _failures()      # a float marks every point still live
-        failures.ill_conditioned[failures.live] |= small & (failures.code[failures.live] == 0)
-    elif small:
-        warnings.warn(f"division by small value {v!r}; results may be ill-conditioned",
-                      ConditioningWarning, stacklevel=3)
+    if not (v.__class__ is float and abs(v) >= CONDITIONING_FLOOR):   # else nothing to check
+        v = _divisor(v)
+        small = abs(v) < CONDITIONING_FLOOR
+        if isinstance(small, np.ndarray) or (small and _BATCH.get() is not None):
+            failures = _failures()      # a float marks every point still live
+            failures.ill_conditioned[failures.live] |= small & (failures.code[failures.live] == 0)
+        elif small:
+            warnings.warn(f"division by small value {v!r}; results may be ill-conditioned",
+                          ConditioningWarning, stacklevel=3)
     inv = 1.0 / v
     return inv, -inv * inv, 2.0 * _ipow(inv, 3), -6.0 * _ipow(inv, 4)
 
@@ -398,9 +397,9 @@ def _reciprocal(u: Jet3) -> Jet3:
 
 @_runtime(4)
 def _sqrt_outer(v):
-    if v.__class__ is float and v > 0.0:                    # nothing to check
-        r = math.sqrt(v)
-    elif isinstance(v := _checked(v, v <= 0.0, "sqrt"), np.ndarray):
+    if not (v.__class__ is float and v > 0.0):      # else nothing to check
+        v = _checked(v, v <= 0.0, "sqrt")
+    if isinstance(v, np.ndarray):
         r = np.sqrt(v)
         # fail the points where the float path divides by zero below
         _failures().record(OVERFLOW, r * v * v == 0.0)

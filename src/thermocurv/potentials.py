@@ -365,6 +365,12 @@ def _generated(program: tuple, params, jet: bool):
     return fn
 
 
+def is_cached(spec: PotentialSpec) -> bool:
+    """Whether ``spec`` is yet to evaluate or evaluates with the cached jet code, now just used."""
+    fn = spec.__dict__.get("evaluate")
+    return fn is None or _generated(spec.ast, spec.params, True) is fn
+
+
 def _generate(program: tuple, params, jet: bool):
     trace = jets._Trace()
     s, x = jets._Symbol(trace, "s"), jets._Symbol(trace, "x")
@@ -389,10 +395,6 @@ def _check_domain(spec: PotentialSpec, s, x):
     """The coordinates, array points outside the domain recorded as failed.
     A number outside raises; the strict test of the open interval also
     rejects nan and +-inf."""
-    if not (isinstance(s, np.ndarray) or isinstance(x, np.ndarray)):
-        (s_lo, s_hi), (x_lo, x_hi) = spec.domain
-        if s_lo < s < s_hi and x_lo < x < x_hi:
-            return s, x
     out = []
     for value, cname, (lo, hi) in zip((s, x), spec.coords, spec.domain):
         if isinstance(value, np.ndarray):
@@ -424,7 +426,12 @@ def eval_jet(spec: PotentialSpec, point) -> Jet3:
     ``point`` may hold two equal-length arrays, evaluated inside
     :func:`jets.batch`; the jet's coefficients are then arrays or floats.
     """
-    s, x = _check_domain(spec, *point)
+    s, x = point
+    if s.__class__ is float and x.__class__ is float:   # the common case, checked here
+        (s_lo, s_hi), (x_lo, x_hi) = spec.domain
+        if s_lo < s < s_hi and x_lo < x < x_hi:
+            return spec.evaluate(s, x)
+    s, x = _check_domain(spec, s, x)
     return spec.evaluate(s if isinstance(s, np.ndarray) else float(s),
                          x if isinstance(x, np.ndarray) else float(x))
 
@@ -444,7 +451,7 @@ def eval_jets(spec: PotentialSpec, s, x) -> tuple[Jet3, np.ndarray]:
             for k, (a, b) in enumerate(np.broadcast(s, x)):
                 failures.live = k
                 try:
-                    found[k] = spec.evaluate(*_check_domain(spec, float(a), float(b)))
+                    found[k] = eval_jet(spec, (float(a), float(b)))
                 except (DomainError, OverflowError, ZeroDivisionError) as exc:
                     failures.code[k] = jets.DOMAIN if isinstance(exc, DomainError) \
                         else jets.OVERFLOW

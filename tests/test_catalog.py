@@ -3,8 +3,9 @@ import pytest
 
 from thermocurv import (curvature_from_m_jet, eval_jet, eval_scalar, get_entry,
                         entry_names, potential_from_json)
-from thermocurv import catalog
+from thermocurv import catalog, parse_potential
 from thermocurv.catalog import UnknownPotentialError
+from thermocurv.potentials import is_cached
 
 
 def test_known_names():
@@ -19,6 +20,20 @@ def test_an_entry_is_built_once(monkeypatch, name):
     parsed = []
     monkeypatch.setattr(catalog, "parse_potential", lambda *a, **k: parsed.append(a))
     assert get_entry(name) is first and parsed == []
+
+
+def test_an_entry_in_use_keeps_its_code_and_one_whose_code_was_dropped_is_rebuilt():
+    first = get_entry("kerr")
+    code = first.spec.evaluate
+    for k in range(300):       # more potentials than the code cache holds
+        parse_potential("S * k + X", params={"k": float(k)}).evaluate
+        assert get_entry("kerr") is first      # each call marks its code as used
+    for k in range(300):
+        parse_potential("S * k + X", params={"k": k + 0.5}).evaluate
+    assert not is_cached(first.spec)
+    again = get_entry("kerr")
+    assert again is not first and again.spec.evaluate is not code and is_cached(again.spec)
+    assert again.spec.evaluate(4.0, 0.7) == code(4.0, 0.7)
 
 
 def test_reference_spot_values(rn, kerr, quad):
