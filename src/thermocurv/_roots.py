@@ -66,7 +66,8 @@ def expand_bracket(func, guess: float, lo: float, hi: float, *, slope):
 
     Samples ``guess +- h * 2**k`` for k < 60, ``h = 0.05 max(1, |guess|)``;
     past a finite bound it halves the distance from the outermost sample to
-    the bound instead, down to ``1e-9 * h``.  The adjacent pair with
+    the bound instead, down to ``1e-9 * h``, and a sample that is not
+    finite is skipped.  The adjacent pair with
     opposite signs whose midpoint lies nearest the guess is returned as
     ``(a, b, fa, fb)``.
     Failing one, a same-sign pair whose ``slope`` (the derivative of
@@ -103,7 +104,7 @@ def expand_bracket(func, guess: float, lo: float, hi: float, *, slope):
         for side, cand, bound in ((0, guess - step, lo), (1, guess + step, hi)):
             if not lo < cand < hi:
                 cand = 0.5 * (ends[side] + bound)
-                if abs(cand - bound) < 1e-9 * first_step:
+                if not math.isfinite(cand) or abs(cand - bound) < 1e-9 * first_step:
                     continue
             ends[side] = cand
             pts.append((cand, func(cand)))

@@ -16,7 +16,7 @@ libm's ``pow`` per element, and ``exp`` and ``ln`` call ``math`` per element.
 A potential is not evaluated through this arithmetic: it is traced through
 it once into straight-line code (see the end of this module), so the rules
 below are written once and the generated code inherits their order of
-operations, bit for bit.
+operations.
 """
 
 from __future__ import annotations
@@ -538,8 +538,8 @@ for _name, _op in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/")):
 
 
 def _is(value, constant: float) -> bool:
-    """``value`` is the float ``constant``, sign of zero included."""
-    return value.__class__ is float and value.hex() == constant.hex()
+    """``value`` is the float ``constant`` (a zero of either sign)."""
+    return value.__class__ is float and value == constant
 
 
 class _Trace:
@@ -566,15 +566,21 @@ class _Trace:
         return targets
 
     def op(self, a, op: str, b):
-        """``a op b``.  Only identities that hold bit for bit fold: ``t + 0.0``
-        is ``+0.0`` at ``t = -0.0`` and ``t * 0.0`` is nan at ``t = inf``, so
-        those terms stay."""
+        """``a op b``, folded where a constant operand is an identity:
+        ``t * 1.0`` is ``t``, ``t * 0.0`` is ``0.0``, and ``t + 0.0``,
+        ``0.0 + t`` and ``t - 0.0`` are ``t``, for a zero of either sign.
+        Most partials of a jet are such structural zeros.  Against ``Jet3``
+        arithmetic on floats, which keeps these terms, a zero result may have
+        the other sign, and a dropped ``t * 0.0`` is no nan where ``t`` is
+        infinite; with finite intermediates nothing else moves."""
+        if op == "*" and (_is(a, 0.0) or _is(b, 0.0)):
+            return 0.0
         if op == "*" and (_is(a, 1.0) or _is(b, 1.0)):
             return b if _is(a, 1.0) else a
-        if op == "+" and (_is(a, -0.0) or _is(b, -0.0)):
-            return b if _is(a, -0.0) else a
-        if op == "-" and _is(b, 0.0):
+        if op in "+-" and _is(b, 0.0):
             return a
+        if op == "+" and _is(a, 0.0):
+            return b
         return self.emit(f"{{}} {op} {{}}", (a, b))[0]
 
     def call(self, fn, args):

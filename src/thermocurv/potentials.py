@@ -372,6 +372,14 @@ def is_cached(spec: PotentialSpec) -> bool:
 
 
 def _generate(program: tuple, params, jet: bool):
+    namespace = {f.__name__: f for f in jets._RUNTIME}
+    namespace.update(inf=math.inf, nan=math.nan, _jet=partial(tuple.__new__, Jet3))
+    exec(_source(program, params, jet), namespace)
+    return namespace["generated"]
+
+
+def _source(program: tuple, params, jet: bool) -> str:
+    """The text of the function ``generated(s, x)`` that :func:`_generate` builds."""
     trace = jets._Trace()
     s, x = jets._Symbol(trace, "s"), jets._Symbol(trace, "x")
     # constants fold as outside a batch: a small divisor warns, so it stays
@@ -385,10 +393,7 @@ def _generate(program: tuple, params, jet: bool):
         result = jets.jet_const(result)
     lines, texts = trace.source(tuple(result) if jet else (result,))
     body = [*lines, f"return _jet(({', '.join(texts)}))" if jet else f"return {texts[0]}"]
-    namespace = {f.__name__: f for f in jets._RUNTIME}
-    namespace.update(inf=math.inf, nan=math.nan, _jet=partial(tuple.__new__, Jet3))
-    exec("def generated(s, x):\n" + "".join(f"    {line}\n" for line in body), namespace)
-    return namespace["generated"]
+    return "def generated(s, x):\n" + "".join(f"    {line}\n" for line in body)
 
 
 def _check_domain(spec: PotentialSpec, s, x):

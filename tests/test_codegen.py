@@ -2,13 +2,16 @@
 
 Every drawn potential is evaluated at float points and as one batch of
 arrays, by the generated code and by ``Jet3`` operator overloading through
-the closure tree (``closure_oracle``).  The ten coefficients must agree bit
-for bit (signed zeros and nan positions included), and so must the failure
-of every point, the ``DomainError.func`` of a float failure and the number
-of ``ConditioningWarning`` messages.
+the closure tree (``closure_oracle``), which folds zero constants as the
+generated code does.  The ten coefficients must agree bit for bit (signed
+zeros and nan positions included), and so must the failure of every point,
+the ``DomainError.func`` of a float failure and the number of
+``ConditioningWarning`` messages.
 """
 
+import dis
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,11 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from closure_oracle import compile_closure, oracle_jet, oracle_jet_at, oracle_scalar
+from closure_oracle import closure_jet, oracle_jet, oracle_jet_at, oracle_scalar
 from thermocurv import eval_jet, eval_scalar, get_entry, parse_potential
 from thermocurv.cli import main
-from thermocurv.jets import ConditioningWarning, DomainError, Jet3, batch
-from thermocurv.potentials import _GENERATED, _check_domain, _Parser, _tokenize
+from thermocurv.jets import OVERFLOW, ConditioningWarning, DomainError, Jet3, batch
+from thermocurv.potentials import _GENERATED, _check_domain, _Parser, _source, _tokenize
 
 WHOLE_PLANE = {"S": (None, None), "X": (None, None)}
 FAILURES = (DomainError, OverflowError, ZeroDivisionError)
@@ -47,6 +50,11 @@ COORDINATES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e-300, 5e-324, 2.2e-313, 1e-160,
                      1e160, 710.0, -710.0, math.nan, math.inf]))
 POINTS = st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1, max_size=6)
+
+
+# a term the fold drops: ``t * 0.0``, ``0.0 * t``, ``t + 0.0``, ``0.0 + t``
+# or ``t - 0.0``, for a zero of either sign (``0.0 - t`` stays)
+ZERO_TERM = re.compile(r"[-+*] -?0\.0(?![\d.e])|(?<![\w.])-?0\.0 [+*] ")
 
 
 def outcome(evaluate, *args):
@@ -78,12 +86,22 @@ def batch_outcome(evaluate, spec, s, x):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(EXPRESSIONS, PARAMS, POINTS)
-# signed zeros: t + 0.0 is +0.0 where t = -0.0, so that term must stay
+# signed zeros: the structural zero of the M_S term (S*k)*X drops out of the
+# sum, so M_S at (1.0, 0.0) is -0.0, the sign of -(X*S)'s partial x
+# (Jet3 arithmetic on floats adds a +0.0 there and gives +0.0)
 @example("-(X*S) + (S*k)*X", -0.0, [(1.0, 0.0), (-0.0, -1.0), (-1.0, 0.0)])
-# an infinite intermediate: t * 0.0 is nan there, and 1/inf hides the inf
+# an infinite intermediate: at (1e160, 1.0) S*S is inf, and the partial of
+# (S*S)*X keeps its finite 2e160 where inf * 0.0 made it nan, so cubing it
+# in the reciprocal's chain rule raises OverflowError on the scalar path
+# (Jet3 arithmetic on floats gives a jet of nan partials there)
 @example("1/((S*S)*X) + X", 2.0, [(1e160, 1.0), (1e160, -0.0), (2.0, 1e-300)])
+# the partial -0.0 of -X drops out of a difference: M_S at S = -0.0 is -0.0
+@example("S*S - -X", 2.0, [(-0.0, 1.0), (1.0, -0.0)])
 # a constant divisor below the conditioning floor warns at every point
 @example("S/1e-13 + X/(k*k)", 1e-13, [(1.0, 2.0), (0.0, 1.0)])
+# an overflowed intermediate: scalar OverflowError and batch OVERFLOW at
+# (1e110, 1.0), a jet at (2.0, 1.0)
+@example("sqrt(S^3*X)", 2.0, [(1e110, 1.0), (2.0, 1.0)])
 def test_generated_code_matches_the_closure_tree(src, k, points):
     try:
         spec = parse_potential(src, ("S", "X"), {"k": k}, domain=WHOLE_PLANE)
@@ -96,8 +114,10 @@ def test_generated_code_matches_the_closure_tree(src, k, points):
             warnings.simplefilter("ignore", ConditioningWarning)
             for s, x in ((1.5, 0.5), (-2.0, 3.0)):
                 with pytest.raises(FAILURES):
-                    compile_closure(ast, {"k": k})((Jet3(s, 1.0), Jet3(x, 0.0, 1.0)))
+                    closure_jet(ast, {"k": k}, s, x)
         return
+    for jet in (True, False):   # no zero constant is left to fold
+        assert not ZERO_TERM.search(_source(spec.ast, spec.params, jet)), src
     for point in points:
         assert outcome(eval_jet, spec, point) == outcome(oracle_jet, spec, point), \
             (src, k, point)
@@ -107,6 +127,26 @@ def test_generated_code_matches_the_closure_tree(src, k, points):
     x = np.array([p[1] for p in points])
     assert batch_outcome(spec.evaluate, spec, s, x) == batch_outcome(
         lambda a, b: oracle_jet_at(spec, a, b), spec, s, x), (src, k, points)
+
+
+def test_an_overflowed_intermediate_fails_its_point_in_both_paths():
+    spec = parse_potential("sqrt(S^3*X)", domain=WHOLE_PLANE)
+    with pytest.raises(OverflowError):
+        eval_jet(spec, (1e110, 1.0))
+    s, x = np.array([1e110, 2.0]), np.array([1.0, 1.0])
+    with batch(2) as failures:
+        spec.evaluate(s, x)
+    assert failures.code.tolist() == [OVERFLOW, 0]
+
+
+@pytest.mark.parametrize("name, most", [("reissner-nordstrom", 60), ("kerr", 70),
+                                        ("quadratic-toy", 12)])
+def test_catalog_jet_code_holds_few_binary_operations(name, most):
+    # 48, 59 and 9 with structural zeros folded; keeping every term of the
+    # jet rules makes 231, 152 and 104, so a fold that stops working fails
+    code = get_entry(name).spec.evaluate
+    ops = [i for i in dis.get_instructions(code) if i.opname.startswith("BINARY_")]
+    assert len(ops) <= most
 
 
 @pytest.mark.parametrize("src, want", [("S^(X^0)", "ln"), ("S^(X - X)", "ln"), ("S^2", 1.0)])

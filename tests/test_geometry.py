@@ -169,6 +169,28 @@ def test_legendre_no_bracket(rn):
         legendre_at(rn.spec, 10.0, 1.0, s_guess=2.0)
 
 
+@pytest.mark.parametrize("s_guess", [1e250, 1e300, 1.7e308])
+def test_legendre_guess_near_the_largest_float_finds_no_bracket(rn, s_guess):
+    # a doubling step from 1e300 passes the largest float: the search skips
+    # that inf sample as it skips the bound, and never evaluates S = inf
+    t = eval_jet(rn.spec, (2.0, 0.5)).s
+    with pytest.raises(NoBracketError):
+        legendre_at(rn.spec, t, 0.5, s_guess=s_guess)
+
+
+@pytest.mark.parametrize("guess, lo", [(1e300, 0.0), (-1e300, -math.inf), (1.7e308, 1.0)])
+def test_expand_bracket_samples_only_finite_points(guess, lo):
+    seen = []
+
+    def positive(u):
+        seen.append(u)
+        return 1.0
+
+    with pytest.raises(NoBracketError):
+        _roots.expand_bracket(positive, guess, lo, math.inf, slope=lambda u: 1.0)
+    assert seen and all(math.isfinite(u) for u in seen)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_legendre_never_converges_on_a_target_that_is_not_finite(rn, monkeypatch, t):
     # abs(nan) <= tol is false and an infinite target makes the tolerance

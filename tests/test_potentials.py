@@ -263,10 +263,10 @@ def test_nesting_below_the_limit_and_long_chains_evaluate():
 
 
 def test_generated_code_is_bounded(tmp_path, capsys):
-    heavy = "S^3*X^2/(1+S)"      # about 96 operations a term
+    heavy = "S^3*X^2/(1+S)"      # about 43 operations a term
     assert eval_jet(parse_potential(" + ".join([heavy] * 900)), (1.0, 1.0)).v == 450.0
     path = tmp_path / "heavy.json"
-    path.write_text(json.dumps({**DOC, "expression": " + ".join([heavy] * 2000)}),
+    path.write_text(json.dumps({**DOC, "expression": " + ".join([heavy] * 3000)}),
                     encoding="utf-8")
     assert main(["eval", "--potential-file", str(path), "--at", "S=1,X=1"]) == 2
     assert "passes 100,000 operations" in capsys.readouterr().err
