@@ -3,16 +3,16 @@
 Each entry pairs a parsed potential with independently known reference
 expressions for both curvature scalars and for the divergence function whose
 zero set is the constant-X heat-capacity line.  The references are
-transcribed literally; golden tests compare the computed pipeline against
-them and any disagreement is surfaced, never reconciled in place.  They take
-floats or arrays: ``np.float_power`` rounds as ``**`` on floats, numpy's may not.
+written in the potential's grammar and coordinates, and ``check`` runs them
+as it runs a ``--ref-rm``/``--ref-rf`` expression, with the potential's
+domain; golden tests compare the computed pipeline against them and any
+disagreement is surfaced, never reconciled in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -69,96 +69,58 @@ class GridAxis:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A potential and its closed forms, each an expression in the potential's
+    coordinates: the curvatures ``reference_rm`` and ``reference_rf``, the
+    divergence function ``reference_f`` and ``usable``, which is positive in the
+    physical region (positive temperature)."""
+
     spec: PotentialSpec
-    reference_rm: Callable[[float, float], float]
-    reference_rf: Callable[[float, float], float]
-    reference_f: Callable[[float, float], float]
+    reference_rm: str
+    reference_rf: str
+    reference_f: str
+    usable: str
     notes: str
-    # in_domain guards the physically sensible region (positive temperature)
-    in_domain: Callable[[float, float], bool]
     default_grid: tuple[GridAxis, GridAxis]
 
     def to_json(self) -> dict:
         return potential_to_json(self.spec)
 
 
-def _rn() -> CatalogEntry:
-    spec = parse_potential(
-        "sqrt(S)/2 * (1 + Q^2/S)", ("S", "Q"), name="reissner-nordstrom")
-
-    def rm(s, q):
-        return 2.0 * np.float_power(s, 1.5) / np.float_power(s - q * q, 2)
-
-    def rf(s, q):
-        return 4.0 * np.float_power(s, 1.5) / np.float_power(s - 3.0 * q * q, 2)
-
-    def f(s, q):
-        return s - 3.0 * q * q
-
-    return CatalogEntry(
-        spec=spec, reference_rm=rm, reference_rf=rf, reference_f=f,
-        notes=("four-dimensional charged black hole; mass potential "
-               "sqrt(S)/2 (1 + Q^2/S); heat-capacity line at S = 3 Q^2"),
-        in_domain=lambda s, q: s > q * q,
-        default_grid=(GridAxis(0.5, 10.0, 12, "log"),
-                      GridAxis(0.05, 0.45, 12, "log")),
-    )
-
-
-def _kerr() -> CatalogEntry:
-    spec = parse_potential("sqrt(S/4 + J^2/S)", ("S", "J"), name="kerr")
-
-    def f(s, j):
-        return np.float_power(s, 4) - 24.0 * s * s * j * j - 48.0 * np.float_power(j, 4)
-
-    def rm(s, j):
-        return 0.0
-
-    def rf(s, j):
-        return (18.0 * np.float_power(s * s + 4.0 * j * j, 3.5) * (s * s - 4.0 * j * j)
-                / (np.float_power(s, 1.5) * np.float_power(f(s, j), 2)))
-
-    return CatalogEntry(
-        spec=spec, reference_rm=rm, reference_rf=rf, reference_f=f,
-        notes=("four-dimensional rotating black hole; mass potential "
-               "sqrt(S/4 + J^2/S); flat mass-Hessian geometry"),
-        in_domain=lambda s, j: s > 2.0 * j,
-        default_grid=(GridAxis(1.0, 10.0, 12, "log"),
-                      GridAxis(0.05, 0.45, 12, "log")),
-    )
-
-
-def _quadratic() -> CatalogEntry:
-    spec = parse_potential("S^2/2 + X^2/2", ("S", "X"), name="quadratic-toy")
-    return CatalogEntry(
-        spec=spec,
-        reference_rm=lambda s, x: 0.0,
-        reference_rf=lambda s, x: 0.0,
-        reference_f=lambda s, x: 1.0,   # M_SS == 1: no divergence line
-        notes="flat toy potential with identity Hessian",
-        in_domain=lambda s, x: True,
-        default_grid=(GridAxis(0.5, 4.0, 8, "linear"),
-                      GridAxis(0.5, 4.0, 8, "linear")),
-    )
-
-
-_BUILDERS = {
-    "reissner-nordstrom": _rn,
-    "kerr": _kerr,
-    "quadratic-toy": _quadratic,
+# name: (potential, coordinates, R^M, R^F, f, usable, notes, default grid)
+_TABLE = {
+    "reissner-nordstrom": (
+        "sqrt(S)/2 * (1 + Q^2/S)", ("S", "Q"),
+        "2*S^1.5/(S - Q^2)^2", "4*S^1.5/(S - 3*Q*Q)^2", "S - 3*Q*Q", "S - Q^2",
+        "four-dimensional charged black hole; mass potential "
+        "sqrt(S)/2 (1 + Q^2/S); heat-capacity line at S = 3 Q^2",
+        (GridAxis(0.5, 10.0, 12, "log"), GridAxis(0.05, 0.45, 12, "log"))),
+    "kerr": (
+        "sqrt(S/4 + J^2/S)", ("S", "J"),
+        "0", "18*(S*S + 4*J*J)^3.5*(S*S - 4*J*J)"
+             "/(S^1.5*(S^4 - 24*S*S*J*J - 48*J^4)^2)",
+        "S^4 - 24*S*S*J*J - 48*J^4", "S - 2*J",
+        "four-dimensional rotating black hole; mass potential "
+        "sqrt(S/4 + J^2/S); flat mass-Hessian geometry",
+        (GridAxis(1.0, 10.0, 12, "log"), GridAxis(0.05, 0.45, 12, "log"))),
+    "quadratic-toy": (                  # M_SS == 1: no divergence line
+        "S^2/2 + X^2/2", ("S", "X"), "0", "0", "1", "1",
+        "flat toy potential with identity Hessian",
+        (GridAxis(0.5, 4.0, 8, "linear"), GridAxis(0.5, 4.0, 8, "linear"))),
 }
 _ENTRIES: dict[str, CatalogEntry] = {}   # built once, and again once the code cache drops its code
 
 
 def entry_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILDERS))
+    return tuple(sorted(_TABLE))
 
 
 def get_entry(name: str) -> CatalogEntry:
     entry = _ENTRIES.get(name)
     if entry is None or not is_cached(entry.spec):
-        if name not in _BUILDERS:
+        if name not in _TABLE:
             raise UnknownPotentialError(
                 f"unknown potential {name!r}; known: {', '.join(entry_names())}")
-        entry = _ENTRIES[name] = _BUILDERS[name]()
+        expression, coords, *fields = _TABLE[name]
+        entry = _ENTRIES[name] = CatalogEntry(
+            parse_potential(expression, coords, name=name), *fields)
     return entry

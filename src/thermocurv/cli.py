@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .catalog import GridAxis, UnknownPotentialError, entry_names, get_entry
+from .catalog import CatalogEntry, GridAxis, UnknownPotentialError, entry_names, get_entry
 from .davies import conjugacy_scan, divergence_orders, find_davies_points
 from ._roots import NoBracketError, ToleranceNotMetError
 from .geometry import DEFAULT_SINGULARITY_EPS, StatePoint, curvature_from_m_jet, singularity_eps
@@ -42,15 +42,16 @@ def _jsonable(value: float):
     return value if math.isfinite(value) else None
 
 
-def _load_spec(args):
-    """Resolve --catalog/--potential-file into (spec, catalog entry or None)."""
+def _load_entry(args) -> CatalogEntry:
+    """Resolve --catalog/--potential-file into a catalog entry; a potential
+    file's has no closed forms (empty expressions) and an 8x8 grid on 0.5..4."""
     if args.catalog and args.potential_file:
         raise ValueError("give either --catalog or --potential-file, not both")
     if args.catalog:
-        entry = get_entry(args.catalog)
-        return entry.spec, entry
+        return get_entry(args.catalog)
     if args.potential_file:
-        return load_potential_file(args.potential_file), None
+        return CatalogEntry(load_potential_file(args.potential_file), "", "", "", "", "",
+                            (GridAxis(0.5, 4.0, 8),) * 2)
     raise ValueError("a potential is required (--catalog or --potential-file)")
 
 
@@ -169,7 +170,7 @@ def _write_rows(args, spec, blocks) -> None:
 
 
 def _cmd_eval(args) -> int:
-    spec, _ = _load_spec(args)
+    spec = _load_entry(args).spec
     point = _parse_at(spec, args.at)
     columns, flags = evaluate_points(spec, [point.s], [point.x], singularity_eps())
     if flags[0] == "err:domain":
@@ -189,17 +190,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _grid_axes(args, spec, entry) -> tuple[np.ndarray, np.ndarray]:
+def _grid_axes(args, entry) -> tuple[np.ndarray, np.ndarray]:
     """The samples of the two grid axes; the first coordinate is the outer loop."""
     axes: dict[int, GridAxis] = {}
     for text in args.grid or []:
         name, axis = _parse_axis("--grid", text)
-        index = _coord_index(spec, name)
+        index = _coord_index(entry.spec, name)
         if index in axes:
-            raise ValueError(f"--grid gives {spec.coords[index]!r} twice")
+            raise ValueError(f"--grid gives {entry.spec.coords[index]!r} twice")
         axes[index] = axis
-    default = entry.default_grid if entry is not None else (GridAxis(0.5, 4.0, 8),) * 2
-    for index, axis in enumerate(default):
+    for index, axis in enumerate(entry.default_grid):
         axes.setdefault(index, axis)
     return axes[0].values(), axes[1].values()
 
@@ -216,9 +216,9 @@ def _grid_blocks(spec, svals, xvals, eps: float):
 
 
 def _cmd_scan(args) -> int:
-    spec, entry = _load_spec(args)
-    _write_rows(args, spec, _grid_blocks(spec, *_grid_axes(args, spec, entry),
-                                         singularity_eps()))
+    entry = _load_entry(args)
+    _write_rows(args, entry.spec, _grid_blocks(entry.spec, *_grid_axes(args, entry),
+                                               singularity_eps()))
     return 0
 
 
@@ -230,7 +230,7 @@ def _fit_doc(fit) -> dict:
 
 
 def _cmd_davies(args) -> int:
-    spec, _ = _load_spec(args)
+    spec = _load_entry(args).spec
     fix_name, sep, fix_raw = args.fix.partition("=")
     fixed_value = float(fix_raw) if sep else math.nan
     if not math.isfinite(fixed_value):
@@ -273,17 +273,17 @@ def _cmd_davies(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    spec, entry = _load_spec(args)
-    axes = _grid_axes(args, spec, entry)
+    entry = _load_entry(args)
+    spec = entry.spec
+    axes = _grid_axes(args, entry)
 
-    def compile_ref(expr):
-        ref_spec = parse_potential(expr, spec.coords, spec.params, name="reference")
-        return lambda s, x: eval_scalar(ref_spec, (s, x))
+    def compile_ref(expr):      # a closed form, on the potential's domain; "" is none
+        return parse_potential(expr, spec.coords, spec.params, name="reference",
+                               domain=spec.domain) if expr else None
 
-    rm_ref = compile_ref(args.ref_rm) if args.ref_rm else (
-        entry.reference_rm if entry is not None else None)
-    rf_ref = compile_ref(args.ref_rf) if args.ref_rf else (
-        entry.reference_rf if entry is not None else None)
+    usable_ref = compile_ref(entry.usable)
+    refs = {"RM": compile_ref(args.ref_rm or entry.reference_rm),
+            "RF": compile_ref(args.ref_rf or entry.reference_rf)}
 
     def relative(diff, ref):
         return abs(diff) / np.fmax(abs(ref), 1.0)
@@ -291,11 +291,12 @@ def _cmd_check(args) -> int:
     responses = ("T", "Y", "CX", "CY", "alpha", "kappaT", "kappaS", "gamma")
     checked, maxima = 0, {}     # running, so the report is the same for any blocks
     for c, flags in _grid_blocks(spec, *axes, singularity_eps()):
-        usable = (flags == "") & np.isfinite([c[k] for k in responses]).all(axis=0)
-        if entry is not None:
-            usable &= entry.in_domain(c["S"], c["X"])
-        c = {k: v[usable] for k, v in c.items()}
-        checked += int(np.count_nonzero(usable))
+        finite = np.isfinite([c[k] for k in responses]).all(axis=0)
+        rows = np.flatnonzero((flags == "") & finite)
+        if usable_ref is not None:      # here only: a failed row may be outside the domain
+            rows = rows[eval_scalar(usable_ref, (c["S"][rows], c["X"][rows])) > 0.0]
+        c = {k: v[rows] for k, v in c.items()}
+        checked += rows.size
         rs = ResponseSet(point=StatePoint(c["S"], c["X"]), t=c["T"], y=c["Y"],
                          c_x=c["CX"], c_y=c["CY"], alpha=c["alpha"],
                          kappa_t=c["kappaT"], kappa_s=c["kappaS"], gamma=c["gamma"])
@@ -313,11 +314,10 @@ def _cmd_check(args) -> int:
                     relative(a - b, b) for a, b in zip(
                         metric_from_responses(rs)[:3], (c["M_SS"], c["M_SX"], c["M_XX"]))],
             }
-            for key, ref, computed in (("golden:RM", rm_ref, c["RM"]),
-                                       ("golden:RF", rf_ref, c["RF"])):
-                if ref is not None:     # an array, or a float (Kerr's R^M is 0.0)
-                    want = ref(c["S"], c["X"])
-                    residuals[key] = [relative(computed - want, want)]
+            for name, ref in refs.items():
+                if ref is not None:
+                    want = eval_scalar(ref, (c["S"], c["X"]))
+                    residuals["golden:" + name] = [relative(c[name] - want, want)]
         # a residual that could not be computed is nan, and so is its key's maximum
         maxima = {key: float(np.maximum.reduce(np.abs(np.concatenate(parts)),
                                                initial=maxima.get(key, 0.0)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thermocurv import get_entry, parse_potential
+from thermocurv import eval_scalar, get_entry, parse_potential
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +24,16 @@ def kerr():
 @pytest.fixture(scope="session")
 def quad():
     return get_entry("quadratic-toy")
+
+
+def closed_form(entry, field: str):
+    """The catalog entry's closed form ``field`` (``reference_rm``, ``usable``, ...)
+    as a function of ``(s, x)``: ``eval_scalar`` of its expression, parsed as
+    ``check`` parses it, on the potential's coordinates and domain."""
+    spec = entry.spec
+    form = parse_potential(getattr(entry, field), spec.coords, spec.params,
+                           name=field, domain=spec.domain)
+    return lambda s, x: eval_scalar(form, (s, x))
 
 
 @pytest.fixture(scope="session")

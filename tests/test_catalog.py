@@ -6,6 +6,7 @@ from thermocurv import (curvature_from_m_jet, eval_jet, eval_scalar, get_entry,
 from thermocurv import catalog, parse_potential
 from thermocurv.catalog import UnknownPotentialError
 from thermocurv.potentials import is_cached
+from conftest import closed_form
 
 
 def test_known_names():
@@ -37,30 +38,34 @@ def test_an_entry_in_use_keeps_its_code_and_one_whose_code_was_dropped_is_rebuil
 
 
 def test_reference_spot_values(rn, kerr, quad):
-    assert rn.reference_rf(1.0, 0.5) == pytest.approx(64.0, rel=1e-15)
-    assert rn.reference_rm(1.0, 0.5) == pytest.approx(32.0 / 9.0, rel=1e-15)
-    assert rn.reference_f(3.0, 1.0) == 0.0
-    assert kerr.reference_rm(4.0, 0.7) == 0.0
-    assert quad.reference_rm(1.0, 1.0) == 0.0 and quad.reference_rf(1.0, 1.0) == 0.0
-    assert quad.reference_f(1.0, 1.0) == 1.0
+    assert closed_form(rn, "reference_rf")(1.0, 0.5) == pytest.approx(64.0, rel=1e-15)
+    assert closed_form(rn, "reference_rm")(1.0, 0.5) == pytest.approx(32.0 / 9.0, rel=1e-15)
+    assert closed_form(rn, "reference_f")(3.0, 1.0) == 0.0
+    assert closed_form(kerr, "reference_rm")(4.0, 0.7) == 0.0
+    assert closed_form(quad, "reference_rm")(1.0, 1.0) == 0.0
+    assert closed_form(quad, "reference_rf")(1.0, 1.0) == 0.0
+    assert closed_form(quad, "reference_f")(1.0, 1.0) == 1.0
 
 
 def test_domain_guards(rn, kerr):
-    assert rn.in_domain(1.0, 0.5) and not rn.in_domain(0.2, 0.5)
-    assert kerr.in_domain(3.0, 1.0) and not kerr.in_domain(1.9, 1.0)
+    usable = closed_form(rn, "usable")
+    assert usable(1.0, 0.5) > 0.0 and not usable(0.2, 0.5) > 0.0
+    usable = closed_form(kerr, "usable")
+    assert usable(3.0, 1.0) > 0.0 and not usable(1.9, 1.0) > 0.0
 
 
 def _grid(entry, n=20):
     """Log-spaced in-domain grid avoiding the divergence line."""
     lo, hi = entry.default_grid[0].lo, entry.default_grid[0].hi
+    usable, f = closed_form(entry, "usable"), closed_form(entry, "reference_f")
     pts = []
     for s in np.geomspace(lo, hi, n):
         for x in np.geomspace(0.05, 0.45, n):
             s, x = float(s), float(x)
-            if not entry.in_domain(s, x):
+            if not usable(s, x) > 0.0:
                 continue
-            scale = max(1.0, abs(entry.reference_f(s, 1e-6)))
-            if abs(entry.reference_f(s, x)) < 1e-3 * scale:
+            scale = max(1.0, abs(f(s, 1e-6)))
+            if abs(f(s, x)) < 1e-3 * scale:
                 continue
             pts.append((s, x))
     return pts
@@ -71,10 +76,11 @@ def test_golden_curvature_grid(name):
     entry = get_entry(name)
     pts = _grid(entry)
     assert len(pts) > 200
+    rm, rf = closed_form(entry, "reference_rm"), closed_form(entry, "reference_rf")
     for s, x in pts:
         c = curvature_from_m_jet(eval_jet(entry.spec, (s, x)))
-        want_rm = entry.reference_rm(s, x)
-        want_rf = entry.reference_rf(s, x)
+        want_rm = rm(s, x)
+        want_rf = rf(s, x)
         scale = max(1.0, abs(want_rm), abs(want_rf))
         assert abs(c.r_m - want_rm) <= 1e-9 * scale, (name, s, x)
         assert abs(c.r_f - want_rf) <= 1e-9 * scale, (name, s, x)
@@ -122,8 +128,8 @@ def test_closed_forms_against_symbolic_riemann(rn, kerr):
             {s_sym: sp.Rational(s0), x_sym: sp.Rational(x0)}))
         rf_sym = float(scalar_curvature(g_f, (s_sym, x_sym)).subs(
             {s_sym: sp.Rational(s0), x_sym: sp.Rational(x0)}))
-        assert rm_sym == pytest.approx(entry.reference_rm(s0, x0), abs=1e-10)
-        assert rf_sym == pytest.approx(entry.reference_rf(s0, x0), rel=1e-10)
+        assert rm_sym == pytest.approx(closed_form(entry, "reference_rm")(s0, x0), abs=1e-10)
+        assert rf_sym == pytest.approx(closed_form(entry, "reference_rf")(s0, x0), rel=1e-10)
 
 
 def test_entries_export_as_potential_json(rn, kerr, quad):

@@ -8,7 +8,8 @@ import shlex
 import pytest
 
 import approach_oracle
-from thermocurv import DomainError, StatePoint, load_potential_file
+from test_exact_arrays import BENCH_GRIDS
+from thermocurv import DomainError, StatePoint, get_entry, load_potential_file
 from thermocurv.cli import _build_parser, main
 
 
@@ -275,6 +276,46 @@ def test_check_corrupted_reference_fails(capsys):
                        "--ref-rf", "4*S^1.5/(S + 3*Q^2)^2")
     assert code == 1
     assert "CHECK FAILED" in out and "golden:RF" in out
+
+
+def _grid_options(name):
+    coords = get_entry(name).spec.coords
+    return [f"--grid={c}={a.lo}:{a.hi}:{a.count}:{a.spacing}"
+            for c, a in zip(coords, BENCH_GRIDS[name])]
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("reissner-nordstrom", False), ("kerr", False), ("quadratic-toy", False),
+    ("reissner-nordstrom", True), ("kerr", True)])
+def test_catalog_references_run_as_reference_expressions(name, grid, capsys):
+    # an entry's closed forms are --ref-rm/--ref-rf expressions: one path, same bytes
+    entry, argv = get_entry(name), ["check", "--catalog", name]
+    argv += _grid_options(name) if grid else []
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and "golden:RM" in out and "golden:RF" in out
+    assert run(capsys, *argv, "--ref-rm", entry.reference_rm,
+               "--ref-rf", entry.reference_rf) == (code, out, err)
+
+
+def test_check_keeps_rows_that_failed_out_of_the_usable_test(capsys):
+    # rows at S <= 0 are err:domain; usable (S - Q^2 > 0) is not evaluated there
+    code, out, err = run(capsys, "check", "--catalog", "reissner-nordstrom",
+                         "--grid", "S=-1:10:23", "--grid", "Q=0.05:1:7")
+    assert (code, err) == (0, "")
+    assert "points checked: 136" in out and "CHECK PASSED" in out
+
+
+def test_check_reference_expressions_take_the_potential_domain(tmp_path, capsys):
+    doc = {"name": "expo", "coords": ["S", "X"], "expression": "exp(S) + X^2/2",
+           "domain": {"S": [None, None]}}
+    path = tmp_path / "expo.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "check", "--potential-file", str(path),
+                         "--grid", "S=-2:2:5", "--grid", "X=0.5:1:5",
+                         "--ref-rm", "0", "--ref-rf", "0")
+    assert (code, err) == (0, ""), err
+    assert "points checked: 25" in out and "CHECK PASSED" in out
+    assert "pass  golden:RM" in out and "pass  golden:RF" in out
 
 
 def test_check_potential_file_without_references(tmp_path, capsys):
