@@ -1,13 +1,21 @@
-"""Safeguarded root finding shared by the Legendre solver and the
-divergence-line scans, for one equation or many lanes at once."""
+"""Safeguarded root finding for the Legendre solver and the divergence-line
+scans, one equation or many lanes at once: Newton steps on the exact slope,
+read from a jet already evaluated, inside a sign-change bracket that a step
+leaving it, or meeting a zero or non-finite slope, bisects (Press et al.,
+*Numerical Recipes* 3rd ed., 9.4, ``rtsafe``), to the stopping rule below."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .jets import DomainError, _safe_div
+from .jets import _safe_div
+
+COLLAPSE = 1e-13     # a bracket of COLLAPSE * max(1, |u|) has collapsed ...
+LOOSE = 1e3          # ... and then accepts |f| <= LOOSE * tol_f
+MAX_STEPS = 200
 
 
 class NoBracketError(RuntimeError):
@@ -15,50 +23,65 @@ class NoBracketError(RuntimeError):
 
 
 class ToleranceNotMetError(RuntimeError):
-    """The bracket collapsed before the residual tolerance was reached."""
+    """A refinement ended short of its residual tolerance."""
+
+
+def _refine(func, u, f, slope, a, b, fa, fb, *, tol_f, tol_x=COLLAPSE,
+            curvature=None, expand=None):
+    """The scalar loop: drive ``func(u) = (f, slope)`` from ``u``, where it is
+    ``f, slope``, to ``(root, |f|, steps)``.  Inside the sign change ``(a, b)``,
+    ``(fa, fb)`` at its ends, each step is Newton; one that leaves the bracket,
+    stays put or meets a zero or non-finite slope bisects.  With ``fa`` nan,
+    Halley steps (``curvature(u)`` is f'') cut to half of max(1, |u|) come
+    first, until one leaves ``(a, b)`` or cuts |f| by less than a tenth; the
+    loop goes on from the better end of the last sign change two iterates
+    straddled, else of ``expand()``'s ``(a, b, fa, fb)``.  A nan residual (or
+    an inf one within an inf tolerance), one above ``LOOSE`` times both ends'
+    (a pole, not a root), and a collapsed bracket or ``MAX_STEPS`` steps short
+    of the tolerance raise :class:`ToleranceNotMetError`.
+    """
+    crossing, ceiling = None, LOOSE * max(abs(fa), abs(fb))   # crossing: of Halley steps
+    for steps in itertools.count():
+        collapsed = fa == fa and abs(b - a) <= tol_x * max(1.0, abs(u))   # fa nan: open
+        if not abs(f) > (LOOSE * tol_f if collapsed else tol_f):
+            if math.isfinite(f):
+                return u, abs(f), steps
+            raise ToleranceNotMetError(f"residual {f!r} at {u!r} is not finite")
+        if collapsed or steps == MAX_STEPS:
+            raise ToleranceNotMetError(f"{'bracket collapsed' if collapsed else 'no convergence'}"
+                                       f" after {steps} steps at {u!r}, residual {f!r}")
+        if fa != fa:             # a Halley step, or the hand-over to a bracket
+            step = _safe_div(2.0 * f * slope, 2.0 * slope * slope - f * curvature(u))
+            new = u - math.copysign(min(abs(step), 0.5 * max(1.0, abs(u))), step)
+            if a < new < b:
+                f_new, slope_new = func(new)
+                if (f_new > 0.0) != (f > 0.0):
+                    crossing = (u, new, f, f_new)
+                if not abs(f_new) > 0.9 * abs(f):
+                    u, f, slope = new, f_new, slope_new
+                    continue
+            a, b, fa, fb = crossing or expand()
+            ceiling = LOOSE * max(abs(fa), abs(fb))
+            new = b if abs(fb) < abs(fa) else a
+        else:
+            new = u - f / slope if slope and math.isfinite(slope) else math.nan
+            if not min(a, b) < new < max(a, b) or new == u:
+                new = 0.5 * (a + b)
+        u, (f, slope) = new, func(new)
+        if abs(f) > ceiling:
+            raise ToleranceNotMetError(f"residual {f!r} at {u!r} grew past {ceiling!r}")
+        a, b, fa = (u, b, f) if (f > 0.0) == (fa > 0.0) else (a, u, fa)
 
 
 def refine_bracket(func, a: float, b: float, fa: float, fb: float,
-                   *, tol_f: float, tol_x: float = 1e-13) -> tuple[float, float, int]:
-    """Drive ``func`` to zero inside a sign-change bracket.
-
-    Secant steps with bisection fallback; the bracket is maintained at every
-    iteration, for at most 200 of them.  Returns ``(root, residual,
-    iterations)`` once ``|f| <= tol_f`` or raises
-    :class:`ToleranceNotMetError`.
-    """
-    if fa == 0.0:
-        return a, 0.0, 0
-    if fb == 0.0:
-        return b, 0.0, 0
-    if (fa > 0.0) == (fb > 0.0):
+                   *, tol_f: float, tol_x: float = COLLAPSE) -> tuple[float, float, int]:
+    """Drive ``func(u) = (f, slope)`` to zero inside a sign-change bracket by
+    :func:`_refine`, from a bisection unless an end is within ``tol_f``.
+    Returns ``(root, residual, iterations)``, counting the evaluations."""
+    if fa != 0.0 != fb and (fa > 0.0) == (fb > 0.0) or math.isnan(fa) or math.isnan(fb):
         raise ValueError("refine_bracket needs a sign change")
-    x_prev, f_prev = a, fa
-    x_cur, f_cur = b, fb
-    for it in range(1, 201):
-        if f_prev != f_cur:
-            cand = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
-        else:
-            cand = 0.5 * (a + b)
-        lo, hi = min(a, b), max(a, b)
-        if not (lo < cand < hi):
-            cand = 0.5 * (a + b)
-        f_cand = func(cand)
-        if abs(f_cand) <= tol_f:
-            return cand, abs(f_cand), it
-        if (f_cand > 0.0) == (fa > 0.0):
-            a, fa = cand, f_cand
-        else:
-            b, fb = cand, f_cand
-        x_prev, f_prev = x_cur, f_cur
-        x_cur, f_cur = cand, f_cand
-        if abs(b - a) <= tol_x * max(1.0, abs(cand)):
-            # bracket exhausted; accept if the residual is merely loose
-            if abs(f_cand) <= 1e3 * tol_f:
-                return cand, abs(f_cand), it
-            raise ToleranceNotMetError(
-                f"bracket collapsed at {cand!r} with residual {f_cand!r}")
-    raise ToleranceNotMetError("no convergence in 200 iterations")
+    u, f = (b, fb) if abs(fb) < abs(fa) else (a, fa)
+    return _refine(func, u, f, math.nan, a, b, fa, fb, tol_f=tol_f, tol_x=tol_x)
 
 
 def expand_bracket(func, guess: float, lo: float, hi: float, *, slope):
@@ -66,15 +89,14 @@ def expand_bracket(func, guess: float, lo: float, hi: float, *, slope):
 
     Samples ``guess +- h * 2**k`` for k < 60, ``h = 0.05 max(1, |guess|)``;
     past a finite bound it halves the distance from the outermost sample to
-    the bound instead, down to ``1e-9 * h``, and a sample that is not
-    finite is skipped.  The adjacent pair with
-    opposite signs whose midpoint lies nearest the guess is returned as
-    ``(a, b, fa, fb)``.
-    Failing one, a same-sign pair whose ``slope`` (the derivative of
-    ``func``) differs in sign holds an extremum: nearest the guess first,
-    it is located as a root of ``slope``, and where ``func`` changes sign
-    there, the half nearest the guess is the pair.  An extremum that
-    cannot be located (a pole between the samples) counts as no root.
+    the bound instead, down to ``1e-9 * h``, and skips a sample that is not
+    finite.  The adjacent pair with opposite signs whose midpoint lies nearest
+    the guess is returned as ``(a, b, fa, fb)``.  Failing one, a same-sign
+    pair whose slope (``slope(u)`` gives f' and f'') changes sign holds an
+    extremum: nearest the guess first, it is located as a root of the slope
+    by :func:`refine_bracket`, and where ``func`` changes sign there, the
+    half nearest the guess is the pair.  An extremum that cannot be located
+    (a pole between the samples) counts as no root.
     """
     pts = [(guess, func(guess))]
     flat = set()                 # same-sign pairs whose extremum holds no root
@@ -84,14 +106,14 @@ def expand_bracket(func, guess: float, lo: float, hi: float, *, slope):
 
     def hump(x0, x1, f0, f1):
         try:
-            d0, d1 = slope(x0), slope(x1)
+            d0, d1 = slope(x0)[0], slope(x1)[0]
             if (d0 > 0.0) == (d1 > 0.0):
                 return None
             # located to 1e-9: any closer only chases a pole of ``slope``
             xe = refine_bracket(slope, x0, x1, d0, d1, tol_x=1e-9,
                                 tol_f=1e-6 * max(abs(d0), abs(d1)))[0]
             fe = func(xe)
-        except (ToleranceNotMetError, DomainError, ArithmeticError):
+        except (ValueError, ToleranceNotMetError, ArithmeticError):
             return None
         if (fe > 0.0) == (f0 > 0.0) and fe != 0.0:
             return None
@@ -149,11 +171,9 @@ def solve_lanes(func, n: int, guess: float, lo: float, hi: float, *, tol_f: floa
     from the guess, one call per step for all lanes.  A lane whose step
     leaves ``(lo, hi)`` or fails to halve ``|f|`` goes back to the guess and
     its ``f`` and slope there, brackets the sign change nearest the guess as
-    :func:`expand_bracket` does, also sampling toward a finite bound, then
-    takes Newton steps (bisecting when one leaves the bracket) until
-    ``|f| <= tol_f``.  Each outward step samples both sides in one call; a
-    sign change on the side nearer the guess wins.  Returns ``(x, payload)``
-    at the roots, nan where no bracket or a pole was found.
+    :func:`expand_bracket` does (both sides in one call, the nearer winning),
+    then takes Newton steps that bisect when they leave the bracket, to the
+    scalar stopping rule.  Returns ``(x, payload)``, nan where no root is.
     """
     first_step = 0.05 * max(1.0, abs(guess))
     x = np.full(n, float(guess))
@@ -195,63 +215,36 @@ def solve_lanes(func, n: int, guess: float, lo: float, hi: float, *, tol_f: floa
             ends[side] = (x1, f1)
 
     active = ~done & ~np.isnan(a)
-    for _ in range(200):
+    for _ in range(MAX_STEPS):
         if not (idx := np.flatnonzero(active)).size:
             break
         _newton_step(func, lanes, idx, a[idx], b[idx], bisect=True)
         cand, fc, low = x[idx], f[idx], (f[idx] > 0.0) == (fa[idx] > 0.0)
         a[idx[low]], fa[idx[low]], b[idx[~low]] = cand[low], fc[low], cand[~low]
-        collapsed = b[idx] - a[idx] <= 1e-13 * np.maximum(1.0, abs(cand))
-        done[idx] = ok = abs(fc) <= np.where(collapsed, 1e3 * tol_f, tol_f)
+        collapsed = b[idx] - a[idx] <= COLLAPSE * np.maximum(1.0, abs(cand))
+        done[idx] = ok = abs(fc) <= np.where(collapsed, LOOSE * tol_f, tol_f)
         active[idx] = ~(ok | collapsed | np.isnan(fc))
     return np.where(done, x, math.nan), np.where(done, payload, math.nan)
 
 
 def solve_near(jet_at, coord: str, target: float, guess: float, lo: float,
                hi: float, *, tol_f: float):
-    """Solve ``P_u = target`` for the coordinate ``u`` named by ``coord``
-    (``"s"`` or ``"x"``), where ``jet_at(u)`` is the jet of P at ``u``.
-
-    Up to 80 Halley steps from ``guess`` (``P_uuu`` is in the jet), each
-    cut to at most half of max(1, |u|).  A step that leaves ``(lo, hi)`` or
-    fails to cut the residual by a tenth hands over to the bracketed
-    secant: inside the last sign change the steps crossed, else inside the
-    one :func:`expand_bracket` finds.  Every point is evaluated once.
-    Returns ``(root, jet at the root, |residual| <= tol_f, jets evaluated)``
-    or raises as :func:`expand_bracket` and :func:`refine_bracket` do, and as
-    :class:`ToleranceNotMetError` on a nan residual or a target that is not finite.
-    """
+    """Solve ``P_u = target`` for the coordinate ``u`` (``coord``: ``"s"`` or
+    ``"x"``), ``jet_at(u)`` the jet of P, by :func:`_refine` from ``guess`` on
+    ``(lo, hi)``, with the bracket of :func:`expand_bracket` if the Halley
+    steps cross no sign change, evaluating each point once.  Returns ``(root,
+    jet at the root, |residual| <= tol_f, jets evaluated)`` or raises as
+    those two do."""
     d1, d2, d3 = {"s": (1, 3, 6), "x": (2, 5, 9)}[coord]   # Jet3 slots of P_u, P_uu, P_uuu
     jets = {}
 
-    def jet(u: float):
-        if u not in jets:
-            jets[u] = jet_at(u)
-        return jets[u]
+    def func(u: float):          # (P_u - target, P_uu), each point evaluated once
+        m = jets[u] = jets.get(u) or jet_at(u)
+        return m[d1] - target, m[d2]
 
-    def residual(u: float) -> float:
-        return jet(u)[d1] - target
-
-    root, f = guess, residual(guess)
-    bracket = None               # the last sign change between two iterates
-    for _ in range(80):
-        if abs(f) <= tol_f:
-            break
-        m = jets[root]
-        p2, p3 = m[d2], m[d3]
-        step = _safe_div(2.0 * f * p2, 2.0 * p2 * p2 - f * p3)
-        new = root - math.copysign(min(abs(step), 0.5 * max(1.0, abs(root))), step)
-        if not lo < new < hi:
-            break
-        if ((f_new := residual(new)) > 0.0) != (f > 0.0):
-            bracket = (root, new, f, f_new)
-        if abs(f_new) > 0.9 * abs(f):
-            break
-        root, f = new, f_new
-    if abs(f) > tol_f:
-        a, b, fa, fb = bracket or expand_bracket(
-            residual, guess, lo, hi, slope=lambda u: jet(u)[d2])
-        root, f = refine_bracket(residual, a, b, fa, fb, tol_f=tol_f)[:2]
-    elif not math.isfinite(f):   # a nan residual, or an infinite target
-        raise ToleranceNotMetError(f"residual {f!r} at {root!r} is not finite")
-    return root, jets[root], abs(f), len(jets)
+    root, resid, _ = _refine(
+        func, guess, *func(guess), lo, hi, math.nan, math.nan, tol_f=tol_f,
+        curvature=lambda u: jets[u][d3],
+        expand=lambda: expand_bracket(lambda u: func(u)[0], guess, lo, hi,
+                                      slope=lambda u: (func(u)[1], jets[u][d3])))
+    return root, jets[root], resid, len(jets)

@@ -4,7 +4,7 @@ turning-point (conjugacy) scans.
 A line where the constant-X heat capacity blows up is the zero set of M_SS;
 the constant-Y analogue is the zero set of the Hessian determinant.  Both
 are located by bracketing sign changes along one-dimensional sweeps, each
-evaluated in one batched pass, and refining with a secant/bisection hybrid.
+evaluated in one batched pass, and refined by safeguarded Newton steps.
 
 How each curvature behaves at a located point is read from the jet there:
 each is N / (2 D^2), and the matching curvature's D holds the line's root
@@ -15,6 +15,7 @@ along an approach to the line.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,8 +25,8 @@ import numpy as np
 from ._roots import (NoBracketError, ToleranceNotMetError, refine_bracket,
                      solve_lanes, solve_near)
 from .catalog import GridAxis
-from .geometry import (DEFAULT_SINGULARITY_EPS, StatePoint, curvature_from_m_jet,
-                       curvature_numerators, hessian_scale)
+from .geometry import (DEFAULT_SINGULARITY_EPS, StatePoint, _f_jet_from_m_jet,
+                       curvature_from_m_jet, curvature_numerators, hessian_scale)
 from .jets import DomainError, Jet3
 from .potentials import PotentialSpec, eval_jet, eval_jets
 
@@ -94,13 +95,15 @@ class ConjugacyScan:
     fixed_value: float
 
 
-def _root_function(which: str):
-    """The denominator scale of the constant-X ("cx": M_SS) or constant-Y
-    ("cy": the Hessian determinant) heat capacity, as a function of a jet."""
+def _root_function(which: str, along: int = 0):
+    """The denominator scale of the constant-X ("cx": M_SS) or constant-Y ("cy": det H)
+    heat capacity and its derivative along ``along`` (0: S, 1: X), as jet functions."""
+    i, j, k = (6, 7, 8) if along == 0 else (7, 8, 9)   # Jet3 slots of d(ss, sx, xx)
     if which == "cx":
-        return lambda jet: jet.ss
+        return (lambda jet: jet.ss), (lambda jet: jet[i])
     if which == "cy":
-        return lambda jet: jet.ss * jet.xx - jet.sx * jet.sx
+        return (lambda jet: jet.ss * jet.xx - jet.sx * jet.sx,
+                lambda jet: jet[i] * jet.xx + jet.ss * jet[k] - 2.0 * jet.sx * jet[j])
     raise ValueError(f"which must be one of {_ROOT_KINDS}, got {which!r}")
 
 
@@ -112,10 +115,10 @@ def _grid(lo: float, hi: float, count: int, spacing: str) -> np.ndarray:
 
 def _refine(func, a: float, b: float, fa: float, fb: float):
     """``(point, residual, iterations, is_root)`` for the sign change of
-    ``func`` in ``(a, b)``, refined until |f| <= 1e-12 * max(1, |fa|, |fb|).
-    A failed refinement (point: the bracket midpoint), or one that ends on a
-    residual above tolerance and no smaller than at both ends, found a pole
-    (or a gap), not a root."""
+    ``func(u) = (f, slope)`` in ``(a, b)``, refined until |f| <= 1e-12 *
+    max(1, |fa|, |fb|).  A failed refinement (point: the bracket midpoint), or
+    one that ends on a residual above tolerance and no smaller than at both
+    ends, found a pole (or a gap), not a root."""
     try:
         root, resid, iters = refine_bracket(func, a, b, fa, fb,
                                             tol_f=1e-12 * max(1.0, abs(fa), abs(fb)))
@@ -143,17 +146,15 @@ def find_davies_points(
     skipped; poles and sign changes whose refinement leaves the domain go to
     ``rejected``.  An empty locus is a normal outcome, not an error.
     """
-    root_fn = _root_function(which)
     if fixed not in spec.coords:
         raise ValueError(f"{fixed!r} is not a coordinate of {spec.name!r}")
     fixed_idx = spec.coords.index(fixed)
+    root_fn, slope_fn = _root_function(which, 1 - fixed_idx)
 
     def to_point(u):
         return StatePoint(*((fixed_value, u) if fixed_idx == 0 else (u, fixed_value)))
 
-    def g(u: float) -> float:
-        return root_fn(eval_jet(spec, to_point(u)))
-
+    jet_at = functools.cache(lambda u: eval_jet(spec, to_point(u)))   # a root keeps its jet
     grid = _grid(*sweep, count, spacing)
     sweep_jet = eval_jets(spec, *to_point(grid))[0]
     with np.errstate(all="ignore"):         # an overflow is a non-finite sample
@@ -165,9 +166,10 @@ def find_davies_points(
     points, brackets, rejected, jets = [], [], [], []
     for k in np.flatnonzero(changes).tolist():
         u0, u1, f0, f1 = u[k], u[k + 1], f[k], f[k + 1]
-        root, resid, iters, is_root = _refine(g, u0, u1, f0, f1)
+        root, resid, iters, is_root = _refine(
+            lambda u: (root_fn(jet_at(u)), slope_fn(jet_at(u))), u0, u1, f0, f1)
         pt = to_point(root)
-        jet = eval_jet(spec, pt) if is_root else None
+        jet = jet_at(root) if is_root else None
         if jet is None or jet.s <= 1e-10 * max(1.0, abs(root)):
             rejected.append(pt)
             continue
@@ -236,11 +238,11 @@ def conjugacy_scan(
     be solved is a (nan, S) gap.  A turning point is a sweep value where the
     control variable's derivative changes sign (a vertical tangent of the
     conjugacy diagram); detection uses a central difference over the grid,
-    never across a gap, and refinement drives the exact jet derivative to
-    zero.  Poles are skipped.  ``sweep_jet`` (the
-    :attr:`DaviesLocus.sweep_jet` of the same slice), the jets at the sweep
-    samples at X = ``fixed_value`` (fixed-X) or ``x_guess`` (fixed-Y), when
-    given replaces the series' samples or the X solve's first evaluation.
+    never across a gap, and refinement drives that derivative, read from the
+    jet with its own slope, to zero.  Poles are skipped.  ``sweep_jet`` (the
+    :attr:`DaviesLocus.sweep_jet` of the same slice), the jets at the samples
+    at X = ``fixed_value`` (fixed-X) or ``x_guess`` (fixed-Y), when given
+    replaces the series' samples or the X solve's first evaluation.
     """
     s_grid = _grid(*sweep, count, spacing)
 
@@ -248,29 +250,33 @@ def conjugacy_scan(
         jet = eval_jets(spec, s_grid, fixed_value)[0] if sweep_jet is None else sweep_jet
         tvals, dvals = jet.s, jet.ss                # T and dT/dS at fixed X
 
-        def deriv(s: float, k: int) -> float:
-            return eval_jet(spec, StatePoint(s, fixed_value)).ss
+        def deriv(s: float, k: int):
+            jet = eval_jet(spec, StatePoint(s, fixed_value))
+            return jet.ss, jet.sss
     elif series == "fixed-y":
         x_lo, x_hi = spec.domain[1]
         tol_f = 1e-13 * max(1.0, abs(fixed_value))
 
+        def along_y(x, jet):   # dT/dS at fixed Y and its slope: G_SS, G_SSS of G = M - Y X
+            swapped = Jet3(*(jet[i] for i in (0, 2, 1, 5, 4, 3, 9, 8, 7, 6)))   # in (Y, S)
+            return _f_jet_from_m_jet(swapped, x, fixed_value)[5::4]             # xx, xxx
+
         first = [] if sweep_jet is None else [sweep_jet]   # every lane at x_guess
-        def lanes(idx, x):   # T, dT/dS along constant Y, X
+        def lanes(idx, x):   # T, dT/dS along constant Y (along_y's G_SS, bit for bit), X
             jet = first.pop() if first else eval_jets(spec, s_grid[idx], x)[0]
             with np.errstate(all="ignore"):
-                det_h = jet.ss * jet.xx - jet.sx * jet.sx
-                return jet.x - fixed_value, jet.xx, np.stack([jet.s, det_h / jet.xx, x])
+                g_ss = jet.ss + jet.sx * (-jet.sx / jet.xx)
+                return jet.x - fixed_value, jet.xx, np.stack([jet.s, g_ss, x])
 
         tvals, dvals, xvals = solve_lanes(lanes, s_grid.size, x_guess, x_lo, x_hi,
                                           tol_f=tol_f)[1]
 
-        def deriv(s: float, k: int) -> float:   # X solved from sample k's root
+        def deriv(s: float, k: int):   # X solved from sample k's root
             try:
-                jet = solve_near(lambda x: eval_jet(spec, (s, x)), "x", fixed_value,
-                                 float(xvals[k]), x_lo, x_hi, tol_f=tol_f)[1]
-                return (jet.ss * jet.xx - jet.sx * jet.sx) / jet.xx
+                return along_y(*solve_near(lambda x: eval_jet(spec, (s, x)), "x", fixed_value,
+                                           float(xvals[k]), x_lo, x_hi, tol_f=tol_f)[:2])
             except (NoBracketError, ToleranceNotMetError, DomainError, ArithmeticError):
-                return math.nan
+                return math.nan, math.nan
     else:
         raise ValueError(f"series must be 'fixed-x' or 'fixed-y', got {series!r}")
 

@@ -42,7 +42,7 @@ def _approach(spec, point, which_line, ds, dx, start=0.05):
     jet, failed = eval_jets(spec, point.s + t * ds, point.x + t * dx)
     if failed.any():
         raise DomainError("domain", point, "the approach leaves the domain")
-    f_val = abs(_root_function(which_line)(jet))
+    f_val = abs(_root_function(which_line)[0](jet))
     curv = curvature_from_m_jet(jet)
     usable = f_val != 0.0   # measure-zero landing exactly on the line
     return tuple(v[usable].tolist() for v in (f_val, curv.r_m, curv.r_f))

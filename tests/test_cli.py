@@ -462,11 +462,25 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     ("davies", "--fix", "Q=1", "--sweep", "S=-1e308:1e308:3"),
     ("davies", "--fix", "Q=inf", "--sweep", "S=0.5:10"),
     ("davies", "--fix", "Q=nan", "--sweep", "S=0.5:10"),
+    ("eval", "--at", "S=1,Z=2"),                        # an unknown coordinate
+    ("davies", "--fix", "Z=1", "--sweep", "S=0.1:10"),
+    ("eval", "--at", "S2"),                             # not NAME=VALUE
+    ("eval", "--at", "S=2"),                            # one coordinate missing
 ])
 def test_non_finite_axes_and_fixed_values_exit_2(capsys, argv):
     # in process, so a stray numpy RuntimeWarning fails the test too
     code, out, err = run(capsys, argv[0], "--catalog", "reissner-nordstrom", *argv[1:])
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_a_catalog_and_a_potential_file_together_exit_2(capsys, tmp_path):
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps({"name": "quad", "coords": ["S", "X"],
+                                "expression": "S^2/2 + X^2/2"}), encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--catalog", "reissner-nordstrom",
+                         "--potential-file", str(path), "--at", "S=1,Q=1")
+    assert (code, out) == (2, "")
+    assert err == "error: give either --catalog or --potential-file, not both\n"
 
 
 def test_usage_errors(capsys):

@@ -15,14 +15,14 @@ from thermocurv import (ConditioningWarning, DomainError, StatePoint, cli,
                         conjugacy_scan, davies, divergence_orders, eval_jet,
                         find_davies_points, get_entry, load_potential_file, parse_potential,
                         responses_at)
-from thermocurv._roots import (NoBracketError, expand_bracket, refine_bracket,
-                               solve_lanes)
+from thermocurv._roots import NoBracketError, expand_bracket, solve_lanes
 from thermocurv.cli import main
 from thermocurv.jets import Jet3, batch
 from thermocurv.potentials import eval_jets
 
 from approach_oracle import fit_divergence_exponent, fit_divergence_exponents
 from lanes_oracle import solve_lanes_bracket_first, solve_lanes_side_by_side
+from roots_oracle import secant_bracket
 from test_codegen import EXPRESSIONS, PARAMS
 
 
@@ -261,7 +261,7 @@ def scalar_root_function(spec, which, s, x):
     """The root function of one point by the scalar API, nan where the jet
     cannot be evaluated."""
     try:
-        return davies._root_function(which)(eval_jet(spec, (s, x)))
+        return davies._root_function(which)[0](eval_jet(spec, (s, x)))
     except (DomainError, OverflowError, ZeroDivisionError):
         return math.nan
 
@@ -286,7 +286,7 @@ def test_batched_sweep_matches_scalar_root_function(case, count):
     grid = davies._grid(*sweep, count, "linear")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
-        batched = davies._root_function(which)(davies.eval_jets(spec, grid, fixed)[0])
+        batched = davies._root_function(which)[0](davies.eval_jets(spec, grid, fixed)[0])
         scalar = [scalar_root_function(spec, which, u, fixed) for u in grid.tolist()]
     assert [float(v).hex() for v in batched] == [v.hex() for v in scalar]
 
@@ -302,11 +302,11 @@ def continuation_fixed_y(spec, y, s_grid, x_guess):
             return eval_jet(spec, (s, x)).x - y
         try:
             a, b, fa, fb = expand_bracket(resid, last, x_lo, x_hi,
-                                          slope=lambda x: eval_jet(spec, (s, x)).xx)
+                                          slope=lambda x: eval_jet(spec, (s, x))[5::4])  # M_XX, M_XXX
         except NoBracketError:
             roots.append(None)
             continue
-        last = refine_bracket(resid, a, b, fa, fb, tol_f=1e-13 * max(1.0, abs(y)))[0]
+        last = secant_bracket(resid, a, b, fa, fb, tol_f=1e-13 * max(1.0, abs(y)))[0]
         roots.append(last)
     return roots
 
@@ -317,7 +317,7 @@ def test_scalar_bracket_samples_toward_a_finite_bound(rn):
     def resid(q):
         return eval_jet(rn.spec, (0.3, q)).x - 0.1414
     a, b, fa, fb = expand_bracket(resid, 0.2, *rn.spec.domain[1],
-                                  slope=lambda q: eval_jet(rn.spec, (0.3, q)).xx)
+                                  slope=lambda q: eval_jet(rn.spec, (0.3, q))[5::4])  # M_QQ, M_QQQ
     assert a < 0.1414 * math.sqrt(0.3) < b and (fa > 0.0) != (fb > 0.0)
 
 

@@ -187,7 +187,7 @@ def test_expand_bracket_samples_only_finite_points(guess, lo):
         return 1.0
 
     with pytest.raises(NoBracketError):
-        _roots.expand_bracket(positive, guess, lo, math.inf, slope=lambda u: 1.0)
+        _roots.expand_bracket(positive, guess, lo, math.inf, slope=lambda u: (1.0, 0.0))
     assert seen and all(math.isfinite(u) for u in seen)
 
 

@@ -3,9 +3,13 @@
 ``legendre_at`` then ``curvature_from_f_jet`` on a fixed set of RN and Kerr
 ``(t, x, guess)`` cases, near and far, is reduced to one sha256 over the hex
 of every field, the jets evaluated, the flags, each failure and the
-``ConditioningWarning`` count.  The committed digest was taken before the
-scalar path was rewritten for speed; any change to a last bit, to which root
-a far guess finds or to how a solve fails shows here.
+``ConditioningWarning`` count.  Any change to a last bit, to which root a far
+guess finds or to how a solve fails shows here.
+
+``OPEN_DIGEST`` covers only the cases whose solve ends in its Halley steps,
+never entering the bracket phase (``BRACKETED`` lists the others).  It was
+taken while the bracket phase was a secant: a change to the bracket refiner
+must leave it as it is.
 """
 
 import hashlib
@@ -18,7 +22,11 @@ import pytest
 from thermocurv import _roots, curvature_from_f_jet, get_entry, legendre_at
 from thermocurv.jets import ConditioningWarning, DomainError
 
-DIGEST = "c675b63dfbad107307c0ddb6e5212890df76a536ab09a77c953179dfb7d2628a"
+DIGEST = "bd6ec335d427d6a37efddaa3179167d471d7d7681073ae98d8d628cff96bab26"
+OPEN_DIGEST = "7b0a851bcc26570e4cd39cb83aacbc2857d2e2c3c321741c2d81c5b19a5a14bd"
+BRACKETED = frozenset({
+    22, 94, 95, 107, 124, 149, 172, 241, 266, 274, 280, 281, 304, 341, 359, 394,
+    418, 443, 473, 484, 491, 511, 514, 533, 544, 556, 559, 568, 572, 604, 694})
 KERR_LINE = math.sqrt(12.0 + 8.0 * math.sqrt(3.0))   # C_X line S = KERR_LINE * J
 
 
@@ -67,22 +75,26 @@ def outcome(spec, t, x, guess) -> str:
 
 
 def test_scalar_legendre_path_keeps_its_bits(monkeypatch):
-    brackets = []
+    searched = set()             # the cases that call expand_bracket
     expand = _roots.expand_bracket
 
     def counted(*args, **kwargs):
-        brackets.append(args[1])
+        searched.add(case)
         return expand(*args, **kwargs)
 
     monkeypatch.setattr(_roots, "expand_bracket", counted)
     specs = {name: get_entry(name).spec for name in ("reissner-nordstrom", "kerr")}
+    lines = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        lines = [outcome(specs[name], t, x, guess) for name, t, x, guess in cases()]
+        for case, (name, t, x, guess) in enumerate(cases()):
+            lines.append(outcome(specs[name], t, x, guess))
     ill = sum(issubclass(w.category, ConditioningWarning) for w in caught)
     lines.append(f"conditioning warnings: {ill}")
     failed = sum(line.split(" ", 1)[0].endswith(":") for line in lines[:-1])
-    assert len(brackets) >= 20 and 0 < failed < 100
+    assert len(searched) >= 20 and 0 < failed < 100 and searched <= BRACKETED
+    open_lines = [line for case, line in enumerate(lines[:-1]) if case not in BRACKETED]
+    assert hashlib.sha256("\n".join(open_lines).encode()).hexdigest() == OPEN_DIGEST
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIGEST
 
 

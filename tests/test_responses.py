@@ -6,7 +6,7 @@ from scipy import optimize
 
 from fdtools import H1, d1
 from thermocurv import (StatePoint, curvature_from_m_jet, eval_jet, eval_scalar,
-                        metric_from_responses, metric_m, responses_at)
+                        metric_from_responses, metric_m, parse_potential, responses_at)
 from thermocurv.responses import (NotApplicableError, cap_difference_residual,
                                   kappa_difference_residual,
                                   ratio_identity_residual)
@@ -23,6 +23,13 @@ def test_quadratic_point(quad):
     assert rs.kappa_t == pytest.approx(0.5, abs=1e-15)
     assert rs.gamma == 1.0
     assert rs.ok
+
+
+def test_a_hessian_singular_in_every_direction_raises():
+    # M = S + X is flat: M_SS = M_SX = M_XX = 0, and no response is defined
+    p = StatePoint(1.0, 2.0)
+    with pytest.raises(ValueError, match="Hessian singular in every direction"):
+        responses_at(eval_jet(parse_potential("S + X"), p), p)
 
 
 def test_rn_zero_charge_heat_capacity(rn):
