@@ -73,7 +73,8 @@ class Failures:
         self.live = slice(None)     # the points being evaluated: all, or one
 
     def record(self, code: int, mask) -> None:
-        self.code[(self.code == 0) & mask] = code
+        if mask is True or mask.any():      # most batches fail no point
+            self.code[(self.code == 0) & mask] = code
 
 
 _BATCH: ContextVar[Failures | None] = ContextVar("thermocurv_batch", default=None)
@@ -129,6 +130,8 @@ def _checked(value, bad, func: str, detail: str = ""):
     """``value`` after a domain check that ``bad`` failed: a float raises
     :class:`DomainError`, failed array points are recorded and set to 1.0."""
     if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return value
         _failures().record(DOMAIN, bad)
         return np.where(bad, 1.0, value)
     if bad:
@@ -164,8 +167,8 @@ def _pow(fn, value, p):
         return fn(value, p)
     with np.errstate(over="ignore"):
         out = np.float_power(value, p)
-    over = np.isinf(out) & np.isfinite(value) & math.isfinite(p)
-    if over.any():
+    over = np.isinf(out)
+    if over.any() and (over := over & np.isfinite(value) & math.isfinite(p)).any():
         if _BATCH.get() is None:
             raise OverflowError("math range error")
         out[over] = math.nan
@@ -381,10 +384,11 @@ def _recip_outer(v):
     if not (v.__class__ is float and abs(v) >= CONDITIONING_FLOOR):   # else nothing to check
         v = _divisor(v)
         small = abs(v) < CONDITIONING_FLOOR
-        if isinstance(small, np.ndarray) or (small and _BATCH.get() is not None):
+        array = isinstance(small, np.ndarray)
+        if (small.any() if array else small and _BATCH.get() is not None):
             failures = _failures()      # a float marks every point still live
             failures.ill_conditioned[failures.live] |= small & (failures.code[failures.live] == 0)
-        elif small:
+        elif not array and small:
             warnings.warn(f"division by small value {v!r}; results may be ill-conditioned",
                           ConditioningWarning, stacklevel=3)
     inv = 1.0 / v

@@ -46,8 +46,8 @@ _FUNCTIONS = ("sqrt", "exp", "ln")
 # expression; the limit keeps it well inside the recursion limit
 _MAX_NESTING = 100
 # Batches up to this size run point by point: an array operation costs about
-# 1 us at any size, so up to about 35 points the float code is faster.
-POINTWISE_MAX = 35
+# 1 us at any size, so up to about 25 points the float code is faster.
+POINTWISE_MAX = 25
 
 
 class ParseError(ValueError):
@@ -403,8 +403,12 @@ def _check_domain(spec: PotentialSpec, s, x):
     out = []
     for value, cname, (lo, hi) in zip((s, x), spec.coords, spec.domain):
         if isinstance(value, np.ndarray):
-            inside = (lo < value) & (value < hi) & np.isfinite(value)
-            value = jets._checked(value, ~inside, "domain")
+            jets._failures()        # raises outside jets.batch(), failures or not
+            if value.size and not lo < value.min() <= value.max() < hi:   # nan fails it too
+                inside = (lo < value) & (value < hi) & np.isfinite(value)
+                value = jets._checked(value, ~inside, "domain")
+            else:
+                value = value.astype(float)     # a copy: no result aliases an input
         elif not lo < value < hi:
             raise DomainError("domain", value,
                               f"{cname}={value!r} outside ({lo}, {hi})")
@@ -464,8 +468,10 @@ def eval_jets(spec: PotentialSpec, s, x) -> tuple[Jet3, np.ndarray]:
     table = np.empty((10, n))               # one row per coefficient
     for row, coeff in zip(table, coeffs):
         row[:] = coeff
-    failures.record(jets.OVERFLOW, ~np.isfinite(table).all(axis=0))
-    table[:, failures.code != 0] = math.nan
+    if not np.isfinite(table).all():
+        failures.record(jets.OVERFLOW, ~np.isfinite(table).all(axis=0))
+    if failures.code.any():
+        table[:, failures.code != 0] = math.nan
     return Jet3(*table), failures.code
 
 
@@ -545,8 +551,19 @@ def potential_to_json(spec: PotentialSpec) -> dict:
     }
 
 
+_FILES: dict[str, PotentialSpec] = {}   # by file text, least recently used first
+
+
 def load_potential_file(path) -> PotentialSpec:
-    """Read a potential-definition JSON file (single document)."""
+    """Read a potential-definition JSON file (single document).  The spec of
+    each distinct text is built once per process (of the last 16 read), and
+    again once the code cache drops its code."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)  # JSONDecodeError carries the position
-    return potential_from_json(obj)
+        text = fh.read()
+    spec = _FILES.pop(text, None)
+    if spec is None or not is_cached(spec):
+        spec = potential_from_json(json.loads(text))  # JSONDecodeError carries the position
+    _FILES[text] = spec
+    if len(_FILES) > 16:
+        del _FILES[next(iter(_FILES))]
+    return spec

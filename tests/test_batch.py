@@ -9,17 +9,20 @@ numbers exactly and its flag strings token for token.
 import csv
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermocurv import (StatePoint, curvature_from_m_jet, eval_jet, get_entry,
-                        parse_potential, potentials, responses_at)
+from test_codegen import EXPRESSIONS, PARAMS
+from thermocurv import (StatePoint, curvature_from_m_jet, eval_jet, eval_scalar,
+                        format_expression, get_entry, parse_potential, potentials,
+                        responses_at)
 from thermocurv.cli import COLUMNS, evaluate_points, main
 from thermocurv.geometry import _safe_div
-from thermocurv.jets import ConditioningWarning, DomainError
+from thermocurv.jets import ConditioningWarning, DomainError, batch
 from thermocurv.potentials import POINTWISE_MAX, eval_jets
 
 RN = get_entry("reissner-nordstrom").spec
@@ -176,22 +179,84 @@ def test_batch_warns_once_for_ill_conditioned_divisions():
     # the same divisor from a coordinate passed as a float
     ("X^3/(S - 2)", 2.0 + 1e-13, lambda s, x: x > 0),
 ])
-def test_both_paths_give_the_same_codes_and_one_warning(n, src, s, ill, monkeypatch):
-    spec = parse_potential(src)
+def test_both_paths_give_the_same_codes_and_one_warning(n, src, s, ill):
     x = np.linspace(-0.5, 2.0, n)
     s = np.resize(s, n) if isinstance(s, list) else s
+    outcome = both_paths(parse_potential(src), s, x, n)
+    count = np.count_nonzero(ill(np.broadcast_to(s, n), x))
+    assert outcome[2] == [f"division by small values at {count} points; "
+                          "results may be ill-conditioned"]
+
+
+def both_paths(spec, s, x, n):
+    """The jet bits, failure codes and ConditioningWarning texts of ``eval_jets``
+    on ``n`` points, which must be the same point by point and in one array pass."""
     outcomes = []
     for limit in (n, n - 1):        # point by point, then one array pass
-        monkeypatch.setattr(potentials, "POINTWISE_MAX", limit)
-        with warnings.catch_warnings(record=True) as caught:
+        with mock.patch.object(potentials, "POINTWISE_MAX", limit), \
+                warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             jet, code = eval_jets(spec, s, x)
         outcomes.append(([c.tobytes() for c in jet], code.tolist(),
                          [str(w.message) for w in caught if w.category is ConditioningWarning]))
-    assert outcomes[0] == outcomes[1]
-    count = np.count_nonzero(ill(np.broadcast_to(s, n), x))
-    assert outcomes[0][2] == [f"division by small values at {count} points; "
-                              "results may be ill-conditioned"]
+    assert outcomes[0] == outcomes[1], (format_expression(spec.ast), spec.params, s, x)
+    return outcomes[0]
+
+
+EDGES = {"S": (-1.0, None), "X": (None, 1e170)}
+# clean coordinates, and ones that fail each check of a batch: the domain's
+# edges, nan and inf; zero and negative sqrt/ln/pow bases; divisors under
+# the division floor; overflows; divisors under the conditioning floor
+VALUES = st.one_of(st.floats(-0.9, 4.0), st.sampled_from([
+    -1.0, 1e170, math.nan, math.inf, 0.0, -0.0, -0.5, 1e-300, 5e-324, 1e160, 710.0,
+    1e-13, -2e-13]))
+QUOTIENTS = st.tuples(EXPRESSIONS, EXPRESSIONS).map(lambda t: f"({t[0]}) / ({t[1]})")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(EXPRESSIONS, QUOTIENTS), PARAMS,
+       st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=12), st.booleans())
+# each check at least once: the domain's edges and nan, a ln base, a pow
+# base, exp's overflow and the X edge
+@example("ln(S) * X^0.5 + exp(S)", 2.0,
+         [(-1.0, 1.0), (0.0, 1.0), (1.0, -0.5), (710.0, 1.0), (2.0, 1e170), (math.nan, 1.0)],
+         False)
+# the division floor and ill-conditioned divisors, and a constant one
+# that marks every point still live
+@example("S/X + X/k", 1e-13, [(1.0, 1e-13), (2.0, 1.0), (1.0, -2e-13), (1.0, 5e-324)], False)
+# pow's overflow, which the jet would hide: exp(-inf) is 0 and the
+# chain rule's cube of S^0.2 stays finite
+@example("exp(-S^1.2) + X", 2.0, [(1e300, 1.0), (2.0, 1.0)], False)
+# sqrt's zero test: sqrt(S) * S * S underflows to zero
+@example("sqrt(S) + X/S", 2.0, [(1e-300, 1.0), (2.0, 1.0), (5e-324, 0.5)], True)
+def test_the_array_pass_matches_point_by_point_on_drawn_potentials(src, k, points, x_float):
+    try:
+        spec = parse_potential(src, ("S", "X"), {"k": k}, domain=EDGES)
+    except ValueError:              # fails at every point: rejected on load
+        return
+    s = np.array([p[0] for p in points])
+    x = points[0][1] if x_float else np.array([p[1] for p in points])
+    both_paths(spec, s, x, len(points))
+
+
+@pytest.mark.parametrize("n", [10, 40])
+@pytest.mark.parametrize("spec", [parse_potential("S"), parse_potential("X"),
+                                  parse_potential("2"), RN], ids=["S", "X", "const", "rn"])
+def test_no_returned_array_aliases_an_input(spec, n):
+    s, x = np.linspace(0.5, 4.0, n), np.linspace(0.1, 1.5, n)
+    kept = s.copy(), x.copy()
+    with batch(n):
+        jet = eval_jet(spec, (s, x))
+    returned = [*jet, *eval_jets(spec, s, x)[0], eval_scalar(spec, (s, x))]
+    for value in returned:
+        assert not np.shares_memory(value, s) and not np.shares_memory(value, x)
+    assert s.tobytes() == kept[0].tobytes() and x.tobytes() == kept[1].tobytes()
+
+
+def test_array_coordinates_need_a_batch_even_where_no_point_fails():
+    s, x = np.linspace(0.5, 4.0, 40), np.linspace(0.1, 1.5, 40)
+    with pytest.raises(RuntimeError, match="inside jets.batch"):
+        eval_jet(RN, (s, x))
 
 
 def test_safe_div_signs_match_for_floats_and_arrays():

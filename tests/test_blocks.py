@@ -19,7 +19,7 @@ from thermocurv.potentials import POINTWISE_MAX
 from test_batch import MIXED
 
 # 11 x 373 = 4096 + 7 points: at the default block size the tail would hold
-# 7 points, and at 37 it would hold 33, both at most POINTWISE_MAX
+# 7 points, and at 43 it would hold 18, both at most POINTWISE_MAX
 TAIL_GRIDS = {
     "reissner-nordstrom": ["--grid", "S=0.5:10:11:log", "--grid", "Q=0.05:1.5:373"],
     "kerr": ["--grid", "S=1:10:11:log", "--grid", "J=0.05:0.45:373"],
@@ -52,7 +52,7 @@ def test_outputs_do_not_depend_on_the_block_size(catalog, tail, capsys, tmp_path
                         lambda spec, s, x, eps: sizes.append(len(s)) or original(spec, s, x, eps))
     expected = outputs(capsys, tmp_path, catalog, grid)
     assert sizes == [n] * 3     # at the default size, a tail of 7 joins the block
-    for block in (37, 100, n):
+    for block in (43, 100, n):
         monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
         sizes.clear()
         assert outputs(capsys, tmp_path, catalog, grid) == expected, block

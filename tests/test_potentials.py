@@ -10,8 +10,9 @@ from test_codegen import EXPRESSIONS, PARAMS, WHOLE_PLANE
 from thermocurv import (DomainError, ParseError, eval_jet, eval_scalar,
                         format_expression, parse_potential,
                         potential_from_json, potential_to_json)
+from thermocurv import potentials
 from thermocurv.cli import main
-from thermocurv.potentials import UnknownIdentifierError, load_potential_file
+from thermocurv.potentials import UnknownIdentifierError, is_cached, load_potential_file
 
 
 def test_precedence_and_associativity():
@@ -237,6 +238,40 @@ def test_malformed_documents_raise_value_error(change, tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["eval", "--potential-file", str(path), "--at", "S=1,X=1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_potential_file_is_built_once_per_text(tmp_path):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (first, second):
+        path.write_text(json.dumps(DOC), encoding="utf-8")
+    spec = load_potential_file(first)
+    assert load_potential_file(second) is spec and load_potential_file(first) is spec
+    first.write_text(json.dumps({**DOC, "expression": "S*X + k"}), encoding="utf-8")
+    rewritten = load_potential_file(first)
+    assert format_expression(rewritten.ast) == "S * X + k"
+    assert eval_scalar(rewritten, (1.0, 3.0)) == 5.0 and eval_scalar(spec, (1.0, 3.0)) == 7.0
+    assert load_potential_file(second) is spec
+    for k in range(20):     # the memo holds a few texts, the most recently read
+        first.write_text(json.dumps({**DOC, "params": {"k": k + 0.5}}), encoding="utf-8")
+        assert load_potential_file(first).params == {"k": k + 0.5}
+    assert len(potentials._FILES) <= 16
+    old, spec = spec, load_potential_file(second)
+    assert spec is not old and load_potential_file(second) is spec
+    for k in range(300):    # more potentials than the code cache holds
+        parse_potential("S * k + X", params={"k": k + 0.25}).evaluate
+    again = load_potential_file(second)     # built again once its code was dropped
+    assert again is not spec and is_cached(again) and load_potential_file(second) is again
+
+
+@pytest.mark.parametrize("text", ['{"name": "x", "coords": ["S"',
+                                  json.dumps({**DOC, "params": {"k": "x"}}),
+                                  json.dumps({**DOC, "expression": "S +"})])
+def test_a_malformed_potential_file_raises_on_every_read(text, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    for _ in range(3):
+        with pytest.raises(ValueError):     # JSONDecodeError and ParseError are ValueErrors
+            load_potential_file(path)
 
 
 def test_well_formed_documents_load():
