@@ -22,7 +22,7 @@ from .davies import conjugacy_scan, divergence_orders, find_davies_points
 from ._roots import NoBracketError, ToleranceNotMetError
 from .geometry import DEFAULT_SINGULARITY_EPS, StatePoint, curvature_from_m_jet, singularity_eps
 from .jets import DOMAIN, OVERFLOW, DomainError, one_warning
-from .potentials import (POINTWISE_MAX, ParseError, eval_jets, eval_scalar,
+from .potentials import (POINTWISE_MAX, ParseError, eval_jet, eval_jets, eval_scalar,
                          load_potential_file, parse_potential)
 from .responses import (ResponseSet, cap_difference_residual,
                         kappa_difference_residual, metric_from_responses,
@@ -174,7 +174,7 @@ def _cmd_eval(args) -> int:
     point = _parse_at(spec, args.at)
     columns, flags = evaluate_points(spec, [point.s], [point.x], singularity_eps())
     if flags[0] == "err:domain":
-        raise DomainError("domain", tuple(point), f"point outside {spec.name!r} domain")
+        eval_jet(spec, point)       # raises the point's own error, as eval_scalar does
     if flags[0] == "err:overflow":
         raise ValueError(f"the jet of {spec.name!r} overflows at {args.at}")
     if args.format == "csv":
@@ -382,12 +382,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=fmt)
     for p in (p_eval, p_scan, p_dav):
         p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
+    parser.commands = sub.choices       # each command's parser, by name
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads argv once; the top-level parser reads what a command's cannot
+    command = parser.commands.get(argv[0]) if argv else None
+    args, unknown = command.parse_known_args(argv[1:]) if command else (None, True)
+    if unknown:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -4,7 +4,8 @@ turning-point (conjugacy) scans.
 A line where the constant-X heat capacity blows up is the zero set of M_SS;
 the constant-Y analogue is the zero set of the Hessian determinant.  Both
 are located by bracketing sign changes along one-dimensional sweeps, each
-evaluated in one batched pass, and refined by safeguarded Newton steps.
+evaluated to second order in one batched pass, and refined by safeguarded
+Newton steps on full jets.
 
 How each curvature behaves at a located point is read from the jet there:
 each is N / (2 D^2), and the matching curvature's D holds the line's root
@@ -56,9 +57,10 @@ class DaviesLocus:
     temperature vanishes there (extremal boundary rather than a divergence
     of a heat capacity at positive temperature), because they are poles,
     or because the jet cannot be evaluated inside their bracket.
-    ``sweep_jet`` holds the jets at the sweep samples (nan where a sample
-    failed), which a turning-point scan of the same slice can reuse, and
-    ``jets`` the jet at each of ``points``.
+    ``sweep_jet`` holds the jets at the sweep samples to second order (its
+    third partials are nan, as is every partial where a sample failed),
+    which a turning-point scan of the same slice can reuse, and ``jets`` the
+    full jet at each of ``points``.
     """
 
     which: str                       # "cx" | "cy"
@@ -156,7 +158,7 @@ def find_davies_points(
 
     jet_at = functools.cache(lambda u: eval_jet(spec, to_point(u)))   # a root keeps its jet
     grid = _grid(*sweep, count, spacing)
-    sweep_jet = eval_jets(spec, *to_point(grid))[0]
+    sweep_jet = eval_jets(spec, *to_point(grid), order=2)[0]   # M_SS, det H: second order
     with np.errstate(all="ignore"):         # an overflow is a non-finite sample
         f = root_fn(sweep_jet)
     a, b = f[:-1], f[1:]                    # each sample and the next
@@ -247,7 +249,8 @@ def conjugacy_scan(
     s_grid = _grid(*sweep, count, spacing)
 
     if series == "fixed-x":
-        jet = eval_jets(spec, s_grid, fixed_value)[0] if sweep_jet is None else sweep_jet
+        jet = eval_jets(spec, s_grid, fixed_value, order=2)[0] if sweep_jet is None \
+            else sweep_jet
         tvals, dvals = jet.s, jet.ss                # T and dT/dS at fixed X
 
         def deriv(s: float, k: int):
@@ -263,7 +266,7 @@ def conjugacy_scan(
 
         first = [] if sweep_jet is None else [sweep_jet]   # every lane at x_guess
         def lanes(idx, x):   # T, dT/dS along constant Y (along_y's G_SS, bit for bit), X
-            jet = first.pop() if first else eval_jets(spec, s_grid[idx], x)[0]
+            jet = first.pop() if first else eval_jets(spec, s_grid[idx], x, order=2)[0]
             with np.errstate(all="ignore"):
                 g_ss = jet.ss + jet.sx * (-jet.sx / jet.xx)
                 return jet.x - fixed_value, jet.xx, np.stack([jet.s, g_ss, x])

@@ -600,18 +600,20 @@ class _Trace:
         targets = self.emit(fmt, args, _RUNTIME[fn], pure=False)
         return targets if len(targets) > 1 else targets[0]
 
-    def source(self, outputs) -> tuple[list[str], list[str]]:
+    def source(self, outputs, keep_powers: bool) -> tuple[list[str], list[str]]:
         """Assignment lines that compute ``outputs``, and the outputs' text.
-        Pure values nothing reads are dropped, and those read once are
-        written into their reader."""
+        Pure values nothing reads are dropped, and so are ``_ipow`` calls
+        unless ``keep_powers`` (an unread power checks only its own
+        overflow); pure values read once are written into their reader."""
         uses: dict[str, int] = {}
         for a in outputs:
             if a.__class__ is _Symbol:
                 uses[a.name] = uses.get(a.name, 0) + 1
         kept = []
         for op in reversed(self.ops):
-            targets, _, args, pure = op
-            if pure and targets[0].name not in uses:
+            targets, fmt, args, pure = op
+            droppable = pure or not keep_powers and fmt.startswith("_ipow(")
+            if droppable and targets[0].name not in uses:
                 continue
             kept.append(op)
             for a in args:

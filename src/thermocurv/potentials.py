@@ -8,7 +8,8 @@ program: a tuple of steps, each operand before its operator (see
 :class:`_Parser`).  The program is traced once per process into
 straight-line Python source, one function for the
 :class:`~thermocurv.jets.Jet3` that feeds every derivative used downstream
-(on float or array coordinates) and one for plain values.
+(on float or array coordinates), one for its value and first and second
+partials alone, and one for plain values.
 
 Grammar (whitespace-insensitive, no implicit multiplication)::
 
@@ -83,12 +84,17 @@ class PotentialSpec:
         """The generated jet evaluator: ``evaluate(s, x)`` is the
         :class:`~thermocurv.jets.Jet3` at coordinates that passed the domain
         check (floats or arrays)."""
-        return _generated(self.ast, self.params, True)
+        return _generated(self.ast, self.params, 3)
+
+    @cached_property
+    def evaluate_second(self):
+        """``evaluate``'s code for the partials to order 2 alone, bit for bit."""
+        return _generated(self.ast, self.params, 2)
 
     @cached_property
     def evaluate_value(self):
         """The generated value evaluator: true division, ``sqrt(0)`` allowed."""
-        return _generated(self.ast, self.params, False)
+        return _generated(self.ast, self.params, 0)
 
 
 # -- lexer / parser -----------------------------------------------------------
@@ -355,11 +361,11 @@ _GENERATED: dict = {}   # least recently used first
 _MAX_GENERATED = 256
 
 
-def _generated(program: tuple, params, jet: bool):
+def _generated(program: tuple, params, order: int):
     """The straight-line evaluator of a potential, built once per process
-    for each distinct program and parameter set (of the last 256 used)."""
-    key = (jet, program, tuple(sorted((k, float(v).hex()) for k, v in params.items())))
-    fn = _GENERATED[key] = _GENERATED.pop(key, None) or _generate(program, params, jet)
+    for each distinct program, parameter set and order (of the last 256 used)."""
+    key = (order, program, tuple(sorted((k, float(v).hex()) for k, v in params.items())))
+    fn = _GENERATED[key] = _GENERATED.pop(key, None) or _generate(program, params, order)
     if len(_GENERATED) > _MAX_GENERATED:
         del _GENERATED[next(iter(_GENERATED))]
     return fn
@@ -368,31 +374,37 @@ def _generated(program: tuple, params, jet: bool):
 def is_cached(spec: PotentialSpec) -> bool:
     """Whether ``spec`` is yet to evaluate or evaluates with the cached jet code, now just used."""
     fn = spec.__dict__.get("evaluate")
-    return fn is None or _generated(spec.ast, spec.params, True) is fn
+    return fn is None or _generated(spec.ast, spec.params, 3) is fn
 
 
-def _generate(program: tuple, params, jet: bool):
+def _generate(program: tuple, params, order: int):
     namespace = {f.__name__: f for f in jets._RUNTIME}
     namespace.update(inf=math.inf, nan=math.nan, _jet=partial(tuple.__new__, Jet3))
-    exec(_source(program, params, jet), namespace)
+    exec(_source(program, params, order), namespace)
     return namespace["generated"]
 
 
-def _source(program: tuple, params, jet: bool) -> str:
-    """The text of the function ``generated(s, x)`` that :func:`_generate` builds."""
+def _source(program: tuple, params, order: int) -> str:
+    """The text of the function ``generated(s, x)`` that :func:`_generate`
+    builds: the value (``order`` 0), or the jet's partials to ``order`` (2
+    or 3) and nan for those above."""
     trace = jets._Trace()
     s, x = jets._Symbol(trace, "s"), jets._Symbol(trace, "x")
     # constants fold as outside a batch: a small divisor warns, so it stays
     token, outside = jets._TRACE.set(trace), jets._BATCH.set(None)
     try:
-        result = _trace(program, params, (Jet3(s, 1.0), Jet3(x, 0.0, 1.0)) if jet else (s, x))
+        result = _trace(program, params, (Jet3(s, 1.0), Jet3(x, 0.0, 1.0)) if order else (s, x))
     finally:
         jets._TRACE.reset(token)
         jets._BATCH.reset(outside)
-    if jet and not isinstance(result, Jet3):  # constant expression
+    if order and not isinstance(result, Jet3):  # constant expression
         result = jets.jet_const(result)
-    lines, texts = trace.source(tuple(result) if jet else (result,))
-    body = [*lines, f"return _jet(({', '.join(texts)}))" if jet else f"return {texts[0]}"]
+    # (order + 1)(order + 2)/2 partials to that order in two variables; a
+    # power feeds only third partials, and the full jet keeps its overflow
+    lines, texts = trace.source(tuple(result)[:(order + 1) * (order + 2) // 2] if order
+                                else (result,), keep_powers=order != 2)
+    texts += ["nan"] * (10 - len(texts)) if order else []
+    body = [*lines, f"return _jet(({', '.join(texts)}))" if order else f"return {texts[0]}"]
     return "def generated(s, x):\n" + "".join(f"    {line}\n" for line in body)
 
 
@@ -429,38 +441,43 @@ def eval_scalar(spec: PotentialSpec, point) -> float | np.ndarray:
     return float(spec.evaluate_value(float(s), float(x)))
 
 
-def eval_jet(spec: PotentialSpec, point) -> Jet3:
-    """Jet of the potential at ``point``: value plus all partials to order 3.
+def eval_jet(spec: PotentialSpec, point, order: int = 3) -> Jet3:
+    """Jet of the potential at ``point``: value plus all partials to order 3,
+    or with ``order=2`` to order 2 and nan third partials.
 
     ``point`` may hold two equal-length arrays, evaluated inside
     :func:`jets.batch`; the jet's coefficients are then arrays or floats.
     """
     s, x = point
+    evaluate = spec.evaluate if order == 3 else spec.evaluate_second
     if s.__class__ is float and x.__class__ is float:   # the common case, checked here
         (s_lo, s_hi), (x_lo, x_hi) = spec.domain
         if s_lo < s < s_hi and x_lo < x < x_hi:
-            return spec.evaluate(s, x)
+            return evaluate(s, x)
     s, x = _check_domain(spec, s, x)
-    return spec.evaluate(s if isinstance(s, np.ndarray) else float(s),
-                         x if isinstance(x, np.ndarray) else float(x))
+    return evaluate(s if isinstance(s, np.ndarray) else float(s),
+                    x if isinstance(x, np.ndarray) else float(x))
 
 
-def eval_jets(spec: PotentialSpec, s, x) -> tuple[Jet3, np.ndarray]:
+def eval_jets(spec: PotentialSpec, s, x, order: int = 3) -> tuple[Jet3, np.ndarray]:
     """Jets at the points ``(s[k], x[k])`` (arrays, or one a float) and each
     point's failure code: 0, ``jets.DOMAIN`` or ``jets.OVERFLOW`` (also for a
     jet that is not finite); a failed point's jet is nan.  Up to
-    ``POINTWISE_MAX`` points run one by one on floats, more as arrays."""
+    ``POINTWISE_MAX`` points run one by one on floats, more as arrays.
+
+    ``order=2`` runs :attr:`PotentialSpec.evaluate_second`: nan third partials,
+    and a point whose only non-finite partials are third order does not fail."""
     n = np.broadcast(s, x).size
     coeffs = [math.nan] * 10
     with jets.batch(n) as failures:
         if n > POINTWISE_MAX:
-            coeffs = eval_jet(spec, (s, x))
+            coeffs = eval_jet(spec, (s, x), order)
         else:
             found = [(math.nan,) * 10] * n
             for k, (a, b) in enumerate(np.broadcast(s, x)):
                 failures.live = k
                 try:
-                    found[k] = eval_jet(spec, (float(a), float(b)))
+                    found[k] = eval_jet(spec, (float(a), float(b)), order)
                 except (DomainError, OverflowError, ZeroDivisionError) as exc:
                     failures.code[k] = jets.DOMAIN if isinstance(exc, DomainError) \
                         else jets.OVERFLOW
@@ -468,8 +485,9 @@ def eval_jets(spec: PotentialSpec, s, x) -> tuple[Jet3, np.ndarray]:
     table = np.empty((10, n))               # one row per coefficient
     for row, coeff in zip(table, coeffs):
         row[:] = coeff
-    if not np.isfinite(table).all():
-        failures.record(jets.OVERFLOW, ~np.isfinite(table).all(axis=0))
+    evaluated = table[:10 if order == 3 else 6]
+    if not np.isfinite(evaluated).all():
+        failures.record(jets.OVERFLOW, ~np.isfinite(evaluated).all(axis=0))
     if failures.code.any():
         table[:, failures.code != 0] = math.nan
     return Jet3(*table), failures.code

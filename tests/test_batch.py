@@ -22,7 +22,7 @@ from thermocurv import (StatePoint, curvature_from_m_jet, eval_jet, eval_scalar,
                         responses_at)
 from thermocurv.cli import COLUMNS, evaluate_points, main
 from thermocurv.geometry import _safe_div
-from thermocurv.jets import ConditioningWarning, DomainError, batch
+from thermocurv.jets import DOMAIN, OVERFLOW, ConditioningWarning, DomainError, batch
 from thermocurv.potentials import POINTWISE_MAX, eval_jets
 
 RN = get_entry("reissner-nordstrom").spec
@@ -188,7 +188,7 @@ def test_both_paths_give_the_same_codes_and_one_warning(n, src, s, ill):
                           "results may be ill-conditioned"]
 
 
-def both_paths(spec, s, x, n):
+def both_paths(spec, s, x, n, order=3):
     """The jet bits, failure codes and ConditioningWarning texts of ``eval_jets``
     on ``n`` points, which must be the same point by point and in one array pass."""
     outcomes = []
@@ -196,11 +196,27 @@ def both_paths(spec, s, x, n):
         with mock.patch.object(potentials, "POINTWISE_MAX", limit), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            jet, code = eval_jets(spec, s, x)
+            jet, code = eval_jets(spec, s, x, order=order)
         outcomes.append(([c.tobytes() for c in jet], code.tolist(),
                          [str(w.message) for w in caught if w.category is ConditioningWarning]))
     assert outcomes[0] == outcomes[1], (format_expression(spec.ast), spec.params, s, x)
     return outcomes[0]
+
+
+def assert_second_order_agrees(full, second):
+    """``both_paths`` outcomes of the full and the second-order code: the
+    value and the first and second partials agree bit for bit, and so do the
+    failure codes, except where the full pass fails a point with OVERFLOW in
+    a third partial (or a power that feeds one).  The second-order pass then
+    succeeds, or fails a later check that the full pass never reached.  The
+    second-order third partials are nan."""
+    (full_jet, full_code, _), (jet, code, _) = full, second
+    same = np.equal(full_code, code)
+    assert all(a == OVERFLOW and b in (0, DOMAIN) for a, b in zip(full_code, code)
+               if a != b), (full_code, code)
+    for got, want in zip(jet[:6], full_jet[:6]):
+        assert (np.frombuffer(got, np.int64) == np.frombuffer(want, np.int64))[same].all()
+    assert all(np.isnan(np.frombuffer(c)).all() for c in jet[6:])
 
 
 EDGES = {"S": (-1.0, None), "X": (None, 1e170)}
@@ -229,6 +245,9 @@ QUOTIENTS = st.tuples(EXPRESSIONS, EXPRESSIONS).map(lambda t: f"({t[0]}) / ({t[1
 @example("exp(-S^1.2) + X", 2.0, [(1e300, 1.0), (2.0, 1.0)], False)
 # sqrt's zero test: sqrt(S) * S * S underflows to zero
 @example("sqrt(S) + X/S", 2.0, [(1e-300, 1.0), (2.0, 1.0), (5e-324, 0.5)], True)
+# the cube of d(S*S)/dS = 2e103 overflows in the full code alone, which then
+# never reaches ln's check at X = -1
+@example("sqrt(S*S) + ln(X)", 2.0, [(1e103, -1.0), (1e103, 1.0), (2.0, 1.0)], False)
 def test_the_array_pass_matches_point_by_point_on_drawn_potentials(src, k, points, x_float):
     try:
         spec = parse_potential(src, ("S", "X"), {"k": k}, domain=EDGES)
@@ -236,7 +255,18 @@ def test_the_array_pass_matches_point_by_point_on_drawn_potentials(src, k, point
         return
     s = np.array([p[0] for p in points])
     x = points[0][1] if x_float else np.array([p[1] for p in points])
-    both_paths(spec, s, x, len(points))
+    assert_second_order_agrees(both_paths(spec, s, x, len(points)),
+                               both_paths(spec, s, x, len(points), order=2))
+
+
+def test_a_third_order_overflow_fails_a_point_of_the_full_pass_alone():
+    # ln''' = 2/S^3 = 2e150 at S = 1e-50, so M_SSS overflows and M_SS does not
+    spec = parse_potential("1e200*ln(S) + X^2")
+    s, x = np.array([1e-50]), np.array([1.0])
+    full, second = both_paths(spec, s, x, 1), both_paths(spec, s, x, 1, order=2)
+    assert full[1] == [OVERFLOW] and second[1] == [0]
+    assert np.frombuffer(second[0][3]).tolist() == [-1.0000000000000002e300]
+    assert_second_order_agrees(full, second)
 
 
 @pytest.mark.parametrize("n", [10, 40])

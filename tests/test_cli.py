@@ -59,6 +59,38 @@ def test_eval_out_of_domain(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_eval_inside_the_domain_names_the_check_that_fails(tmp_path, capsys):
+    # both points are inside the declared domain: the error is the elementary
+    # function's, not a point outside the domain
+    code, out, err = run(capsys, "eval", "--catalog", "kerr", "--at", "S=1e-310,J=0.1")
+    assert (code, out) == (2, "")
+    assert err == "error: div undefined for value 1e-310: division by (near-)zero value\n"
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps({"name": "sqrt", "coords": ["S", "X"],
+                                "expression": "sqrt(S-2) + X^2"}), encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--potential-file", str(path), "--at", "S=1,X=1")
+    assert (code, out, err) == (2, "", "error: sqrt undefined for value -1.0\n")
+
+
+DAVIES_ARGS = ["--catalog", "kerr", "--fix", "J=0.5", "--sweep", "S=1:2"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["davies", "-h"], ["bogus", *DAVIES_ARGS], [*DAVIES_ARGS[:2], "davies"],
+    ["davies", *DAVIES_ARGS[:2], *DAVIES_ARGS[4:]], ["davies", "--which", "cz", *DAVIES_ARGS],
+    ["davies", *DAVIES_ARGS, "--bogus"],
+], ids=["no-command", "help", "command-help", "unknown-command", "option-first",
+        "missing-fix", "bad-choice", "unknown-option"])
+def test_argv_is_read_as_the_top_level_parser_reads_it(argv, capsys):
+    # the command's parser reads argv after the command name itself: exit
+    # code, stdout and stderr are those of one parse by the top-level parser
+    def outcome(parse):
+        with pytest.raises(SystemExit) as info:
+            parse(list(argv))
+        return (info.value.code, *capsys.readouterr())
+    assert outcome(main) == outcome(_build_parser().parse_args)
+
+
 def test_eval_requires_potential(capsys):
     code, _, err = run(capsys, "eval", "--at", "S=1,X=1")
     assert code == 2 and "error:" in err

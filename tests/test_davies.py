@@ -586,9 +586,9 @@ def test_unreachable_lanes_stay_on_the_vectorised_search(monkeypatch):
     # search made 68 evaluations of 18,154 lane points here)
     calls = []
 
-    def counting(spec, s, x):
+    def counting(spec, s, x, **kwargs):
         calls.append(np.size(s))
-        return eval_jets(spec, s, x)
+        return eval_jets(spec, s, x, **kwargs)
     monkeypatch.setattr(davies, "eval_jets", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
@@ -621,9 +621,9 @@ def test_davies_cx_sweep_is_evaluated_once(potential, points, evaluations, tmp_p
     # locus point adds none, since its curvatures are read from its jet
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return eval_jets(*args)
+        return eval_jets(*args, **kwargs)
     monkeypatch.setattr(davies, "eval_jets", counting)
     assert main(["davies", "--which", "cx", *potential(tmp_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -641,9 +641,9 @@ def test_davies_cy_sweep_is_evaluated_once(tmp_path, monkeypatch, capsys):
             "--sweep", "S=0.1:5"]
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return eval_jets(*args)
+        return eval_jets(*args, **kwargs)
     monkeypatch.setattr(davies, "eval_jets", counting)
     assert main(argv) == 0
     reused, reused_calls = capsys.readouterr().out, len(calls)
@@ -704,14 +704,15 @@ def x_slices(draw):
        st.sampled_from([2, 7, POINTWISE_MAX, POINTWISE_MAX + 1, 200]))
 def test_reused_sweep_is_the_first_lane_evaluation_bit_for_bit(case, sweep, count):
     # the fixed-X sweep (X a float) against the lane evaluation it replaces
-    # in the fixed-Y series (X an array of x_guess), every coefficient
+    # in the fixed-Y series (X an array of x_guess), both second order, every
+    # coefficient
     spec, x = case
     grid = np.linspace(*sweep, count)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         locus = find_davies_points(spec, "cy", fixed="X", fixed_value=x, sweep=sweep,
                                    count=count)
-        lanes = eval_jets(spec, grid[np.arange(count)], np.full(count, x))[0]
+        lanes = eval_jets(spec, grid[np.arange(count)], np.full(count, x), order=2)[0]
     assert [c.tobytes() for c in locus.sweep_jet] == [c.tobytes() for c in lanes]
 
 
@@ -803,7 +804,7 @@ def test_sample_scans_flag_the_pairs_of_the_per_sample_loops(samples):
         return [tuple(v.hex() for v in p) for p in pairs]
 
     grid, spec = np.linspace(0.5, 3.0, n).tolist(), get_entry("kerr").spec
-    with mock.patch.object(davies, "eval_jets", lambda *_: (jet, np.zeros(n, np.int8))), \
+    with mock.patch.object(davies, "eval_jets", lambda *_, **__: (jet, np.zeros(n, np.int8))), \
             mock.patch.object(davies, "_refine", record):
         find_davies_points(spec, "cx", fixed="J", fixed_value=0.5, sweep=(0.5, 3.0), count=n)
         assert refined == bits(sign_change_pairs(grid, d.tolist()))
