@@ -1,7 +1,8 @@
 """Command-line front end: point evaluation, grid scans, divergence-line
 reports and identity checks, with CSV/JSON output.
 
-Exit codes: 0 success, 1 check-suite failure, 2 usage/parse/domain error.
+Exit codes: 0 success, 1 check-suite failure, 2 usage/parse/domain error
+(also a ``scan`` whose forked child fails or ends early).
 Each ``--grid`` and ``--sweep`` value is one :class:`GridAxis`, checked and built there.
 ``THERMOCURV_EPS`` is read once per ``eval``, ``scan`` or ``check``, before any
 output is opened; ``davies`` does not depend on it.
@@ -10,10 +11,13 @@ output is opened; ``davies`` does not depend on it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 
@@ -126,46 +130,85 @@ def evaluate_points(spec, s, x, eps: float = DEFAULT_SINGULARITY_EPS):
     return columns, np.array([t[1:] for t in tokens.tolist()], dtype=object)
 
 
-def _open_out(path):
+def _opened(path):
+    """``path`` opened for writing, or standard output for None or ``-``."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _write_json(path, doc) -> None:
-    out, close = _open_out(path)
-    try:
+    with _opened(path) as out:
         out.write(json.dumps(doc, indent=2) + "\n")
-    finally:
-        if close:
-            out.close()
 
 
-def _write_rows(args, spec, blocks) -> None:
+def _csv_text(c, flags) -> str:
+    """The CSV rows of one block, as csv.writer gives them: no cell needs quoting."""
     def axis_cells(values):     # a block repeats S and X: format each bit pattern once
         keys = values.view(np.int64).tolist()
         text = {k: "%.17g," % v for k, v in dict(zip(keys, values.tolist())).items()}
         return list(map(text.__getitem__, keys))
+    row = "%s%s" + "%.17g," * (len(COLUMNS) - 3) + "%s\r\n"
+    table = np.column_stack([c[name] for name in COLUMNS[2:-1]]).tolist()
+    return "".join([row % (s, x, *cells, tag) for s, x, cells, tag in zip(
+        axis_cells(c["S"]), axis_cells(c["X"]), table, flags)])
+
+
+def _evaluated(blocks):
+    """The result of each call in ``blocks``, with one ``ConditioningWarning``."""
+    with one_warning():
+        yield from (block() for block in blocks)
+
+
+@contextlib.contextmanager
+def _child(blocks, ill):
+    """Yields a function that returns the CSV text of the next odd-numbered block from a
+    forked child, whose ill-conditioned count then joins ``ill``; or None, and no child,
+    for one block, without ``os.fork`` or while another thread runs."""
+    if len(blocks) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        yield None
+        return
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:     # leaves only through os._exit: no atexit, no flush
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:     # each text after its 8 length bytes
+                for block in blocks[1::2]:
+                    text = _csv_text(*block()).encode()
+                    pipe.write(len(text).to_bytes(8, "big") + text)
+                pipe.write(ill[0].to_bytes(8, "big"))      # 0 at the fork: the child's count
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:  # closed first, so a child blocked on writing it exits
+            yield lambda: pipe.read(int.from_bytes(pipe.read(8), "big")).decode()
+            count = pipe.read(8)    # short, like every message after it, if the child failed
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status or len(count) < 8:
+        raise ChildProcessError(f"the forked scan process failed (wait status {status})")
+    ill[0] += int.from_bytes(count, "big")
+
+
+def _write_rows(args, spec, blocks) -> None:
+    """Write the rows of ``blocks``, calls that each return :func:`evaluate_points` of a
+    block.  A child makes every other CSV block, and the parent writes each after its own."""
     head = {"potential": spec.name, "coords": {"S": spec.coords[0], "X": spec.coords[1]},
             "columns": COLUMNS}
     if args.format == "json":
         _write_json(args.out, {**head, "rows": [
-            [_jsonable(v) for v in cells] + [tag] for c, flags in blocks for cells, tag in
-            zip(np.column_stack([c[name] for name in COLUMNS[:-1]]).tolist(), flags)]})
+            [_jsonable(v) for v in cells] + [tag] for c, flags in _evaluated(blocks)
+            for cells, tag in zip(np.column_stack([c[k] for k in COLUMNS[:-1]]).tolist(), flags)]})
         return
-    out, close = _open_out(args.out)
-    try:
-        # the bytes csv.writer gives these cells: none needs quoting
+    with _opened(args.out) as out, one_warning() as ill, _child(blocks, ill) as receive:
         out.write(",".join(COLUMNS) + "\r\n")
-        row = "%s%s" + "%.17g," * (len(COLUMNS) - 3) + "%s\r\n"
-        for c, flags in blocks:
-            table = np.column_stack([c[name] for name in COLUMNS[2:-1]]).tolist()
-            out.write("".join([row % (s, x, *cells, tag) for s, x, cells, tag in zip(
-                axis_cells(c["S"]), axis_cells(c["X"]), table, flags)]))
-    finally:
-        if close:
-            out.close()
-    if close:
+        for k, block in enumerate(blocks[::2] if receive else blocks):
+            out.write(_csv_text(*block()))
+            if receive and 2 * k + 1 < len(blocks):
+                out.write(receive())
+    if out is not sys.stdout:
         _write_json(args.out + ".meta.json", head)
 
 
@@ -178,7 +221,7 @@ def _cmd_eval(args) -> int:
     if flags[0] == "err:overflow":
         raise ValueError(f"the jet of {spec.name!r} overflows at {args.at}")
     if args.format == "csv":
-        _write_rows(args, spec, [(columns, flags)])
+        _write_rows(args, spec, [lambda: (columns, flags)])
         return 0
     doc = {
         "potential": spec.name,
@@ -204,15 +247,15 @@ def _grid_axes(args, entry) -> tuple[np.ndarray, np.ndarray]:
     return axes[0].values(), axes[1].values()
 
 
-def _grid_blocks(spec, svals, xvals, eps: float):
-    """:func:`evaluate_points` on ``_WRITE_BLOCK`` grid points at a time, with one
-    ``ConditioningWarning``.  A tail of ``POINTWISE_MAX`` points or fewer joins the
-    block before it, so no point's evaluation path depends on the block boundaries."""
+def _grid_blocks(spec, svals, xvals, eps: float) -> list:
+    """A call per ``_WRITE_BLOCK`` grid points that returns :func:`evaluate_points` of them;
+    a tail of ``POINTWISE_MAX`` or fewer joins the block before it, on the same path."""
+    def block(a, b):
+        k = np.arange(a, b)
+        return evaluate_points(spec, svals[k // xvals.size], xvals[k % xvals.size], eps)
     n = svals.size * xvals.size
     stops = [*range(_WRITE_BLOCK, n - POINTWISE_MAX, _WRITE_BLOCK), n]
-    with one_warning():
-        for k in map(np.arange, [0, *stops], stops):
-            yield evaluate_points(spec, svals[k // xvals.size], xvals[k % xvals.size], eps)
+    return [functools.partial(block, a, b) for a, b in zip([0, *stops], stops)]
 
 
 def _cmd_scan(args) -> int:
@@ -290,7 +333,7 @@ def _cmd_check(args) -> int:
 
     responses = ("T", "Y", "CX", "CY", "alpha", "kappaT", "kappaS", "gamma")
     checked, maxima = 0, {}     # running, so the report is the same for any blocks
-    for c, flags in _grid_blocks(spec, *axes, singularity_eps()):
+    for c, flags in _evaluated(_grid_blocks(spec, *axes, singularity_eps())):
         finite = np.isfinite([c[k] for k in responses]).all(axis=0)
         rows = np.flatnonzero((flags == "") & finite)
         if usable_ref is not None:      # here only: a failed row may be outside the domain

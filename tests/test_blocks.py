@@ -1,9 +1,14 @@
 """``scan`` and ``check`` evaluate their grid in blocks of ``cli._WRITE_BLOCK``
 points: every output is the same for any block size, a command gives at
 most one ``ConditioningWarning``, and the traced memory of a grid stays
-bounded however many blocks it has."""
+bounded however many blocks it has.  A CSV ``scan`` of two or more blocks
+forks a child for every other block; each of its outputs is compared with
+the same run with ``os.fork`` removed, which stays in one process."""
 
 import json
+import os
+import signal
+import sys
 import tracemalloc
 import warnings
 
@@ -27,6 +32,31 @@ TAIL_GRIDS = {
 }
 
 
+@pytest.fixture
+def deadline():
+    """Fails a test still running after 60 s, as a scan waiting for a child
+    blocked on a full pipe would be, instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("the scan did not return within 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def count_forks(monkeypatch) -> list:
+    """The forks ``cli`` makes from now on, one item each."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def outputs(capsys, tmp_path, catalog, grid):
     """The scan CSV, JSON and sidecar bytes and the check stdout."""
     found = []
@@ -46,24 +76,29 @@ def outputs(capsys, tmp_path, catalog, grid):
 def test_outputs_do_not_depend_on_the_block_size(catalog, tail, capsys, tmp_path, monkeypatch):
     grid = TAIL_GRIDS[catalog] if tail else []
     n = 11 * 373 if tail else 12 * 12 if catalog != "quadratic-toy" else 8 * 8
-    sizes = []
-    original = cli.evaluate_points
-    monkeypatch.setattr(cli, "evaluate_points",
-                        lambda spec, s, x, eps: sizes.append(len(s)) or original(spec, s, x, eps))
-    expected = outputs(capsys, tmp_path, catalog, grid)
-    assert sizes == [n] * 3     # at the default size, a tail of 7 joins the block
-    for block in (43, 100, n):
+    with monkeypatch.context() as serial:   # the sizes bookkeeping sees this process only
+        serial.delattr(os, "fork")
+        sizes = []
+        original = cli.evaluate_points
+        serial.setattr(cli, "evaluate_points",
+                       lambda spec, s, x, eps: sizes.append(len(s)) or original(spec, s, x, eps))
+        expected = outputs(capsys, tmp_path, catalog, grid)
+        assert sizes == [n] * 3     # at the default size, a tail of 7 joins the block
+        for block in (43, 100, n):
+            serial.setattr(cli, "_WRITE_BLOCK", block)
+            sizes.clear()
+            assert outputs(capsys, tmp_path, catalog, grid) == expected, block
+            # each of scan csv, scan json and check sees the same blocks, all
+            # above POINTWISE_MAX, so no point changes evaluation path
+            third = sizes[:len(sizes) // 3]
+            assert sizes == third * 3 and sum(third) == n
+            assert min(third) > POINTWISE_MAX and max(third) <= block + POINTWISE_MAX
+    for block in (43, 100, n):      # and with a forked child for every other block
         monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
-        sizes.clear()
         assert outputs(capsys, tmp_path, catalog, grid) == expected, block
-        # each of scan csv, scan json and check sees the same blocks, all
-        # above POINTWISE_MAX, so no point changes evaluation path
-        third = sizes[:len(sizes) // 3]
-        assert sizes == third * 3 and sum(third) == n
-        assert min(third) > POINTWISE_MAX and max(third) <= block + POINTWISE_MAX
 
 
-def test_a_blocked_command_warns_once_for_all_its_blocks(tmp_path, monkeypatch):
+def test_a_blocked_command_warns_once_for_all_its_blocks(tmp_path, monkeypatch, deadline):
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(potential_to_json(MIXED)), encoding="utf-8")
     # S - 2 is zero on the middle row and below the conditioning floor on
@@ -84,8 +119,13 @@ def test_a_blocked_command_warns_once_for_all_its_blocks(tmp_path, monkeypatch):
     warned_blocks = sum(bool(messages(lambda: evaluate_points(MIXED, s[a:a + 37], x[a:a + 37])))
                         for a in range(0, 300, 37))
     assert warned_blocks >= 3
-    for argv in (["scan", "--out", str(tmp_path / "scan.csv")], ["check"]):
+    scan = ["scan", "--out", str(tmp_path / "scan.csv")]
+    forks = count_forks(monkeypatch)
+    for argv in (scan, ["check"]):
         assert messages(lambda: main([*argv, "--potential-file", str(path), *grid])) == whole
+    assert len(forks) == 1      # the scan's 8 blocks ran in two processes, and in one:
+    monkeypatch.delattr(os, "fork")
+    assert messages(lambda: main([*scan, "--potential-file", str(path), *grid])) == whole
 
 
 # the tracemalloc peak of a grid of more than 10 blocks; measured at about
@@ -107,3 +147,101 @@ def test_a_grid_of_many_blocks_has_a_bounded_memory_peak(argv, capsys, tmp_path)
         tracemalloc.stop()
     capsys.readouterr()
     assert peak / 1e6 < PEAK_BOUND_MB
+
+
+def mixed_source(tmp_path) -> list[str]:
+    """MIXED on a 60 x 40 grid whose rows fail in every way: 40 ``err:domain``
+    (S <= 0), 97 ``err:overflow`` and 1,503 ``overflow:cells``."""
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(potential_to_json(MIXED)), encoding="utf-8")
+    return ["--potential-file", str(path), "--grid", "S=-1:2200:60", "--grid", "X=0.25:3:40"]
+
+
+# 4,103 points in 5 or 2 blocks, and MIXED's 2,400 in 3 or 2
+@pytest.mark.parametrize("block", [1000, 2051])
+@pytest.mark.parametrize("case", [*sorted(TAIL_GRIDS), "mixed"])
+def test_a_split_scan_writes_the_bytes_of_one_process(case, block, capsys, tmp_path,
+                                                      monkeypatch, deadline):
+    source = mixed_source(tmp_path) if case == "mixed" else ["--catalog", case,
+                                                             *TAIL_GRIDS[case]]
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
+    path = tmp_path / "scan.csv"
+
+    def run():      # the file, its sidecar and the same scan to stdout
+        assert main(["scan", *source, "--out", str(path)]) == 0
+        assert main(["scan", *source]) == 0
+        sidecar = tmp_path / "scan.csv.meta.json"
+        return path.read_bytes(), sidecar.read_bytes(), capsys.readouterr()
+
+    forks = count_forks(monkeypatch)
+    split = run()
+    assert len(forks) == 2
+    assert_no_child_left()
+    if case == "mixed":
+        text = split[0].decode()
+        assert all(token in text for token in ("err:domain", "err:overflow", "overflow:cells"))
+    monkeypatch.delattr(os, "fork")
+    assert run() == split
+
+
+class BrokenStdout:
+    """A standard output whose reader leaves after ``lines`` writes."""
+
+    def __init__(self, lines: int):
+        self.lines = lines
+
+    def write(self, text: str) -> int:
+        self.lines -= 1
+        if self.lines < 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+
+@pytest.mark.parametrize("writes", [1, 2, 3])    # closed at the first block, the child's, the next
+def test_a_split_scan_leaves_no_child_when_its_reader_leaves(writes, tmp_path, monkeypatch,
+                                                             deadline):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 1000)
+    monkeypatch.setattr(sys, "stdout", BrokenStdout(writes))
+    forks = count_forks(monkeypatch)
+    # each block of 1,000 rows is larger than a pipe holds, so the child is
+    # blocked writing it when the parent leaves
+    assert main(["scan", "--catalog", "kerr", *TAIL_GRIDS["kerr"]]) == 0
+    assert len(forks) == 1
+    assert_no_child_left()
+    with pytest.warns(ConditioningWarning, match="at 3 points"):   # no count was left open
+        evaluate_points(MIXED, [2.0 + 1e-13, 2.0 - 1e-13, 2.0 + 2e-13, 3.0], [1.0] * 4)
+
+
+def test_a_scan_whose_output_cannot_be_opened_forks_no_child(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 1000)
+    forks = count_forks(monkeypatch)
+    out = tmp_path / "missing" / "scan.csv"
+    assert main(["scan", "--catalog", "kerr", *TAIL_GRIDS["kerr"], "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not forks
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["raises", "exits-early", "exits-nonzero"])
+def test_a_failing_child_fails_the_scan(fault, capsys, tmp_path, monkeypatch, deadline):
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 1000)
+    parent, original, exit_ = os.getpid(), cli.evaluate_points, os._exit
+
+    child_blocks = []
+
+    def evaluate(spec, s, x, eps):  # the child has 2 of the 5 blocks
+        if os.getpid() != parent:
+            child_blocks.append(len(s))
+            if fault == "raises":
+                raise MemoryError
+            if fault == "exits-early" and len(child_blocks) == 2:   # one block sent
+                exit_(0)
+        return original(spec, s, x, eps)
+    monkeypatch.setattr(cli, "evaluate_points", evaluate)
+    if fault == "exits-nonzero":     # after sending every block and its count
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(code or 3))
+    path = tmp_path / "scan.csv"
+    assert main(["scan", "--catalog", "kerr", *TAIL_GRIDS["kerr"], "--out", str(path)]) == 2
+    assert "forked scan process" in capsys.readouterr().err
+    assert path.exists() and not (tmp_path / "scan.csv.meta.json").exists()
+    assert_no_child_left()

@@ -240,7 +240,7 @@ def test_csv_axis_cells_keep_signed_zeros_and_nans_apart(tmp_path):
     flags = np.array(["", "div:RM", "", "", "", "", "", "", "err:domain"], dtype=object)
     args = type("Args", (), {"format": "csv", "out": str(tmp_path / "rows.csv")})
     spec = parse_potential("S + X")
-    _write_rows(args, spec, [(columns, flags), (columns, flags)])
+    _write_rows(args, spec, [lambda: (columns, flags)] * 2)   # two blocks: forks a child
     rows = [",".join("%.17g" % columns[name][k] for name in COLUMNS[:-1]) + "," + flags[k]
             for k in range(s.size)]
     expected = "\r\n".join([",".join(COLUMNS), *rows, *rows]) + "\r\n"
