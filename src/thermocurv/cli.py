@@ -40,6 +40,7 @@ CHECK_THRESHOLD = 1e-8
 
 # grid points evaluated, checked or written at a time
 _WRITE_BLOCK = 4096
+_FORMAT_ROWS = 512     # rows formatted at a time: a whole block's would raise the memory peak
 
 
 def _jsonable(value: float):
@@ -144,14 +145,10 @@ def _write_json(path, doc) -> None:
 
 def _csv_text(c, flags) -> str:
     """The CSV rows of one block, as csv.writer gives them: no cell needs quoting."""
-    def axis_cells(values):     # a block repeats S and X: format each bit pattern once
-        keys = values.view(np.int64).tolist()
-        text = {k: "%.17g," % v for k, v in dict(zip(keys, values.tolist())).items()}
-        return list(map(text.__getitem__, keys))
-    row = "%s%s" + "%.17g," * (len(COLUMNS) - 3) + "%s\r\n"
-    table = np.column_stack([c[name] for name in COLUMNS[2:-1]]).tolist()
-    return "".join([row % (s, x, *cells, tag) for s, x, cells, tag in zip(
-        axis_cells(c["S"]), axis_cells(c["X"]), table, flags)])
+    from ._g17 import csv_rows      # here, so that only a CSV writer builds its tables
+    table = np.column_stack([c[name] for name in COLUMNS[:-1]])
+    return "".join([csv_rows(table[a:a + _FORMAT_ROWS], flags[a:a + _FORMAT_ROWS])
+                    for a in range(0, len(flags), _FORMAT_ROWS)])
 
 
 def _evaluated(blocks):
