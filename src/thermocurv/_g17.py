@@ -1,12 +1,13 @@
 """CSV rows whose cells are byte for byte ``"%.17g" % v``, by exact integer arithmetic.
 
 With ``X = floor(log10|v|)`` the 17 digits of ``v = m * 2**q`` are ``m * 5**p / 2**s``
-(``p = 16 - X``, ``s = -(q + p)``) rounded half to even: at most three 64-bit limbs and
-one shift, as in Ryu (Adams, PLDI 2018).  ``log10`` gives ``X``; a truncated quotient below
-``10**16`` or from ``10**17`` moves it by one, and so does a rounding carry to ``10**17``.
-Cells are laid out by ``%g``'s rule in 4-digit lookup words whose unused bytes are NUL,
-which ``bytes.translate`` drops.  nan, infinities, subnormals and magnitudes outside
-``_X_MIN <= X <= _X_MAX`` go through Python's own ``"%.17g"``.
+(``p = 16 - X``, ``s = -(q + p)``) rounded half to even, as in Ryu (Adams, PLDI 2018).  For
+``s <= 52``, ``m * 5**p mod 2**64`` holds both rounding bits and the low ``64 - s`` bits of
+the quotient, and ``|v| * 10.0**p``, within ``2**11`` of it, the rest; other cells take three
+64-bit limbs, and so do those whose quotient is below ``10**16`` or from ``10**17`` (log10
+was one off).  A carry to ``10**17`` raises ``X``.  Cells are laid out by ``%g``'s rule in
+4-digit lookup words whose unused bytes are NUL, which ``bytes.translate`` drops.  nan,
+infinities, subnormals and ``X`` outside ``_X_MIN..._X_MAX`` go through Python's ``"%.17g"``.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 # m * 5**p fits three limbs, 1 <= s <= 128 for X or X + 1, and the integer part 8 digits
 _X_MIN, _X_MAX = -38, 7
 _POW5 = np.array([divmod(5 ** p, 2 ** 64) for p in range(17 - _X_MIN)], np.uint64).T  # hi, lo
+_SCALE = np.array([float(10 ** p) for p in range(17 - _X_MIN)])
 _POW10 = 10 ** np.arange(17, dtype=np.uint64)
 
 
@@ -30,9 +32,10 @@ _QUAD = _words(48 + _DIGITS.T)
 # by group + 10000 * (a later group of the fraction is nonzero): trailing zeros NUL or kept
 _FRACTION = np.concatenate([_words(np.where(np.maximum.accumulate(
     _DIGITS[::-1])[::-1] > 0, 48 + _DIGITS, 0).T), _QUAD])
-# [j, X]: the mask of word j of an integer part of X + 1 digits, leading zeros NUL
-_INTEGER = _words(np.where(np.arange(4) >= 4 - np.arange(5)[:, None], 255, 0))[
-    np.clip(np.arange(1, _X_MAX + 2) - np.array([[4], [0]]), 0, 4)]
+# an integer part's first 4 digits, then by group + 10000 * (they are nonzero) its last 4
+_LEADING = _words(np.where(np.maximum.accumulate(_DIGITS, axis=0) > 0, 48 + _DIGITS, 0).T)
+_INTEGER = np.concatenate([_LEADING, _QUAD])
+_INTEGER[0] = _QUAD[0] & _LEADING[1]
 # by 2 * (X - _X_MIN) + sign: the comma before the cell, the sign and "0.000" of -4 <= X < 0
 _HEAD = _texts([b"," + sign + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"")
                 for x in range(_X_MIN, _X_MAX + 1) for sign in (b"", b"-")], 8)
@@ -52,12 +55,9 @@ def _quotient(m, q, x):
     """``m * 2**q * 10**(16 - x)`` truncated, and rounded half to even."""
     p, s = 16 - x, x - 16 - q
     w1, w0 = _product(m, _POW5[1][p])
-    w2 = np.zeros_like(w1)
-    wide = np.nonzero(p > 27)       # 5**p needs a second limb
-    if wide[0].size:
-        h1, h0 = _product(m[wide], _POW5[0][p[wide]])
-        w1[wide] += h0
-        w2[wide] = h1 + (w1[wide] < h0)
+    h1, h0 = _product(m, _POW5[0][p])       # 0 where 5**p fits one limb
+    w1 += h0
+    w2 = h1 + (w1 < h0)
     # shift the 128 bits (a1, a0) by r = 1..64: every shift amount is within 0..63
     high = s > 64
     a1, a0 = np.where(high, w2, w1), np.where(high, w1, w0)
@@ -68,56 +68,79 @@ def _quotient(m, q, x):
     return t, t + (half & 1 & (sticky | t))
 
 
-def _cells(v, words) -> None:
-    """Write ``",%.17g" % v`` of each value, NUL-padded, into its row of ``words``."""
+def _split(h, c):     # h // c and h % c of a uint64 array and a constant
+    top = h // c
+    return top, h - top * c
+
+
+def _digits(v):
+    """The 17 digits ``10**16 <= D < 10**17``, exponent ``X`` and ``ok`` of each value of
+    a 1-D ``v``; where ``ok`` is false, ``D = X = 0``: a zero, or a cell left to Python."""
     bits = v.view(np.uint64)
-    e = bits >> 52 & 0x7FF
-    normal = (e > 0) & (e < 0x7FF)
-    x = np.floor(np.log10(np.abs(np.where(normal, v, 1.0)))).astype(np.int64)
-    ok = normal & (x >= _X_MIN) & (x <= _X_MAX)
-    m = np.where(ok, bits & (2 ** 52 - 1) | 2 ** 52, 2 ** 52)     # 1.0 stands in for the rest
-    q, x = np.where(ok, e.astype(np.int64) - 1075, -52), np.where(ok, x, 0)
-    t, d = _quotient(m, q, x)
-    shift = (t >= 10 ** 17).astype(np.int64) - (t < 10 ** 16)
-    redo = np.nonzero(shift)
-    if redo[0].size:        # log10 was one off, next to a power of ten
+    # a value that is not ok (zero, nan, infinite, subnormal, out of range) gets wrong
+    # digits from a stand-in 1 <= m * 2**-52 < 2, and ``ok`` zeroes them
+    with np.errstate(all="ignore"):
+        size = np.abs(v)
+        x = np.floor(np.log10(size))
+        ok = (x >= _X_MIN) & (x <= _X_MAX)
+        x = np.where(ok, x, 0.0).astype(np.intp)
+        q = np.where(ok, (bits >> 52 & 0x7FF).view(np.intp), 1023) - 1075
+        m = bits & (2 ** 52 - 1) | 2 ** 52
+        low = m * _POW5[1][16 - x]
+        guess = (size * _SCALE[16 - x]).astype(np.uint64)
+    s = x - 16 - q
+    r = s.astype(np.uint64)
+    t = guess + ((((low >> r) - guess) << r).view(np.intp) >> s).view(np.uint64)
+    d = t + ((low << (64 - r) | t & 1) > 2 ** 63)
+    exact = np.flatnonzero(s > 52)
+    if exact.size:
+        t[exact], d[exact] = _quotient(m[exact], q[exact], x[exact])
+    shift = (t >= 10 ** 17).view(np.int8) - (t < 10 ** 16).view(np.int8)
+    redo = np.flatnonzero(shift * ok)
+    if redo.size:       # log10 was one off, next to a power of ten
         x[redo] += shift[redo]
         ok[redo] &= (x[redo] >= _X_MIN) & (x[redo] <= _X_MAX)
-        redo = tuple(i[ok[redo]] for i in redo)
+        redo = redo[ok[redo]]
         t[redo], d[redo] = _quotient(m[redo], q[redo], x[redo])
     carry = d == 10 ** 17
-    x += carry
+    d[carry], x = 10 ** 16, x + carry
     ok &= x <= _X_MAX
-    d = np.where(ok, np.where(carry, 10 ** 16, d), 0)     # a zero prints as 0 * 10**0
-    x = np.where(ok, x, 0)
-    whole = np.maximum(x, 0)            # digits before the point, less one
-    integer, fraction = np.divmod(d, _POW10[16 - whole])
-    fraction *= _POW10[whole]       # 16 digits, left-aligned
-    xi = x - _X_MIN
-    words[..., :2].view(np.uint64)[..., 0] = _HEAD[2 * xi + np.signbit(v)]
-    for j, group in enumerate(np.divmod(integer.astype(np.uint32), 10000)):
-        words[..., 2 + j] = _QUAD[group] & _INTEGER[j][whole]
-    high, low = (part.astype(np.uint32) for part in np.divmod(fraction, 10 ** 8))
-    later = np.zeros(v.shape, dtype=bool)
-    for j, group in reversed(list(enumerate((high // 10000, high % 10000,
-                                             low // 10000, low % 10000)))):
-        words[..., 5 + j] = _FRACTION[group + 10000 * later]
-        later |= group != 0
-    words[..., 4] = (later & ((x >= 0) | (x < -4))) * ord(".")    # at any byte of the word
-    words[..., 9] = _EXPONENT[xi]
-    rest = np.nonzero(~ok & (v != 0))
-    if rest[0].size:
+    return d * ok, x * ok, ok
+
+
+def _cells(v, words) -> None:
+    """Write ``",%.17g" % v`` of each value of ``v``, NUL-padded, into its row of ``words``."""
+    d, x, ok = _digits(v)
+    # D * 10**max(X, 0): the integer part, then a left-aligned 16-digit fraction, by halves
+    scale = _POW10[np.maximum(x, 0)]
+    top, end = _split(d, 10 ** 8)
+    carry, low = _split(end * scale, 10 ** 8)
+    integer, high = _split(top * scale + carry, 10 ** 8)
+    words[:, 4] = (((high | low) != 0) & ((x >= 0) | (x < -4))) * ord(".")    # at any byte
+    x -= _X_MIN
+    words[:, :2].view(np.uint64)[:, 0] = _HEAD[2 * x + (v.view(np.uint64) >> 63).view(np.intp)]
+    first, last = (g.view(np.intp) for g in _split(integer, 10000))
+    words[:, 2] = _LEADING[first]
+    words[:, 3] = _INTEGER[last + 10000 * (first != 0)]
+    g0, g1, g2, g3 = (g.view(np.intp) for g in (*_split(high, 10000), *_split(low, 10000)))
+    words[:, 5] = _FRACTION[g0 + 10000 * ((low != 0) | (g1 != 0))]
+    words[:, 6] = _FRACTION[g1 + 10000 * (low != 0)]
+    words[:, 7] = _FRACTION[g2 + 10000 * (g3 != 0)]
+    words[:, 8] = _FRACTION[g3]
+    words[:, 9] = _EXPONENT[x]
+    rest = np.flatnonzero(~ok & (v != 0))
+    if rest.size:
         words[rest] = np.array([",%.17g" % f for f in v[rest].tolist()],
                                dtype=f"S{_CELL}").view(np.uint32).reshape(-1, _CELL // 4)
 
 
-def csv_rows(table, flags) -> str:
+def csv_rows(table, flags) -> bytes:
     """Rows of each value of a C-contiguous float ``table`` as ``"%.17g"``, then ``flags``."""
-    n, k = table.shape
-    tails = np.array([f",{tag}\r\n" for tag in flags], dtype="S")
-    width = k * _CELL + -(-tails.itemsize // 8) * 8    # each row starts 8-byte aligned
-    rows = np.zeros((n, width), dtype=np.uint8)
-    _cells(table, rows[:, :k * _CELL].view(np.uint32).reshape(n, k, _CELL // 4))
-    rows[:, k * _CELL:k * _CELL + tails.itemsize] = tails.view(np.uint8).reshape(n, -1)
+    (n, k), tags = table.shape, np.asarray(flags, dtype=str)[:, None].view(np.uint32)
+    cells = np.empty((n * k, _CELL // 4), dtype=np.uint32)     # every word is written
+    _cells(table.ravel(), cells)
+    tail = np.zeros((n, tags.shape[1] + 3), dtype=np.uint8)     # ",", the flags, "\r\n"
+    tail[:, 0], tail[:, 1:-2], tail[:, -2:] = ord(","), tags, [13, 10]
+    rows = np.concatenate([cells.view(np.uint8).reshape(n, -1), tail], axis=1)
     rows[:, 0] = 0      # the first cell has no comma before it
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
+    return rows.tobytes().translate(None, b"\0")

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import threading
+import types
 
 import numpy as np
 
@@ -40,7 +41,7 @@ CHECK_THRESHOLD = 1e-8
 
 # grid points evaluated, checked or written at a time
 _WRITE_BLOCK = 4096
-_FORMAT_ROWS = 512     # rows formatted at a time: a whole block's would raise the memory peak
+_FORMAT_ROWS = 256     # rows formatted at a time: a whole block's would raise the memory peak
 
 
 def _jsonable(value: float):
@@ -105,50 +106,54 @@ def evaluate_points(spec, s, x, eps: float = DEFAULT_SINGULARITY_EPS):
     """The scan columns at the points ``(s[k], x[k])``, in one batched pass.
 
     Returns ``(columns, flags)``: ``columns`` maps each numeric column name
-    to an array, ``flags`` holds the ``;``-joined tokens of each row.  A
-    point outside the domain gets only ``err:domain`` and one whose jet is
-    not finite only ``err:overflow``; their cells after S, X are nan.  A
+    to an array, ``flags`` is a string array of the ``;``-joined tokens of each
+    row.  A point outside the domain gets only ``err:domain`` and one whose jet
+    is not finite only ``err:overflow``; their cells after S, X are nan.  A
     row with another non-finite cell and no token gets ``overflow:cells``.
     """
-    s = np.asarray(s, dtype=float).ravel()
-    x = np.asarray(x, dtype=float).ravel()
+    s, x = (np.asarray(v, dtype=float).ravel() for v in (s, x))
     jet, code = eval_jets(spec, s, x)
     with np.errstate(all="ignore"):
         curv = curvature_from_m_jet(jet, eps)
         rs = responses_at(jet, StatePoint(s, x), eps)
     failed = code != 0
-    values = [jet.s, jet.x, jet.ss, jet.sx, jet.xx, curv.det_gm, curv.det_gf,
-              curv.r_m, curv.r_f, rs.c_x, rs.c_y, rs.alpha, rs.kappa_t,
-              rs.kappa_s, rs.gamma]
+    values = [jet.s, jet.x, jet.ss, jet.sx, jet.xx, curv.det_gm, curv.det_gf, curv.r_m,
+              curv.r_f, rs.c_x, rs.c_y, rs.alpha, rs.kappa_t, rs.kappa_s, rs.gamma]
     columns = dict(zip(COLUMNS, [s, x, *(np.where(failed, math.nan, v) for v in values)]))
-    tokens = np.full(s.size, "", dtype=object)
-    for token, mask in (*curv.flags, *rs.flags):
-        tokens[mask & ~failed] += ";" + token
+    pairs = (*curv.flags, *rs.flags)
+    tokens = [token for token, _ in pairs] + ["overflow:cells", "err:domain", "err:overflow"]
+    bits = sum(mask << k for k, (_, mask) in enumerate(pairs))     # bit k: tokens[k]
     finite = np.logical_and.reduce([np.isfinite(v) for v in columns.values()])
-    tokens[~finite & (tokens == "")] = ";overflow:cells"
-    tokens[code == DOMAIN] = ";err:domain"
-    tokens[code == OVERFLOW] = ";err:overflow"
-    return columns, np.array([t[1:] for t in tokens.tolist()], dtype=object)
+    bits |= (~finite & (bits == 0)) << len(pairs)
+    bits[code == DOMAIN] = 1 << len(pairs) + 1     # a failed row has its error alone
+    bits[code == OVERFLOW] = 1 << len(pairs) + 2
+    keys, index = np.unique(bits, return_inverse=True)
+    return columns, np.array([";".join(t for k, t in enumerate(tokens) if key >> k & 1)
+                              for key in keys.tolist()])[index]
 
 
 def _opened(path):
-    """``path`` opened for writing, or standard output for None or ``-``."""
-    if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+    """``path`` opened for bytes; for None or ``-``, stdout's buffer after its text or a decoder."""
+    if path is not None and path != "-":
+        return open(path, "wb")
+    if getattr(out := sys.stdout, "buffer", None) is None:
+        return contextlib.nullcontext(types.SimpleNamespace(write=lambda b: out.write(b.decode())))
+    out.flush()
+    return contextlib.nullcontext(out.buffer)
 
 
 def _write_json(path, doc) -> None:
     with _opened(path) as out:
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write((json.dumps(doc, indent=2) + "\n").encode())
 
 
-def _csv_text(c, flags) -> str:
-    """The CSV rows of one block, as csv.writer gives them: no cell needs quoting."""
+def _csv_chunks(c, flags):
+    """The CSV rows of one block, as csv.writer gives them (no cell needs quoting), as
+    bytes of ``_FORMAT_ROWS`` rows each: a writer passes each on before the next is made."""
     from ._g17 import csv_rows      # here, so that only a CSV writer builds its tables
     table = np.column_stack([c[name] for name in COLUMNS[:-1]])
-    return "".join([csv_rows(table[a:a + _FORMAT_ROWS], flags[a:a + _FORMAT_ROWS])
-                    for a in range(0, len(flags), _FORMAT_ROWS)])
+    for a in range(0, len(flags), _FORMAT_ROWS):
+        yield csv_rows(table[a:a + _FORMAT_ROWS], flags[a:a + _FORMAT_ROWS])
 
 
 def _evaluated(blocks):
@@ -159,7 +164,7 @@ def _evaluated(blocks):
 
 @contextlib.contextmanager
 def _child(blocks, ill):
-    """Yields a function that returns the CSV text of the next odd-numbered block from a
+    """Yields a function that returns the CSV chunks of the next odd-numbered block from a
     forked child, whose ill-conditioned count then joins ``ill``; or None, and no child,
     for one block, without ``os.fork`` or while another thread runs."""
     if len(blocks) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -169,10 +174,11 @@ def _child(blocks, ill):
     if (pid := os.fork()) == 0:     # leaves only through os._exit: no atexit, no flush
         try:
             os.close(read)
-            with open(write, "wb") as pipe:     # each text after its 8 length bytes
-                for block in blocks[1::2]:
-                    text = _csv_text(*block()).encode()
-                    pipe.write(len(text).to_bytes(8, "big") + text)
+            with open(write, "wb") as pipe:     # each chunk after its 8 length bytes
+                for block in blocks[1::2]:      # made whole, so the parent never waits on it
+                    chunks = [*_csv_chunks(*block()), b""]     # an empty one ends the block
+                    pipe.writelines(b for c in chunks for b in (len(c).to_bytes(8, "big"), c))
+                    pipe.flush()
                 pipe.write(ill[0].to_bytes(8, "big"))      # 0 at the fork: the child's count
             os._exit(0)
         finally:
@@ -180,7 +186,7 @@ def _child(blocks, ill):
     os.close(write)
     try:
         with open(read, "rb") as pipe:  # closed first, so a child blocked on writing it exits
-            yield lambda: pipe.read(int.from_bytes(pipe.read(8), "big")).decode()
+            yield lambda: iter(lambda: pipe.read(int.from_bytes(pipe.read(8), "big")), b"")
             count = pipe.read(8)    # short, like every message after it, if the child failed
     finally:
         status = os.waitpid(pid, 0)[1]
@@ -200,12 +206,13 @@ def _write_rows(args, spec, blocks) -> None:
             for cells, tag in zip(np.column_stack([c[k] for k in COLUMNS[:-1]]).tolist(), flags)]})
         return
     with _opened(args.out) as out, one_warning() as ill, _child(blocks, ill) as receive:
-        out.write(",".join(COLUMNS) + "\r\n")
+        out.write(",".join(COLUMNS).encode() + b"\r\n")
         for k, block in enumerate(blocks[::2] if receive else blocks):
-            out.write(_csv_text(*block()))
-            if receive and 2 * k + 1 < len(blocks):
-                out.write(receive())
-    if out is not sys.stdout:
+            for chunk in _csv_chunks(*block()):
+                out.write(chunk)
+            for chunk in receive() if receive and 2 * k + 1 < len(blocks) else ():
+                out.write(chunk)
+    if args.out not in (None, "-"):
         _write_json(args.out + ".meta.json", head)
 
 

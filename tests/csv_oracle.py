@@ -1,4 +1,4 @@
-"""An independent oracle of ``cli._csv_text``: the writer that formatted each
+"""An independent oracle of ``cli._csv_chunks``: the writer that formatted each
 block of a CSV ``scan`` with Python's ``%`` operator, one ``"%.17g"`` per cell,
 before the cells were made with integer arithmetic in numpy.
 

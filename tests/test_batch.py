@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flags_oracle import flag_strings
 from test_codegen import EXPRESSIONS, PARAMS
 from thermocurv import (StatePoint, curvature_from_m_jet, eval_jet, eval_scalar,
                         format_expression, get_entry, parse_potential, potentials,
@@ -139,6 +140,50 @@ def test_batched_rows_match_scalar_api(spec, points):
     check()
 
 
+def assert_flags_are_the_token_loop(spec, s, x) -> list[str]:
+    """The flag strings of ``evaluate_points`` at ``(s, x)``, which must be the
+    oracle's, whole strings, so token order and precedence count."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        got = evaluate_points(spec, s, x)[1]
+        want = flag_strings(spec, s, x)
+    assert got.tolist() == want, (spec.name, s, x)
+    return want
+
+
+@pytest.mark.parametrize("spec,points", CASES, ids=[c[0].name for c in CASES])
+def test_bit_mask_flags_are_the_token_loop_on_drawn_points(spec, points):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(points, min_size=1, max_size=30))
+    def check(drawn):
+        tiled = drawn * (POINTWISE_MAX // len(drawn) + 1)  # one array pass
+        for rows in (drawn, tiled):
+            assert_flags_are_the_token_loop(spec, [p[0] for p in rows], [p[1] for p in rows])
+    check()
+
+
+def test_bit_mask_flags_keep_the_order_and_precedence_of_the_token_loop(cy_toy):
+    # MIXED fails in every way on the first grid and flags responses on the second
+    cases = [(MIXED, np.linspace(-1.0, 2200.0, 60), np.linspace(0.25, 3.0, 40)),
+             (MIXED, np.linspace(-2.0, 4.0, 61), np.linspace(-2.0, 3.0, 51)),
+             # RN on its C_Q line S = 3 Q^2 and below S = Q^2, where T < 0
+             (RN, np.array([1.0, 3.0, 0.5]), np.linspace(0.05, 1.5, 30)),
+             # det H = 1 + S - X^2 vanishes on the diagonal: S = 3, X = 2
+             (cy_toy, np.linspace(2.5, 3.5, 11), np.linspace(1.5, 2.5, 11))]
+    found = []
+    for spec, s, x in cases:
+        s, x = (axis.ravel() for axis in np.meshgrid(s, x, indexing="ij"))
+        found += assert_flags_are_the_token_loop(spec, s, x)
+    tokens = [tag.split(";") for tag in found]
+    assert {t for tag in tokens for t in tag} >= {
+        "", "err:domain", "err:overflow", "overflow:cells", "err:responses", "neg:T",
+        "undef:X", "div:RM", "div:RF", "div:CX", "div:CY", "div:alpha", "div:kappaT"}
+    assert ["div:RM", "div:CY", "div:alpha", "div:kappaT"] in tokens    # curvature first
+    assert ["div:RF", "div:CX"] in tokens
+    for tag in tokens:      # an error or overflow:cells stands alone
+        assert len(tag) == 1 or not {"err:domain", "err:overflow", "overflow:cells"} & {*tag}
+
+
 def test_rn_scan_bytes_match_row_by_row_formatting(tmp_path):
     # S = 0.5..10 spans T < 0 (S < Q^2) and crosses the C_Q line S = 3 Q^2
     out = tmp_path / "rn.csv"
@@ -257,6 +302,17 @@ def test_the_array_pass_matches_point_by_point_on_drawn_potentials(src, k, point
     x = points[0][1] if x_float else np.array([p[1] for p in points])
     assert_second_order_agrees(both_paths(spec, s, x, len(points)),
                                both_paths(spec, s, x, len(points), order=2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(EXPRESSIONS, QUOTIENTS), PARAMS,
+       st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=40))
+def test_bit_mask_flags_are_the_token_loop_on_drawn_potentials(src, k, points):
+    try:
+        spec = parse_potential(src, ("S", "X"), {"k": k}, domain=EDGES)
+    except ValueError:              # fails at every point: rejected on load
+        return
+    assert_flags_are_the_token_loop(spec, [p[0] for p in points], [p[1] for p in points])
 
 
 def test_a_third_order_overflow_fails_a_point_of_the_full_pass_alone():

@@ -5,6 +5,8 @@ bounded however many blocks it has.  A CSV ``scan`` of two or more blocks
 forks a child for every other block; each of its outputs is compared with
 the same run with ``os.fork`` removed, which stays in one process."""
 
+import contextlib
+import io
 import json
 import os
 import signal
@@ -184,6 +186,24 @@ def test_a_split_scan_writes_the_bytes_of_one_process(case, block, capsys, tmp_p
     assert run() == split
 
 
+def test_a_split_scan_to_standard_output_is_the_file(capsys, tmp_path, monkeypatch, deadline):
+    # 2 blocks, so each scan forks; standard output takes the bytes through its
+    # buffer, and a stream without one (an io.StringIO) takes them decoded
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 200)
+    argv = ["scan", "--catalog", "kerr", "--grid", "S=1:10:20:log", "--grid", "J=0.05:0.45:20"]
+    forks = count_forks(monkeypatch)
+    path = tmp_path / "scan.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert not hasattr(text, "buffer") and text.getvalue().encode() == path.read_bytes()
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
 class BrokenStdout:
     """A standard output whose reader leaves after ``lines`` writes."""
 
@@ -201,7 +221,8 @@ class BrokenStdout:
 def test_a_split_scan_leaves_no_child_when_its_reader_leaves(writes, tmp_path, monkeypatch,
                                                              deadline):
     monkeypatch.setattr(cli, "_WRITE_BLOCK", 1000)
-    monkeypatch.setattr(sys, "stdout", BrokenStdout(writes))
+    # after the header, each block of 1,000 rows is written in 2 chunks
+    monkeypatch.setattr(sys, "stdout", BrokenStdout(2 * writes - 1))
     forks = count_forks(monkeypatch)
     # each block of 1,000 rows is larger than a pipe holds, so the child is
     # blocked writing it when the parent leaves

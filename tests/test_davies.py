@@ -214,6 +214,47 @@ def test_fixed_y_refinement_without_an_x_root_drops_the_turning_point(cy_toy, mo
     assert scan.series == want.series and scan.turning_points == ()
 
 
+def test_fixed_y_lane_steps_evaluate_second_order_jets(cy_toy, monkeypatch):
+    # the lanes read first and second partials only: a third-order pass gives the
+    # same series at a higher cost, which no output shows
+    orders, real = [], davies.eval_jets
+
+    def spy(*args, **kwargs):
+        orders.append(kwargs.get("order", 3))
+        return real(*args, **kwargs)
+    y0 = eval_jet(cy_toy, (1.25, 1.5)).x
+    want = conjugacy_scan(cy_toy, "fixed-y", fixed_value=y0, sweep=(0.3, 3.0), x_guess=1.5)
+    monkeypatch.setattr(davies, "eval_jets", spy)
+    scan = conjugacy_scan(cy_toy, "fixed-y", fixed_value=y0, sweep=(0.3, 3.0), x_guess=1.5)
+    assert scan == want
+    assert len(orders) >= 2 and set(orders) == {2}     # the guess, then Newton steps
+
+
+def test_fixed_y_roots_next_to_a_finite_upper_x_bound_are_found(tmp_path):
+    # M_X = (X - 1)^3 is flat at the guess X = 1, so every lane leaves its Newton
+    # steps for the outward search.  Y's root is X = 1.27 at every S: the upper steps
+    # 1.05, 1.1 and 1.2 stay below it and the next, 1.4, is past the bound X < 1.3,
+    # so only halving the distance to the bound (1.25, then 1.275) brackets it
+    path = tmp_path / "bounded.json"
+    path.write_text(json.dumps({"name": "bounded", "coords": ["S", "X"],
+                                "expression": "S^2/2 + (X - 1)^4/4",
+                                "domain": {"X": [0, 1.3]}}), encoding="utf-8")
+    spec = load_potential_file(path)
+    assert spec.domain[1] == (0.0, 1.3)
+    s_grid = np.linspace(0.5, 2.0, 7)
+    scan = conjugacy_scan(spec, "fixed-y", fixed_value=0.27 ** 3, sweep=(0.5, 2.0), count=7,
+                          x_guess=1.0)
+    assert [s for _, s in scan.series] == s_grid.tolist()
+    assert [t for t, _ in scan.series] == s_grid.tolist()     # T = S wherever X is solved
+
+    def lanes(idx, x):
+        with batch(idx.size):
+            jet = eval_jet(spec, (s_grid[idx], x))
+        return jet.x - 0.27 ** 3, jet.xx, jet.s
+    x, _ = solve_lanes(lanes, s_grid.size, 1.0, *spec.domain[1], tol_f=1e-13)
+    assert x == pytest.approx(np.full(7, 1.27), rel=1e-12)
+
+
 def test_fit_rejects_bad_arguments(rn):
     with pytest.raises(ValueError):
         divergence_orders(eval_jet(rn.spec, (3.0, 1.0)), "cz")
