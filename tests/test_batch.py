@@ -125,6 +125,17 @@ def mixed_points(draw):
     return draw(coordinate(-1.0, 12.0)), x
 
 
+def assert_flags_are_the_token_loop(spec, s, x) -> list[str]:
+    """The flag strings of ``evaluate_points`` at ``(s, x)``, which must be the
+    oracle's, whole strings, so token order and precedence count."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        got = evaluate_points(spec, s, x)[1]
+        want = flag_strings(spec, s, x)
+    assert got.tolist() == want, (spec.name, s, x)
+    return want
+
+
 CASES = [(RN, rn_points()), (KERR, kerr_points()), (MIXED, mixed_points())]
 
 
@@ -137,26 +148,6 @@ def test_batched_rows_match_scalar_api(spec, points):
         tiled = drawn * (POINTWISE_MAX // len(drawn) + 1)  # one array pass
         assert len(tiled) > POINTWISE_MAX
         assert_matches_scalar(spec, tiled)
-    check()
-
-
-def assert_flags_are_the_token_loop(spec, s, x) -> list[str]:
-    """The flag strings of ``evaluate_points`` at ``(s, x)``, which must be the
-    oracle's, whole strings, so token order and precedence count."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditioningWarning)
-        got = evaluate_points(spec, s, x)[1]
-        want = flag_strings(spec, s, x)
-    assert got.tolist() == want, (spec.name, s, x)
-    return want
-
-
-@pytest.mark.parametrize("spec,points", CASES, ids=[c[0].name for c in CASES])
-def test_bit_mask_flags_are_the_token_loop_on_drawn_points(spec, points):
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.lists(points, min_size=1, max_size=30))
-    def check(drawn):
-        tiled = drawn * (POINTWISE_MAX // len(drawn) + 1)  # one array pass
         for rows in (drawn, tiled):
             assert_flags_are_the_token_loop(spec, [p[0] for p in rows], [p[1] for p in rows])
     check()
@@ -302,17 +293,7 @@ def test_the_array_pass_matches_point_by_point_on_drawn_potentials(src, k, point
     x = points[0][1] if x_float else np.array([p[1] for p in points])
     assert_second_order_agrees(both_paths(spec, s, x, len(points)),
                                both_paths(spec, s, x, len(points), order=2))
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.one_of(EXPRESSIONS, QUOTIENTS), PARAMS,
-       st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=40))
-def test_bit_mask_flags_are_the_token_loop_on_drawn_potentials(src, k, points):
-    try:
-        spec = parse_potential(src, ("S", "X"), {"k": k}, domain=EDGES)
-    except ValueError:              # fails at every point: rejected on load
-        return
-    assert_flags_are_the_token_loop(spec, [p[0] for p in points], [p[1] for p in points])
+    assert_flags_are_the_token_loop(spec, s, np.broadcast_to(x, s.shape))
 
 
 def test_a_third_order_overflow_fails_a_point_of_the_full_pass_alone():

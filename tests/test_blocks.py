@@ -221,8 +221,10 @@ class BrokenStdout:
 def test_a_split_scan_leaves_no_child_when_its_reader_leaves(writes, tmp_path, monkeypatch,
                                                              deadline):
     monkeypatch.setattr(cli, "_WRITE_BLOCK", 1000)
-    # after the header, each block of 1,000 rows is written in 2 chunks
-    monkeypatch.setattr(sys, "stdout", BrokenStdout(2 * writes - 1))
+    # after the header, each block of 1,000 rows is written in ceil(1000 / _FORMAT_ROWS)
+    # chunks, so the reader leaves at the first chunk of block 0, 1 (the child's) or 2
+    chunks = -(-1000 // cli._FORMAT_ROWS)
+    monkeypatch.setattr(sys, "stdout", BrokenStdout(1 + (writes - 1) * chunks))
     forks = count_forks(monkeypatch)
     # each block of 1,000 rows is larger than a pipe holds, so the child is
     # blocked writing it when the parent leaves
