@@ -26,23 +26,17 @@ class ToleranceNotMetError(RuntimeError):
     """A refinement ended short of its residual tolerance."""
 
 
-def _refine(func, u, f, slope, a, b, fa, fb, *, tol_f, tol_x=COLLAPSE,
-            curvature=None, expand=None):
-    """The scalar loop: drive ``func(u) = (f, slope)`` from ``u``, where it is
+def _refine(func, u, f, slope, a, b, fa, fb, *, tol_f, tol_x=COLLAPSE):
+    """The bracket loop: drive ``func(u) = (f, slope)`` from ``u``, where it is
     ``f, slope``, to ``(root, |f|, steps)``.  Inside the sign change ``(a, b)``,
     ``(fa, fb)`` at its ends, each step is Newton; one that leaves the bracket,
-    stays put or meets a zero or non-finite slope bisects.  With ``fa`` nan,
-    Halley steps (``curvature(u)`` is f'') cut to half of max(1, |u|) come
-    first, until one leaves ``(a, b)`` or cuts |f| by less than a tenth; the
-    loop goes on from the better end of the last sign change two iterates
-    straddled, else of ``expand()``'s ``(a, b, fa, fb)``.  A nan residual (or
+    stays put or meets a zero or non-finite slope bisects.  A nan residual (or
     an inf one within an inf tolerance), one above ``LOOSE`` times both ends'
     (a pole, not a root), and a collapsed bracket or ``MAX_STEPS`` steps short
-    of the tolerance raise :class:`ToleranceNotMetError`.
-    """
-    crossing, ceiling = None, LOOSE * max(abs(fa), abs(fb))   # crossing: of Halley steps
+    of the tolerance raise :class:`ToleranceNotMetError`."""
+    ceiling = LOOSE * max(abs(fa), abs(fb))
     for steps in itertools.count():
-        collapsed = fa == fa and abs(b - a) <= tol_x * max(1.0, abs(u))   # fa nan: open
+        collapsed = abs(b - a) <= tol_x * max(1.0, abs(u))
         if not abs(f) > (LOOSE * tol_f if collapsed else tol_f):
             if math.isfinite(f):
                 return u, abs(f), steps
@@ -50,23 +44,9 @@ def _refine(func, u, f, slope, a, b, fa, fb, *, tol_f, tol_x=COLLAPSE,
         if collapsed or steps == MAX_STEPS:
             raise ToleranceNotMetError(f"{'bracket collapsed' if collapsed else 'no convergence'}"
                                        f" after {steps} steps at {u!r}, residual {f!r}")
-        if fa != fa:             # a Halley step, or the hand-over to a bracket
-            step = _safe_div(2.0 * f * slope, 2.0 * slope * slope - f * curvature(u))
-            new = u - math.copysign(min(abs(step), 0.5 * max(1.0, abs(u))), step)
-            if a < new < b:
-                f_new, slope_new = func(new)
-                if (f_new > 0.0) != (f > 0.0):
-                    crossing = (u, new, f, f_new)
-                if not abs(f_new) > 0.9 * abs(f):
-                    u, f, slope = new, f_new, slope_new
-                    continue
-            a, b, fa, fb = crossing or expand()
-            ceiling = LOOSE * max(abs(fa), abs(fb))
-            new = b if abs(fb) < abs(fa) else a
-        else:
-            new = u - f / slope if slope and math.isfinite(slope) else math.nan
-            if not min(a, b) < new < max(a, b) or new == u:
-                new = 0.5 * (a + b)
+        new = u - f / slope if slope and math.isfinite(slope) else math.nan
+        if not min(a, b) < new < max(a, b) or new == u:
+            new = 0.5 * (a + b)
         u, (f, slope) = new, func(new)
         if abs(f) > ceiling:
             raise ToleranceNotMetError(f"residual {f!r} at {u!r} grew past {ceiling!r}")
@@ -230,11 +210,13 @@ def solve_lanes(func, n: int, guess: float, lo: float, hi: float, *, tol_f: floa
 def solve_near(jet_at, coord: str, target: float, guess: float, lo: float,
                hi: float, *, tol_f: float):
     """Solve ``P_u = target`` for the coordinate ``u`` (``coord``: ``"s"`` or
-    ``"x"``), ``jet_at(u)`` the jet of P, by :func:`_refine` from ``guess`` on
-    ``(lo, hi)``, with the bracket of :func:`expand_bracket` if the Halley
-    steps cross no sign change, evaluating each point once.  Returns ``(root,
-    jet at the root, |residual| <= tol_f, jets evaluated)`` or raises as
-    those two do."""
+    ``"x"``), ``jet_at(u)`` the jet of P, from ``guess`` on ``(lo, hi)``,
+    evaluating each point once: up to ``MAX_STEPS`` Halley steps (``P_uuu``
+    from the jet) cut to half of max(1, |u|), until one leaves ``(lo, hi)`` or
+    cuts the residual by less than a tenth, then :func:`_refine` from the
+    better end of the last sign change two iterates straddled, else of
+    :func:`expand_bracket`'s.  Returns ``(root, jet at the root, |residual| <=
+    tol_f, jets evaluated)`` or raises as those two do."""
     d1, d2, d3 = {"s": (1, 3, 6), "x": (2, 5, 9)}[coord]   # Jet3 slots of P_u, P_uu, P_uuu
     jets = {}
 
@@ -242,9 +224,27 @@ def solve_near(jet_at, coord: str, target: float, guess: float, lo: float,
         m = jets[u] = jets.get(u) or jet_at(u)
         return m[d1] - target, m[d2]
 
-    root, resid, _ = _refine(
-        func, guess, *func(guess), lo, hi, math.nan, math.nan, tol_f=tol_f,
-        curvature=lambda u: jets[u][d3],
-        expand=lambda: expand_bracket(lambda u: func(u)[0], guess, lo, hi,
-                                      slope=lambda u: (func(u)[1], jets[u][d3])))
+    u, (f, slope), crossing = guess, func(guess), None
+    for steps in itertools.count():
+        if not abs(f) > tol_f:
+            if math.isfinite(f):
+                return u, jets[u], abs(f), len(jets)
+            raise ToleranceNotMetError(f"residual {f!r} at {u!r} is not finite")
+        if steps == MAX_STEPS:
+            raise ToleranceNotMetError(f"no convergence after {steps} steps at {u!r}, "
+                                       f"residual {f!r}")
+        step = _safe_div(2.0 * f * slope, 2.0 * slope * slope - f * jets[u][d3])
+        new = u - math.copysign(min(abs(step), 0.5 * max(1.0, abs(u))), step)
+        if not lo < new < hi:
+            break
+        f_new, slope_new = func(new)
+        if (f_new > 0.0) != (f > 0.0):
+            crossing = (u, new, f, f_new)
+        if abs(f_new) > 0.9 * abs(f):
+            break
+        u, f, slope = new, f_new, slope_new
+    a, b, fa, fb = crossing or expand_bracket(lambda u: func(u)[0], guess, lo, hi,
+                                              slope=lambda u: (func(u)[1], jets[u][d3]))
+    u = b if abs(fb) < abs(fa) else a
+    root, resid, _ = _refine(func, u, *func(u), a, b, fa, fb, tol_f=tol_f)
     return root, jets[root], resid, len(jets)

@@ -118,9 +118,9 @@ def hessian_scale(jet: Jet3) -> float:
 
 def _larger(a, b):
     """max(a, b) for floats or arrays; a nan ``b`` gives ``a``."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.fmax(a, b)
-    return b if b > a else a             # max(a, b), without the call
+    if a.__class__ is float and b.__class__ is float:
+        return b if b > a else a         # max(a, b), without the call
+    return np.fmax(a, b)
 
 
 def _flag_tokens(*pairs):

@@ -381,16 +381,18 @@ def _divisor(v):
 @_runtime(4)
 def _recip_outer(v):
     """1/u and its derivatives -1/u^2, 2/u^3, -6/u^4 at ``v``."""
-    if not (v.__class__ is float and abs(v) >= CONDITIONING_FLOOR):   # else nothing to check
-        v = _divisor(v)
-        small = abs(v) < CONDITIONING_FLOOR
-        array = isinstance(small, np.ndarray)
-        if (small.any() if array else small and _BATCH.get() is not None):
-            failures = _failures()      # a float marks every point still live
-            failures.ill_conditioned[failures.live] |= small & (failures.code[failures.live] == 0)
-        elif not array and small:
-            warnings.warn(f"division by small value {v!r}; results may be ill-conditioned",
-                          ConditioningWarning, stacklevel=3)
+    if v.__class__ is float and abs(v) >= CONDITIONING_FLOOR:   # nothing to check
+        inv = 1.0 / v
+        return inv, -inv * inv, 2.0 * inv ** 3, -6.0 * inv ** 4
+    v = _divisor(v)
+    small = abs(v) < CONDITIONING_FLOOR
+    array = isinstance(small, np.ndarray)
+    if (small.any() if array else small and _BATCH.get() is not None):
+        failures = _failures()      # a float marks every point still live
+        failures.ill_conditioned[failures.live] |= small & (failures.code[failures.live] == 0)
+    elif not array and small:
+        warnings.warn(f"division by small value {v!r}; results may be ill-conditioned",
+                      ConditioningWarning, stacklevel=3)
     inv = 1.0 / v
     return inv, -inv * inv, 2.0 * _ipow(inv, 3), -6.0 * _ipow(inv, 4)
 

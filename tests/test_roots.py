@@ -6,6 +6,8 @@ and bisects when a step leaves the bracket.  On sign-change brackets of the
 divergence-line root functions, catalog and drawn from the expression
 grammar, it is run beside the secant of ``tests/roots_oracle.py`` and
 scipy's Chandrupatla bracketing (``scipy.optimize.elementwise.find_root``).
+``solve_near``'s two phases, its Halley steps and the bracket loop it hands
+over to, are pinned on small closed forms.
 """
 
 import math
@@ -16,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermocurv import ConditioningWarning, DomainError, davies, eval_jet, get_entry
+from thermocurv import ConditioningWarning, DomainError, _roots, davies, eval_jet, get_entry
 from thermocurv import parse_potential
 from thermocurv._roots import (COLLAPSE, LOOSE, MAX_STEPS, ToleranceNotMetError,
-                               refine_bracket)
+                               refine_bracket, solve_near)
+from thermocurv.jets import Jet3
 
 from roots_oracle import secant_bracket
 from test_codegen import EXPRESSIONS, PARAMS
@@ -145,3 +148,102 @@ def test_a_pole_is_not_refined_into():
     with pytest.raises(ToleranceNotMetError, match="grew past 20000.0"):
         refine_bracket(pole, 1.7, 2.05, 1.0 / (1.7 - 2.0), 1.0 / 0.05, tol_f=1e-12)
     assert len(calls) == 12 and min(abs(u - 2.0) for u in calls) > 1e-5
+
+
+def counted_jets(coord, p_u, p_uu, p_uuu):
+    """``jet_at(u)`` of a potential given by its first three derivatives along
+    ``coord`` (``"s"`` or ``"x"``), and the list of the points it evaluates."""
+    calls = []
+
+    def jet_at(u):
+        calls.append(u)
+        coeffs = [0.0] * 10
+        for slot, d in zip({"s": (1, 3, 6), "x": (2, 5, 9)}[coord], (p_u, p_uu, p_uuu)):
+            coeffs[slot] = d(u)
+        return Jet3(*coeffs)
+    return jet_at, calls
+
+
+# P_u = u e^-u peaks at u = 1, where it is 1/e; P_u = 0.36 there has the roots
+# 0.806 and 1.223
+HUMP = (lambda u: u * math.exp(-u), lambda u: (1.0 - u) * math.exp(-u),
+        lambda u: (u - 2.0) * math.exp(-u))
+
+
+def solve(monkeypatch, coord, derivs, target, guess, tol_f=1e-12):
+    """``solve_near`` on ``(-inf, inf)`` with counted jets; returns its root,
+    the points evaluated and each ``(start, a, b)`` that ``_refine`` was handed."""
+    handed = []
+
+    def refine(func, u, f, slope, a, b, fa, fb, **kwargs):
+        handed.append((u, a, b))
+        return bracket_loop(func, u, f, slope, a, b, fa, fb, **kwargs)
+
+    bracket_loop = _roots._refine
+    monkeypatch.setattr(_roots, "_refine", refine)
+    jet_at, calls = counted_jets(coord, *derivs)
+    root, jet, resid, evals = solve_near(jet_at, coord, target, guess, -math.inf, math.inf,
+                                         tol_f=tol_f)
+    assert evals == len(calls) == len(set(calls))
+    assert resid <= tol_f and resid == abs(jet[{"s": 1, "x": 2}[coord]] - target)
+    return root, calls, handed
+
+
+def test_solve_near_ends_in_its_halley_steps(monkeypatch):
+    # from u = 3, five Halley steps reach the root 1.223: no bracket at all
+    monkeypatch.setattr(_roots, "expand_bracket", None)
+    root, calls, handed = solve(monkeypatch, "s", HUMP, 0.36, 3.0)
+    assert root == 1.2227701339785058 and len(calls) == 6 and not handed
+
+
+def test_solve_near_hands_over_from_a_halley_crossing(monkeypatch):
+    # P_u = (X - 2)^(1/5) is so steep at X = 2 that the first Halley step
+    # from 2.5 lands across the root 2 + 2^-5, at 1.93, with a larger
+    # residual: the bracket loop takes over from that sign change, with no
+    # bracket search
+    monkeypatch.setattr(_roots, "expand_bracket", None)
+    fifth = (lambda u: math.copysign(abs(u - 2.0) ** 0.2, u - 2.0),
+             lambda u: 0.2 * abs(u - 2.0) ** -0.8,
+             lambda u: math.copysign(0.16 * abs(u - 2.0) ** -1.8, 2.0 - u))
+    root, calls, handed = solve(monkeypatch, "x", fifth, 0.5, 2.5)
+    assert root == 2.0312499999998956 and len(calls) == 9
+    assert handed == [(2.5, 2.5, calls[1])] and calls[1] < 2.03125   # from the better end
+
+
+def test_solve_near_hands_over_from_a_hump_of_the_bracket_search(monkeypatch):
+    # on the flat tail the Halley step from u = 8 to 5.7 cuts the residual by
+    # 5%; every sample of the search lies below 0.36, but P_uu changes sign
+    # between -4.8 and 1.6: the
+    # extremum u = 1, located by a bracket loop of its own, lies above it,
+    # and the half nearer the guess holds the root 1.223
+    humps = []
+
+    def search(func, guess, lo, hi, *, slope):
+        return expand(func, guess, lo, hi, slope=lambda u: humps.append(u) or slope(u))
+
+    expand = _roots.expand_bracket
+    monkeypatch.setattr(_roots, "expand_bracket", search)
+    root, calls, handed = solve(monkeypatch, "s", HUMP, 0.36, 8.0)
+    assert root == 1.222770133978507 and len(calls) == 27
+    (u, a, b), = handed[1:]
+    assert humps and abs(a - 1.0) < 1e-4 and a < root < b == 8.0 - 0.4 * 2 ** 4   # a sample
+    assert u == a                # the better end: P_u(a) = 1/e is 0.008 from the target
+
+
+@pytest.mark.parametrize("coord, derivs, guess, evals, message", [
+    # P_u = u^3: each Halley step halves u and never reaches |f| = 0
+    ("s", (lambda u: u ** 3, lambda u: 3.0 * u * u, lambda u: 6.0 * u), 1.0, 1 + MAX_STEPS,
+     "no convergence after 200 steps at 6.223015277861142e-61, residual 2.409919865102884e-181"),
+    # P_u = X^3 e^X is flat at the guess X = -3, so the Halley step stays put;
+    # the search brackets the triple root 0 by 12 samples, and Newton steps
+    # creep up on it from one side, the bracket's other end fixed
+    ("x", (lambda u: u ** 3 * math.exp(u), lambda u: (u ** 3 + 3.0 * u * u) * math.exp(u),
+           lambda u: (u ** 3 + 6.0 * u * u + 6.0 * u) * math.exp(u)), -3.0, 13 + MAX_STEPS,
+     "no convergence after 200 steps at -2.6567377925950168e-36, "
+     "residual -1.8751934664276783e-107"),
+], ids=["halley", "bracket"])
+def test_each_phase_of_solve_near_stops_after_max_steps(coord, derivs, guess, evals, message):
+    jet_at, calls = counted_jets(coord, *derivs)
+    with pytest.raises(ToleranceNotMetError) as info:
+        solve_near(jet_at, coord, 0.0, guess, -math.inf, math.inf, tol_f=0.0)
+    assert str(info.value) == message and len(calls) == len(set(calls)) == evals
