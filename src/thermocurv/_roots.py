@@ -78,9 +78,6 @@ def expand_bracket(func, guess: float, lo: float, hi: float, *, slope):
     half nearest the guess is the pair.  An extremum that cannot be located
     (a pole between the samples) counts as no root.
     """
-    pts = [(guess, func(guess))]
-    flat = set()                 # same-sign pairs whose extremum holds no root
-
     def dist(p):
         return abs(p[0] + p[1] - 2.0 * guess)
 
@@ -100,28 +97,28 @@ def expand_bracket(func, guess: float, lo: float, hi: float, *, slope):
         return min((x0, xe, f0, fe), (xe, x1, fe, f1), key=dist)
 
     first_step = 0.05 * max(1.0, abs(guess))
-    ends = [guess, guess]        # outermost sample on each side
+    ends = [(guess, func(guess))] * 2    # outermost sample on each side
     for k in range(60):
-        step, count = first_step * (2.0 ** k), len(pts)
+        step, pairs = first_step * (2.0 ** k), []
         for side, cand, bound in ((0, guess - step, lo), (1, guess + step, hi)):
             if not lo < cand < hi:
-                cand = 0.5 * (ends[side] + bound)
+                cand = 0.5 * (ends[side][0] + bound)
                 if not math.isfinite(cand) or abs(cand - bound) < 1e-9 * first_step:
                     continue
-            ends[side] = cand
-            pts.append((cand, func(cand)))
-        if len(pts) == count:
+            end, ends[side] = ends[side], (cand, func(cand))
+            (x0, f0), (x1, f1) = (ends[0], end) if side == 0 else (end, ends[1])
+            pairs.append((x0, x1, f0, f1))
+        if not pairs:
             break
-        pts.sort(key=lambda p: p[0])
-        pairs = [(x0, x1, f0, f1) for (x0, f0), (x1, f1) in zip(pts, pts[1:])]
+        # only the new outermost pairs: each older one changes no sign and
+        # its hump, if any, holds no root
         found = [p for p in pairs
                  if p[2] == 0.0 or p[3] == 0.0 or (p[2] > 0.0) != (p[3] > 0.0)]
         if found:
             return min(found, key=dist)
-        for p in sorted((p for p in pairs if p[:2] not in flat), key=dist):
+        for p in sorted(pairs, key=dist):
             if (got := hump(*p)) is not None:
                 return got
-            flat.add(p[:2])
     raise NoBracketError(
         f"no sign change found around {guess!r} within ({lo!r}, {hi!r})")
 

@@ -27,8 +27,8 @@ from .davies import conjugacy_scan, divergence_orders, find_davies_points
 from ._roots import NoBracketError, ToleranceNotMetError
 from .geometry import DEFAULT_SINGULARITY_EPS, StatePoint, curvature_from_m_jet, singularity_eps
 from .jets import DOMAIN, OVERFLOW, DomainError, one_warning
-from .potentials import (POINTWISE_MAX, ParseError, eval_jet, eval_jets, eval_scalar,
-                         load_potential_file, parse_potential)
+from .potentials import (ParseError, eval_jet, eval_jets, eval_scalar, load_potential_file,
+                         parse_potential)
 from .responses import (ResponseSet, cap_difference_residual,
                         kappa_difference_residual, metric_from_responses,
                         ratio_identity_residual, responses_at)
@@ -252,13 +252,13 @@ def _grid_axes(args, entry) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid_blocks(spec, svals, xvals, eps: float) -> list:
-    """A call per ``_WRITE_BLOCK`` grid points that returns :func:`evaluate_points` of them;
-    a tail of ``POINTWISE_MAX`` or fewer joins the block before it, on the same path."""
+    """A call per ``_WRITE_BLOCK`` grid points, the last one per the rest, that
+    returns :func:`evaluate_points` of them."""
     def block(a, b):
         k = np.arange(a, b)
         return evaluate_points(spec, svals[k // xvals.size], xvals[k % xvals.size], eps)
     n = svals.size * xvals.size
-    stops = [*range(_WRITE_BLOCK, n - POINTWISE_MAX, _WRITE_BLOCK), n]
+    stops = [*range(_WRITE_BLOCK, n, _WRITE_BLOCK), n]
     return [functools.partial(block, a, b) for a, b in zip([0, *stops], stops)]
 
 

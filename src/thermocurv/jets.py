@@ -70,7 +70,6 @@ class Failures:
     def __init__(self, n: int):
         self.code = np.zeros(n, np.int8)
         self.ill_conditioned = np.zeros(n, bool)
-        self.live = slice(None)     # the points being evaluated: all, or one
 
     def record(self, code: int, mask) -> None:
         if mask is True or mask.any():      # most batches fail no point
@@ -389,7 +388,7 @@ def _recip_outer(v):
     array = isinstance(small, np.ndarray)
     if (small.any() if array else small and _BATCH.get() is not None):
         failures = _failures()      # a float marks every point still live
-        failures.ill_conditioned[failures.live] |= small & (failures.code[failures.live] == 0)
+        failures.ill_conditioned |= small & (failures.code == 0)
     elif not array and small:
         warnings.warn(f"division by small value {v!r}; results may be ill-conditioned",
                       ConditioningWarning, stacklevel=3)

@@ -33,7 +33,6 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -46,9 +45,6 @@ _FUNCTIONS = ("sqrt", "exp", "ln")
 # level of recursion in the parser, the only recursive walker of an
 # expression; the limit keeps it well inside the recursion limit
 _MAX_NESTING = 100
-# Batches up to this size run point by point: an array operation costs about
-# 1 us at any size, so up to about 25 points the float code is faster.
-POINTWISE_MAX = 25
 
 
 class ParseError(ValueError):
@@ -462,26 +458,15 @@ def eval_jet(spec: PotentialSpec, point, order: int = 3) -> Jet3:
 def eval_jets(spec: PotentialSpec, s, x, order: int = 3) -> tuple[Jet3, np.ndarray]:
     """Jets at the points ``(s[k], x[k])`` (arrays, or one a float) and each
     point's failure code: 0, ``jets.DOMAIN`` or ``jets.OVERFLOW`` (also for a
-    jet that is not finite); a failed point's jet is nan.  Up to
-    ``POINTWISE_MAX`` points run one by one on floats, more as arrays.
+    jet that is not finite); a failed point's jet is nan.  Every batch, of
+    any size, is one pass of the generated code inside :func:`jets.batch`.
 
     ``order=2`` runs :attr:`PotentialSpec.evaluate_second`: nan third partials,
     and a point whose only non-finite partials are third order does not fail."""
     n = np.broadcast(s, x).size
-    coeffs = [math.nan] * 10
+    coeffs = [math.nan] * 10        # kept where a float raise fails every point
     with jets.batch(n) as failures:
-        if n > POINTWISE_MAX:
-            coeffs = eval_jet(spec, (s, x), order)
-        else:
-            found = [(math.nan,) * 10] * n
-            for k, (a, b) in enumerate(np.broadcast(s, x)):
-                failures.live = k
-                try:
-                    found[k] = eval_jet(spec, (float(a), float(b)), order)
-                except (DomainError, OverflowError, ZeroDivisionError) as exc:
-                    failures.code[k] = jets.DOMAIN if isinstance(exc, DomainError) \
-                        else jets.OVERFLOW
-            coeffs = np.fromiter(chain.from_iterable(found), float, 10 * n).reshape(n, 10).T
+        coeffs = eval_jet(spec, (s, x), order)
     table = np.empty((10, n))               # one row per coefficient
     for row, coeff in zip(table, coeffs):
         row[:] = coeff

@@ -9,7 +9,6 @@ numbers exactly and its flag strings token for token.
 import csv
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,14 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flags_oracle import flag_strings
+from jets_oracle import pointwise_jets
 from test_codegen import EXPRESSIONS, PARAMS
 from thermocurv import (StatePoint, curvature_from_m_jet, eval_jet, eval_scalar,
-                        format_expression, get_entry, parse_potential, potentials,
-                        responses_at)
+                        format_expression, get_entry, parse_potential, responses_at)
 from thermocurv.cli import COLUMNS, evaluate_points, main
 from thermocurv.geometry import _safe_div
 from thermocurv.jets import DOMAIN, OVERFLOW, ConditioningWarning, DomainError, batch
-from thermocurv.potentials import POINTWISE_MAX, eval_jets
+from thermocurv.potentials import eval_jets
 
 RN = get_entry("reissner-nordstrom").spec
 KERR = get_entry("kerr").spec
@@ -144,9 +143,9 @@ def test_batched_rows_match_scalar_api(spec, points):
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(points, min_size=1, max_size=30))
     def check(drawn):
-        assert_matches_scalar(spec, drawn)                 # point by point
-        tiled = drawn * (POINTWISE_MAX // len(drawn) + 1)  # one array pass
-        assert len(tiled) > POINTWISE_MAX
+        assert_matches_scalar(spec, drawn)
+        tiled = drawn * (25 // len(drawn) + 1)  # again in a batch of 26 or more
+        assert len(tiled) > 25
         assert_matches_scalar(spec, tiled)
         for rows in (drawn, tiled):
             assert_flags_are_the_token_loop(spec, [p[0] for p in rows], [p[1] for p in rows])
@@ -218,25 +217,23 @@ def test_batch_warns_once_for_ill_conditioned_divisions():
 def test_both_paths_give_the_same_codes_and_one_warning(n, src, s, ill):
     x = np.linspace(-0.5, 2.0, n)
     s = np.resize(s, n) if isinstance(s, list) else s
-    outcome = both_paths(parse_potential(src), s, x, n)
+    outcome = both_paths(parse_potential(src), s, x)
     count = np.count_nonzero(ill(np.broadcast_to(s, n), x))
     assert outcome[2] == [f"division by small values at {count} points; "
                           "results may be ill-conditioned"]
 
 
-def both_paths(spec, s, x, n, order=3):
-    """The jet bits, failure codes and ConditioningWarning texts of ``eval_jets``
-    on ``n`` points, which must be the same point by point and in one array pass."""
-    outcomes = []
-    for limit in (n, n - 1):        # point by point, then one array pass
-        with mock.patch.object(potentials, "POINTWISE_MAX", limit), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            jet, code = eval_jets(spec, s, x, order=order)
-        outcomes.append(([c.tobytes() for c in jet], code.tolist(),
-                         [str(w.message) for w in caught if w.category is ConditioningWarning]))
-    assert outcomes[0] == outcomes[1], (format_expression(spec.ast), spec.params, s, x)
-    return outcomes[0]
+def both_paths(spec, s, x, order=3):
+    """The jet bits, failure codes and ConditioningWarning texts of ``eval_jets``,
+    which must be those of scalar ``eval_jet`` point by point (``jets_oracle``)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        jet, code = eval_jets(spec, s, x, order=order)
+    outcome = ([c.tobytes() for c in jet], code.tolist(),
+               [str(w.message) for w in caught if w.category is ConditioningWarning])
+    assert outcome == pointwise_jets(spec, s, x, order), \
+        (format_expression(spec.ast), spec.params, s, x)
+    return outcome
 
 
 def assert_second_order_agrees(full, second):
@@ -267,40 +264,46 @@ QUOTIENTS = st.tuples(EXPRESSIONS, EXPRESSIONS).map(lambda t: f"({t[0]}) / ({t[1
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.one_of(EXPRESSIONS, QUOTIENTS), PARAMS,
-       st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=12), st.booleans())
+       st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=12), st.sampled_from(["", "X"]))
 # each check at least once: the domain's edges and nan, a ln base, a pow
 # base, exp's overflow and the X edge
 @example("ln(S) * X^0.5 + exp(S)", 2.0,
          [(-1.0, 1.0), (0.0, 1.0), (1.0, -0.5), (710.0, 1.0), (2.0, 1e170), (math.nan, 1.0)],
-         False)
+         "")
 # the division floor and ill-conditioned divisors, and a constant one
 # that marks every point still live
-@example("S/X + X/k", 1e-13, [(1.0, 1e-13), (2.0, 1.0), (1.0, -2e-13), (1.0, 5e-324)], False)
+@example("S/X + X/k", 1e-13, [(1.0, 1e-13), (2.0, 1.0), (1.0, -2e-13), (1.0, 5e-324)], "")
 # pow's overflow, which the jet would hide: exp(-inf) is 0 and the
 # chain rule's cube of S^0.2 stays finite
-@example("exp(-S^1.2) + X", 2.0, [(1e300, 1.0), (2.0, 1.0)], False)
-# sqrt's zero test: sqrt(S) * S * S underflows to zero
-@example("sqrt(S) + X/S", 2.0, [(1e-300, 1.0), (2.0, 1.0), (5e-324, 0.5)], True)
+@example("exp(-S^1.2) + X", 2.0, [(1e300, 1.0), (2.0, 1.0)], "")
+# sqrt's zero test: sqrt(S) * S * S underflows to zero, with X a float
+@example("sqrt(S) + X/S", 2.0, [(1e-300, 1.0), (2.0, 1.0), (5e-324, 0.5)], "X")
 # the cube of d(S*S)/dS = 2e103 overflows in the full code alone, which then
 # never reaches ln's check at X = -1
-@example("sqrt(S*S) + ln(X)", 2.0, [(1e103, -1.0), (1e103, 1.0), (2.0, 1.0)], False)
-def test_the_array_pass_matches_point_by_point_on_drawn_potentials(src, k, points, x_float):
+@example("sqrt(S*S) + ln(X)", 2.0, [(1e103, -1.0), (1e103, 1.0), (2.0, 1.0)], "")
+# edge batches: no point, two floats (a constant divisor under the
+# conditioning floor), and a float S with X across the domain's edge
+@example("S/X + X/k", 2.0, [], "")
+@example("S/X + X/k", 1e-13, [(2.0, 0.5)], "SX")
+@example("ln(S) * X^0.5 + exp(S)", 2.0,
+         [(2.0, 1.0), (2.0, 1e170), (2.0, 2e170), (2.0, math.inf), (2.0, -0.5)], "S")
+def test_the_array_pass_matches_point_by_point_on_drawn_potentials(src, k, points, floats):
+    # the coordinates named in ``floats`` are the first point's, as a float
     try:
         spec = parse_potential(src, ("S", "X"), {"k": k}, domain=EDGES)
     except ValueError:              # fails at every point: rejected on load
         return
-    s = np.array([p[0] for p in points])
-    x = points[0][1] if x_float else np.array([p[1] for p in points])
-    assert_second_order_agrees(both_paths(spec, s, x, len(points)),
-                               both_paths(spec, s, x, len(points), order=2))
-    assert_flags_are_the_token_loop(spec, s, np.broadcast_to(x, s.shape))
+    s, x = (points[0][j] if name in floats else np.array([p[j] for p in points])
+            for j, name in enumerate("SX"))
+    assert_second_order_agrees(both_paths(spec, s, x), both_paths(spec, s, x, order=2))
+    assert_flags_are_the_token_loop(spec, *np.broadcast_arrays(s, x))
 
 
 def test_a_third_order_overflow_fails_a_point_of_the_full_pass_alone():
     # ln''' = 2/S^3 = 2e150 at S = 1e-50, so M_SSS overflows and M_SS does not
     spec = parse_potential("1e200*ln(S) + X^2")
     s, x = np.array([1e-50]), np.array([1.0])
-    full, second = both_paths(spec, s, x, 1), both_paths(spec, s, x, 1, order=2)
+    full, second = both_paths(spec, s, x), both_paths(spec, s, x, order=2)
     assert full[1] == [OVERFLOW] and second[1] == [0]
     assert np.frombuffer(second[0][3]).tolist() == [-1.0000000000000002e300]
     assert_second_order_agrees(full, second)

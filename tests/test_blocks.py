@@ -21,12 +21,11 @@ from thermocurv import cli, potential_to_json
 from thermocurv.catalog import GridAxis
 from thermocurv.cli import evaluate_points, main
 from thermocurv.jets import ConditioningWarning
-from thermocurv.potentials import POINTWISE_MAX
 
 from test_batch import MIXED
 
-# 11 x 373 = 4096 + 7 points: at the default block size the tail would hold
-# 7 points, and at 43 it would hold 18, both at most POINTWISE_MAX
+# 11 x 373 = 4096 + 7 points: at the default block size the last block holds
+# 7 points, and at 43 it holds 18
 TAIL_GRIDS = {
     "reissner-nordstrom": ["--grid", "S=0.5:10:11:log", "--grid", "Q=0.05:1.5:373"],
     "kerr": ["--grid", "S=1:10:11:log", "--grid", "J=0.05:0.45:373"],
@@ -85,16 +84,14 @@ def test_outputs_do_not_depend_on_the_block_size(catalog, tail, capsys, tmp_path
         serial.setattr(cli, "evaluate_points",
                        lambda spec, s, x, eps: sizes.append(len(s)) or original(spec, s, x, eps))
         expected = outputs(capsys, tmp_path, catalog, grid)
-        assert sizes == [n] * 3     # at the default size, a tail of 7 joins the block
+        assert sizes == ([4096, 7] if tail else [n]) * 3
         for block in (43, 100, n):
             serial.setattr(cli, "_WRITE_BLOCK", block)
             sizes.clear()
             assert outputs(capsys, tmp_path, catalog, grid) == expected, block
-            # each of scan csv, scan json and check sees the same blocks, all
-            # above POINTWISE_MAX, so no point changes evaluation path
+            # each of scan csv, scan json and check sees the same blocks
             third = sizes[:len(sizes) // 3]
-            assert sizes == third * 3 and sum(third) == n
-            assert min(third) > POINTWISE_MAX and max(third) <= block + POINTWISE_MAX
+            assert sizes == third * 3 and sum(third) == n and max(third) <= block
     for block in (43, 100, n):      # and with a forked child for every other block
         monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
         assert outputs(capsys, tmp_path, catalog, grid) == expected, block

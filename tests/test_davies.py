@@ -18,7 +18,7 @@ from thermocurv import (ConditioningWarning, DomainError, StatePoint, cli,
 from thermocurv._roots import NoBracketError, expand_bracket, solve_lanes
 from thermocurv.cli import main
 from thermocurv.jets import Jet3, batch
-from thermocurv.potentials import POINTWISE_MAX, eval_jets
+from thermocurv.potentials import eval_jets
 
 from approach_oracle import fit_divergence_exponent, fit_divergence_exponents
 from lanes_oracle import solve_lanes_bracket_first, solve_lanes_side_by_side
@@ -742,7 +742,7 @@ def x_slices(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(x_slices(), st.sampled_from([(0.1, 5.0), (0.5, 3.0), (1.9, 2.1)]),
-       st.sampled_from([2, 7, POINTWISE_MAX, POINTWISE_MAX + 1, 200]))
+       st.sampled_from([2, 7, 25, 26, 200]))
 def test_reused_sweep_is_the_first_lane_evaluation_bit_for_bit(case, sweep, count):
     # the fixed-X sweep (X a float) against the lane evaluation it replaces
     # in the fixed-Y series (X an array of x_guess), both second order, every
