@@ -111,7 +111,8 @@ def expand_bracket(func, guess: float, lo: float, hi: float, *, slope):
         if not pairs:
             break
         # only the new outermost pairs: each older one changes no sign and
-        # its hump, if any, holds no root
+        # its hump, if any, holds no root; one with a non-finite end is neither
+        pairs = [p for p in pairs if math.isfinite(p[2]) and math.isfinite(p[3])]
         found = [p for p in pairs
                  if p[2] == 0.0 or p[3] == 0.0 or (p[2] > 0.0) != (p[3] > 0.0)]
         if found:

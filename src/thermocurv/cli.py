@@ -19,6 +19,7 @@ import os
 import sys
 import threading
 import types
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -142,9 +143,28 @@ def _opened(path):
     return contextlib.nullcontext(out.buffer)
 
 
+def _indented(value, out: list, pad: str = "\n") -> list:
+    """``out`` plus the text of ``json.dumps(value, indent=2)`` at ``pad``, by C encoders."""
+    if value.__class__ is float and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif not (isinstance(value, (dict, list, tuple)) and value):
+        out.append(json.dumps(value))       # None, a bool, an int, nan, +-inf, {} or []
+    else:
+        mapping, inner = isinstance(value, dict), pad + "  "
+        sep = ("{" if mapping else "[") + inner
+        for key, item in value.items() if mapping else enumerate(value):
+            out.append(f"{sep}{encode_basestring_ascii(key)}: " if mapping else sep)
+            _indented(item, out, inner)
+            sep = "," + inner
+        out += (pad, "}" if mapping else "]")
+    return out
+
+
 def _write_json(path, doc) -> None:
     with _opened(path) as out:
-        out.write((json.dumps(doc, indent=2) + "\n").encode())
+        out.write(("".join(_indented(doc, [])) + "\n").encode())
 
 
 def _csv_chunks(c, flags):
@@ -302,13 +322,12 @@ def _cmd_davies(args) -> int:
     turning: list[float] = []
     if sweep_idx == 0:
         if args.which == "cx":
-            scan = conjugacy_scan(spec, "fixed-x", fixed_value=fixed_value, **sweep,
-                                  sweep_jet=locus.sweep_jet)
+            scan = conjugacy_scan(spec, "fixed-x", fixed_value=fixed_value, **sweep, locus=locus)
             turning = list(scan.turning_points)
         else:
             for pt, jet in zip(locus.points, locus.jets):
                 scan = conjugacy_scan(spec, "fixed-y", fixed_value=jet.x, **sweep,
-                                      x_guess=pt.x, sweep_jet=locus.sweep_jet)
+                                      x_guess=pt.x, locus=locus)
                 turning.extend(scan.turning_points)
 
     doc = {"which": args.which, "potential": spec.name,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,10 +57,11 @@ class DaviesLocus:
     temperature vanishes there (extremal boundary rather than a divergence
     of a heat capacity at positive temperature), because they are poles,
     or because the jet cannot be evaluated inside their bracket.
-    ``sweep_jet`` holds the jets at the sweep samples to second order (its
-    third partials are nan, as is every partial where a sample failed),
-    which a turning-point scan of the same slice can reuse, and ``jets`` the
-    full jet at each of ``points``.
+    ``samples`` holds the sweep values, ``sweep_jet`` the jets there to second
+    order (nan third partials; nan where a sample failed) and ``jet_at(u)``
+    the memoized full jet at ``u``, for a turning-point scan of the slice
+    ``s_slice``, ``(sweep, count, spacing, X)`` (None: X is swept), to reuse.
+    ``jets`` holds the full jet at each of ``points``.
     """
 
     which: str                       # "cx" | "cy"
@@ -69,6 +70,9 @@ class DaviesLocus:
     rejected: tuple[StatePoint, ...] = ()
     sweep_jet: Jet3 | None = field(default=None, repr=False, compare=False)
     jets: tuple[Jet3, ...] = field(default=(), repr=False, compare=False)
+    samples: np.ndarray | None = field(default=None, repr=False, compare=False)
+    jet_at: Callable[[float], Jet3] | None = field(default=None, repr=False, compare=False)
+    s_slice: tuple | None = field(default=None, repr=False, compare=False)
 
 
 class Divergence(NamedTuple):
@@ -179,7 +183,9 @@ def find_davies_points(
         brackets.append(BracketInfo(u0, u1, f0, f1, resid, iters))
         jets.append(jet)
     return DaviesLocus(which=which, points=tuple(points), brackets=tuple(brackets),
-                       rejected=tuple(rejected), sweep_jet=sweep_jet, jets=tuple(jets))
+                       rejected=tuple(rejected), sweep_jet=sweep_jet, jets=tuple(jets),
+                       samples=grid, jet_at=jet_at, s_slice=None if fixed_idx == 0
+                       else (tuple(sweep), count, spacing, fixed_value))
 
 
 def divergence_orders(jet: Jet3, which_line: str) -> tuple[Divergence, Divergence]:
@@ -228,7 +234,7 @@ def conjugacy_scan(
     count: int = 200,
     spacing: str = "linear",
     x_guess: float = 1.0,
-    sweep_jet: Jet3 | None = None,
+    locus: DaviesLocus | None = None,
 ) -> ConjugacyScan:
     """Sample a one-parameter equilibrium series and flag turning points.
 
@@ -241,20 +247,23 @@ def conjugacy_scan(
     control variable's derivative changes sign (a vertical tangent of the
     conjugacy diagram); detection uses a central difference over the grid,
     never across a gap, and refinement drives that derivative, read from the
-    jet with its own slope, to zero.  Poles are skipped.  ``sweep_jet`` (the
-    :attr:`DaviesLocus.sweep_jet` of the same slice), the jets at the samples
-    at X = ``fixed_value`` (fixed-X) or ``x_guess`` (fixed-Y), when given
-    replaces the series' samples or the X solve's first evaluation.
+    jet with its own slope, to zero.  Poles are skipped.  ``locus``, the
+    :class:`DaviesLocus` of this sweep at X = ``fixed_value`` (fixed-X) or
+    ``x_guess`` (fixed-Y), lends its samples, sweep jets (the series or the X
+    solve's first step) and memoized jets (a fixed-X refinement); a locus of
+    another slice is a ValueError.
     """
-    s_grid = _grid(*sweep, count, spacing)
+    held_x = fixed_value if series == "fixed-x" else x_guess
+    if locus is not None and locus.s_slice != (tuple(sweep), count, spacing, held_x):
+        raise ValueError("locus is not of this sweep of S at this X")
+    s_grid = _grid(*sweep, count, spacing) if locus is None else locus.samples
 
     if series == "fixed-x":
-        jet = eval_jets(spec, s_grid, fixed_value, order=2)[0] if sweep_jet is None \
-            else sweep_jet
+        jet = eval_jets(spec, s_grid, fixed_value, order=2)[0] if locus is None else locus.sweep_jet
         tvals, dvals = jet.s, jet.ss                # T and dT/dS at fixed X
 
         def deriv(s: float, k: int):
-            jet = eval_jet(spec, StatePoint(s, fixed_value))
+            jet = eval_jet(spec, StatePoint(s, fixed_value)) if locus is None else locus.jet_at(s)
             return jet.ss, jet.sss
     elif series == "fixed-y":
         x_lo, x_hi = spec.domain[1]
@@ -264,7 +273,7 @@ def conjugacy_scan(
             swapped = Jet3(*(jet[i] for i in (0, 2, 1, 5, 4, 3, 9, 8, 7, 6)))   # in (Y, S)
             return _f_jet_from_m_jet(swapped, x, fixed_value)[5::4]             # xx, xxx
 
-        first = [] if sweep_jet is None else [sweep_jet]   # every lane at x_guess
+        first = [] if locus is None else [locus.sweep_jet]   # every lane at x_guess
         def lanes(idx, x):   # T, dT/dS along constant Y (along_y's G_SS, bit for bit), X
             jet = first.pop() if first else eval_jets(spec, s_grid[idx], x, order=2)[0]
             with np.errstate(all="ignore"):

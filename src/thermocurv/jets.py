@@ -175,9 +175,10 @@ def _pow(fn, value, p):
     return out
 
 
-# Helpers the generated code calls (see "run-time helpers" below), with the
-# number of values each returns.
+# Helpers the generated code calls (see "run-time helpers" below), with the number of values
+# each returns, and those that give nan for their fourth (outer third derivative) given n=3.
 _RUNTIME: dict = {}
+_SKIPS_THIRD = {"_recip_outer", "_sqrt_outer", "_ln_outer", "_pow_outer"}
 
 
 def _runtime(outputs: int):
@@ -378,7 +379,7 @@ def _divisor(v):
 
 
 @_runtime(4)
-def _recip_outer(v):
+def _recip_outer(v, n=4):
     """1/u and its derivatives -1/u^2, 2/u^3, -6/u^4 at ``v``."""
     if v.__class__ is float and abs(v) >= CONDITIONING_FLOOR:   # nothing to check
         inv = 1.0 / v
@@ -393,7 +394,7 @@ def _recip_outer(v):
         warnings.warn(f"division by small value {v!r}; results may be ill-conditioned",
                       ConditioningWarning, stacklevel=3)
     inv = 1.0 / v
-    return inv, -inv * inv, 2.0 * _ipow(inv, 3), -6.0 * _ipow(inv, 4)
+    return inv, -inv * inv, 2.0 * _ipow(inv, 3), -6.0 * _ipow(inv, 4) if n > 3 else math.nan
 
 
 def _reciprocal(u: Jet3) -> Jet3:
@@ -401,16 +402,18 @@ def _reciprocal(u: Jet3) -> Jet3:
 
 
 @_runtime(4)
-def _sqrt_outer(v):
-    if not (v.__class__ is float and v > 0.0):      # else nothing to check
-        v = _checked(v, v <= 0.0, "sqrt")
+def _sqrt_outer(v, n=4):
+    if v.__class__ is float and v > 1e-100:     # nothing to check, and r v^2 > 0
+        r = math.sqrt(v)
+        return r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)
+    v = _checked(v, v <= 0.0, "sqrt")
     if isinstance(v, np.ndarray):
         r = np.sqrt(v)
         # fail the points where the float path divides by zero below
-        _failures().record(OVERFLOW, r * v * v == 0.0)
+        _failures().record(OVERFLOW, (r * v * v if n > 3 else r * v) == 0.0)
     else:
         r = math.sqrt(v)
-    return r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)
+    return r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v) if n > 3 else math.nan
 
 
 @_runtime(1)
@@ -439,10 +442,10 @@ def exp(u):
 
 
 @_runtime(4)
-def _ln_outer(v):
+def _ln_outer(v, n=4):
     v = _checked(v, v <= 0.0, "ln")
     inv = 1.0 / v
-    return _apply(math.log, v), inv, -inv * inv, 2.0 * _ipow(inv, 3)
+    return _apply(math.log, v), inv, -inv * inv, 2.0 * _ipow(inv, 3) if n > 3 else math.nan
 
 
 @_runtime(1)
@@ -489,12 +492,12 @@ def _positive_base(v, p):
 
 
 @_runtime(4)
-def _pow_outer(v, p):
+def _pow_outer(v, p, n=4):
     v = _positive_base(v, p)
     return (_pow(math.pow, v, p),
             p * _pow(math.pow, v, p - 1.0),
             p * (p - 1.0) * _pow(math.pow, v, p - 2.0),
-            p * (p - 1.0) * (p - 2.0) * _pow(math.pow, v, p - 3.0))
+            p * (p - 1.0) * (p - 2.0) * _pow(math.pow, v, p - 3.0) if n > 3 else math.nan)
 
 
 @_runtime(1)
@@ -603,9 +606,10 @@ class _Trace:
 
     def source(self, outputs, keep_powers: bool) -> tuple[list[str], list[str]]:
         """Assignment lines that compute ``outputs``, and the outputs' text.
-        Pure values nothing reads are dropped, and so are ``_ipow`` calls
-        unless ``keep_powers`` (an unread power checks only its own
-        overflow); pure values read once are written into their reader."""
+        Pure values nothing reads are dropped; unless ``keep_powers`` (an unread
+        power checks only its own overflow), so are ``_ipow`` calls and a helper's
+        outer third derivative (``n`` = 3); pure values read once are written
+        into their reader."""
         uses: dict[str, int] = {}
         for a in outputs:
             if a.__class__ is _Symbol:
@@ -634,6 +638,8 @@ class _Trace:
                 inline[targets[0].name] = (f"({expr})", depth)
             else:
                 names = [t.name if t.name in uses else "_" for t in targets]
+                if not keep_powers and names[-1] == "_" and fmt.partition("(")[0] in _SKIPS_THIRD:
+                    expr = f"{expr[:-1]}, 3)"
                 lines.append(f"{', '.join(names)} = {expr}")
         return lines, [text(a)[0] for a in outputs]
 

@@ -299,14 +299,22 @@ def test_the_array_pass_matches_point_by_point_on_drawn_potentials(src, k, point
     assert_flags_are_the_token_loop(spec, *np.broadcast_arrays(s, x))
 
 
+@pytest.mark.filterwarnings("ignore::thermocurv.jets.ConditioningWarning")
 def test_a_third_order_overflow_fails_a_point_of_the_full_pass_alone():
-    # ln''' = 2/S^3 = 2e150 at S = 1e-50, so M_SSS overflows and M_SS does not
-    spec = parse_potential("1e200*ln(S) + X^2")
-    s, x = np.array([1e-50]), np.array([1.0])
-    full, second = both_paths(spec, s, x), both_paths(spec, s, x, order=2)
-    assert full[1] == [OVERFLOW] and second[1] == [0]
-    assert np.frombuffer(second[0][3]).tolist() == [-1.0000000000000002e300]
-    assert_second_order_agrees(full, second)
+    # ln''' = 2/S^3 = 2e150 at S = 1e-50, so M_SSS overflows and M_SS does not;
+    # the reciprocal's -6/S^4 overflows at S = 1e-80, and the square root's
+    # 0.375/(r S^2) divides by zero at S = 1e-160: the second-order code asks
+    # neither helper for its third derivative, so it computes neither
+    for src, s, m_ss in (("1e200*ln(S) + X^2", 1e-50, -1.0000000000000002e300),
+                         ("1/S + X^2", 1e-80, 2.0 * (1.0 / 1e-80) ** 3),
+                         ("sqrt(S) + X^2", 1e-160, -0.25 / (1e-80 * 1e-160))):
+        spec = parse_potential(src)
+        full = both_paths(spec, np.array([s]), np.array([1.0]))
+        second = both_paths(spec, np.array([s]), np.array([1.0]), order=2)
+        assert full[1] == [OVERFLOW] and second[1] == [0], src
+        assert np.frombuffer(second[0][3]).tolist() == [m_ss], src
+        assert_second_order_agrees(full, second)
+        assert eval_jet(spec, (s, 1.0), order=2).ss == m_ss, src
 
 
 @pytest.mark.parametrize("n", [10, 40])

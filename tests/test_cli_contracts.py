@@ -2,7 +2,8 @@
 
 ``eval``, ``scan`` and ``check`` exit 0 (or 1 for a failed ``check``) or 2
 with an ``error:`` message, never with a traceback; a ``scan`` emits one row
-per grid point; and a row with a non-finite cell carries a flag token.
+per grid point; a row with a non-finite cell carries a flag token; and a
+JSON document is the text of ``json.dumps(doc, indent=2)``.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from test_codegen import EXPRESSIONS, PARAMS
 from test_potentials import DOC, MALFORMED_CHANGES
-from thermocurv.cli import COLUMNS, main
+from thermocurv.cli import COLUMNS, _write_json, main
 from thermocurv.jets import ConditioningWarning
 
 OVERFLOW = "(1e200)^(S - X)"   # finite jet at S=1, X=0.1; M_SS M_XX overflows
@@ -122,3 +123,25 @@ def test_drawn_potentials_keep_the_cli_contract(doc_dir, doc, command, s_axis, x
         assert result["flags"] or None not in result.values(), (doc, result)
     else:
         assert out.endswith(("CHECK PASSED\n", "CHECK FAILED\n")[code]), (doc, out)
+
+
+# the floats at the edges of repr, the strings the encoder escapes, and
+# non-ASCII ones
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7, math.nan,
+                     math.inf, -math.inf]),
+    st.text(), st.sampled_from(['"', "\\", "\n\r\t\b\f", "\x00\x1f\x7f", "é", "€",
+                                "\U0001f600", "\u2028", "/"]))
+JSON_DOCS = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.one_of(st.text(max_size=4), st.sampled_from(['"', "é\n", ""])), inner,
+                    max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(JSON_DOCS)
+def test_json_documents_are_the_stdlib_text(doc_dir, doc):
+    path = doc_dir / "doc.json"
+    _write_json(str(path), doc)
+    assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()

@@ -102,6 +102,11 @@ def batch_outcome(evaluate, spec, s, x):
 # an overflowed intermediate: scalar OverflowError and batch OVERFLOW at
 # (1e110, 1.0), a jet at (2.0, 1.0)
 @example("sqrt(S^3*X)", 2.0, [(1e110, 1.0), (2.0, 1.0)])
+# a helper call nothing reads still fails the full jet where its third
+# derivative does: 0.375/(r S^2) divides by zero at S = 1e-160, -6/S^4
+# overflows at S = 1e-80
+@example("0*sqrt(S) + X", 2.0, [(1e-160, 1.0), (2.0, 1.0)])
+@example("0*(1/S) + X", 2.0, [(1e-80, 1.0), (2.0, 1.0)])
 def test_generated_code_matches_the_closure_tree(src, k, points):
     try:
         spec = parse_potential(src, ("S", "X"), {"k": k}, domain=WHOLE_PLANE)

@@ -659,17 +659,32 @@ def _rn_cut(tmp_path):
 def test_davies_cx_sweep_is_evaluated_once(potential, points, evaluations, tmp_path,
                                            monkeypatch, capsys):
     # one array evaluation serves the locus and the turning-point series; a
-    # locus point adds none, since its curvatures are read from its jet
-    calls = []
+    # locus point adds none, since its curvatures are read from its jet, and
+    # the series refines through the jets the locus's refinement evaluated
+    calls, scalar = [], []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return eval_jets(*args, **kwargs)
+
+    def counting_scalar(*args, **kwargs):
+        scalar.append(args)
+        return eval_jet(*args, **kwargs)
     monkeypatch.setattr(davies, "eval_jets", counting)
-    assert main(["davies", "--which", "cx", *potential(tmp_path)]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(davies, "eval_jet", counting_scalar)
+    argv = ["davies", "--which", "cx", *potential(tmp_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert len(doc["points"]) == points
     assert len(calls) == evaluations
+    assert len(scalar) == sum(p["bracket"]["iterations"] for p in doc["points"])
+
+    def without_locus(*args, locus=None, **kwargs):
+        return conjugacy_scan(*args, **kwargs)
+    monkeypatch.setattr(cli, "conjugacy_scan", without_locus)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_davies_cy_sweep_is_evaluated_once(tmp_path, monkeypatch, capsys):
@@ -690,9 +705,9 @@ def test_davies_cy_sweep_is_evaluated_once(tmp_path, monkeypatch, capsys):
     reused, reused_calls = capsys.readouterr().out, len(calls)
     assert reused_calls == 2 and len(json.loads(reused)["points"]) == 1
 
-    def without_sweep(*args, sweep_jet=None, **kwargs):
+    def without_locus(*args, locus=None, **kwargs):
         return conjugacy_scan(*args, **kwargs)
-    monkeypatch.setattr(cli, "conjugacy_scan", without_sweep)
+    monkeypatch.setattr(cli, "conjugacy_scan", without_locus)
     calls.clear()
     assert main(argv) == 0
     assert capsys.readouterr().out == reused and len(calls) == reused_calls + 1
@@ -709,7 +724,7 @@ def test_shared_sweep_is_not_written_by_the_fixed_y_scans(tmp_path, monkeypatch,
     assert len(locus.points) == 2
     for pt in locus.points:
         conjugacy_scan(spec, "fixed-y", fixed_value=eval_jet(spec, pt).x, sweep=(0.1, 5.0),
-                       x_guess=pt.x, sweep_jet=locus.sweep_jet)
+                       x_guess=pt.x, locus=locus)
         assert [c.tobytes() for c in locus.sweep_jet] == before
 
     path = tmp_path / "two.json"
@@ -720,11 +735,28 @@ def test_shared_sweep_is_not_written_by_the_fixed_y_scans(tmp_path, monkeypatch,
     assert main(argv) == 0
     reused = capsys.readouterr().out
 
-    def without_sweep(*args, sweep_jet=None, **kwargs):
+    def without_locus(*args, locus=None, **kwargs):
         return conjugacy_scan(*args, **kwargs)
-    monkeypatch.setattr(cli, "conjugacy_scan", without_sweep)
+    monkeypatch.setattr(cli, "conjugacy_scan", without_locus)
     assert main(argv) == 0
     assert capsys.readouterr().out == reused
+
+
+def test_a_locus_of_another_slice_is_refused():
+    # the scan's own arguments name its slice; a locus that disagrees with
+    # them (or sweeps X) would lend jets of other points, so it is refused
+    spec = get_entry("reissner-nordstrom").spec
+    same = {"fixed_value": 0.5, "sweep": (0.1, 10.0), "count": 200, "spacing": "linear"}
+    locus = find_davies_points(spec, "cx", fixed="Q", **same)
+    swept_x = find_davies_points(spec, "cx", fixed="S", **same)
+    assert conjugacy_scan(spec, "fixed-x", **same, locus=locus) == conjugacy_scan(
+        spec, "fixed-x", **same)
+    for series, changed, held in (
+            ("fixed-x", {"fixed_value": 0.6}, locus), ("fixed-x", {"count": 100}, locus),
+            ("fixed-x", {"spacing": "log"}, locus), ("fixed-x", {"sweep": (0.1, 9.0)}, locus),
+            ("fixed-y", {"x_guess": 0.6}, locus), ("fixed-x", {}, swept_x)):
+        with pytest.raises(ValueError, match="locus"):
+            conjugacy_scan(spec, series, **{**same, "x_guess": 0.5, **changed}, locus=held)
 
 X_SLICES = [("S^2/2 + X^2/2 + S*X^2/2", st.floats(0.2, 2.5)),
             ("S^2/2 + X^2/2 + S*X^2/2 + 1/(X - 1.5)",     # X-only divisor, small or zero
@@ -847,11 +879,12 @@ def test_sample_scans_flag_the_pairs_of_the_per_sample_loops(samples):
     grid, spec = np.linspace(0.5, 3.0, n).tolist(), get_entry("kerr").spec
     with mock.patch.object(davies, "eval_jets", lambda *_, **__: (jet, np.zeros(n, np.int8))), \
             mock.patch.object(davies, "_refine", record):
-        find_davies_points(spec, "cx", fixed="J", fixed_value=0.5, sweep=(0.5, 3.0), count=n)
+        locus = find_davies_points(spec, "cx", fixed="J", fixed_value=0.5, sweep=(0.5, 3.0),
+                                   count=n)
         assert refined == bits(sign_change_pairs(grid, d.tolist()))
         refined.clear()
         conjugacy_scan(spec, "fixed-x", fixed_value=0.5, sweep=(0.5, 3.0), count=n,
-                       sweep_jet=jet)
+                       locus=locus)
         assert refined == bits(turning_pairs(grid, t.tolist(), d.tolist()))
 
 

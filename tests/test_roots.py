@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from thermocurv import ConditioningWarning, DomainError, _roots, davies, eval_jet, get_entry
 from thermocurv import parse_potential
-from thermocurv._roots import (COLLAPSE, LOOSE, MAX_STEPS, ToleranceNotMetError,
-                               refine_bracket, solve_near)
+from thermocurv._roots import (COLLAPSE, LOOSE, MAX_STEPS, NoBracketError,
+                               ToleranceNotMetError, refine_bracket, solve_near)
 from thermocurv.jets import Jet3
 
 from roots_oracle import secant_bracket
@@ -148,6 +148,15 @@ def test_a_pole_is_not_refined_into():
     with pytest.raises(ToleranceNotMetError, match="grew past 20000.0"):
         refine_bracket(pole, 1.7, 2.05, 1.0 / (1.7 - 2.0), 1.0 / 0.05, tol_f=1e-12)
     assert len(calls) == 12 and min(abs(u - 2.0) for u in calls) > 1e-5
+
+
+@pytest.mark.parametrize("below", [1.0, -1.0])
+def test_a_pair_with_a_nan_end_is_neither_a_sign_change_nor_a_hump(below):
+    # f is nan past u = 2, where the slope changes sign: the pair across 2 is
+    # skipped, not taken for a sign change (below = 1) or searched for a hump
+    with pytest.raises(NoBracketError):
+        _roots.expand_bracket(lambda u: below if u < 2.0 else math.nan, 1.0, -math.inf,
+                              math.inf, slope=lambda u: (2.0 - u, -1.0))
 
 
 def counted_jets(coord, p_u, p_uu, p_uuu):
