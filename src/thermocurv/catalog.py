@@ -11,12 +11,13 @@ disagreement is surfaced, never reconciled in place.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import PotentialSpec, is_cached, parse_potential, potential_to_json
+from .potentials import PotentialSpec, parse_potential, potential_to_json
 
 __all__ = ["CatalogEntry", "GridAxis", "get_entry", "entry_names",
            "UnknownPotentialError"]
@@ -107,20 +108,16 @@ _TABLE = {
         "flat toy potential with identity Hessian",
         (GridAxis(0.5, 4.0, 8, "linear"), GridAxis(0.5, 4.0, 8, "linear"))),
 }
-_ENTRIES: dict[str, CatalogEntry] = {}   # built once, and again once the code cache drops its code
 
 
 def entry_names() -> tuple[str, ...]:
     return tuple(sorted(_TABLE))
 
 
+@functools.cache     # one entry per name of the table
 def get_entry(name: str) -> CatalogEntry:
-    entry = _ENTRIES.get(name)
-    if entry is None or not is_cached(entry.spec):
-        if name not in _TABLE:
-            raise UnknownPotentialError(
-                f"unknown potential {name!r}; known: {', '.join(entry_names())}")
-        expression, coords, *fields = _TABLE[name]
-        entry = _ENTRIES[name] = CatalogEntry(
-            parse_potential(expression, coords, name=name), *fields)
-    return entry
+    if name not in _TABLE:
+        raise UnknownPotentialError(
+            f"unknown potential {name!r}; known: {', '.join(entry_names())}")
+    expression, coords, *fields = _TABLE[name]
+    return CatalogEntry(parse_potential(expression, coords, name=name), *fields)

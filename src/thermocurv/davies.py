@@ -93,12 +93,27 @@ class Divergence(NamedTuple):
 @dataclass(frozen=True)
 class ConjugacyScan:
     """(control, conjugate) samples along an equilibrium series plus the
-    sweep-parameter values where the control variable turns around."""
+    sweep-parameter values where the control variable turns around.
 
-    series: tuple[tuple[float, float], ...]
+    ``temperatures`` and ``entropies`` hold the samples as arrays, and
+    ``series`` their (T, S) pairs as floats, built when first read; two
+    scans are equal when their series and other fields are."""
+
+    temperatures: np.ndarray = field(repr=False, compare=False)
+    entropies: np.ndarray = field(repr=False, compare=False)
     turning_points: tuple[float, ...]
     which: str
     fixed_value: float
+
+    @functools.cached_property
+    def series(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.temperatures.tolist(), self.entropies.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not ConjugacyScan:
+            return NotImplemented
+        return (self.series, self.turning_points, self.which, self.fixed_value) == (
+            other.series, other.turning_points, other.which, other.fixed_value)
 
 
 def _root_function(which: str, along: int = 0):
@@ -296,8 +311,7 @@ def conjugacy_scan(
         cd = (tvals[2:] - tvals[:-2]) / (s_grid[2:] - s_grid[:-2])
         c0, c1 = cd[:-1], cd[1:]
         changes = (c0 != 0.0) & ((c0 > 0.0) != (c1 > 0.0)) & ~np.isnan(c0 + c1)
-    svals, tvals, dvals = s_grid.tolist(), tvals.tolist(), dvals.tolist()
-    samples = list(zip(tvals, svals))            # (control T, conjugate S)
+    svals, dvals = s_grid.tolist(), dvals.tolist()
     turning = []
     for k in np.flatnonzero(changes).tolist():
         for i, j in ((k + 1, k + 2), (k, min(k + 3, len(svals) - 1))):
@@ -310,5 +324,5 @@ def conjugacy_scan(
         if is_root:
             turning.append(root)
 
-    return ConjugacyScan(series=tuple(samples), turning_points=tuple(turning),
+    return ConjugacyScan(temperatures=tvals, entropies=s_grid, turning_points=tuple(turning),
                          which=series, fixed_value=fixed_value)

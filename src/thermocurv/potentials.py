@@ -5,11 +5,12 @@ A potential is written as an arithmetic expression in two coordinate names
 parameters, e.g. ``"sqrt(S)/2 * (1 + Q^2/S)"``.  Parsing produces an
 immutable :class:`PotentialSpec` whose expression is a flat postfix
 program: a tuple of steps, each operand before its operator (see
-:class:`_Parser`).  The program is traced once per process into
-straight-line Python source, one function for the
+:class:`_Parser`).  Each spec traces its program into straight-line Python
+source the first time it needs it: one function for the
 :class:`~thermocurv.jets.Jet3` that feeds every derivative used downstream
 (on float or array coordinates), one for its value and first and second
-partials alone, and one for plain values.
+partials alone, and one for plain values.  ``parse_potential`` returns the
+same spec, and so the same code, for the same arguments (of the last 256).
 
 Grammar (whitespace-insensitive, no implicit multiplication)::
 
@@ -32,7 +33,7 @@ import numbers
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Mapping
 
 import numpy as np
@@ -80,17 +81,17 @@ class PotentialSpec:
         """The generated jet evaluator: ``evaluate(s, x)`` is the
         :class:`~thermocurv.jets.Jet3` at coordinates that passed the domain
         check (floats or arrays)."""
-        return _generated(self.ast, self.params, 3)
+        return _generate(self.ast, self.params, 3)
 
     @cached_property
     def evaluate_second(self):
         """``evaluate``'s code for the partials to order 2 alone, bit for bit."""
-        return _generated(self.ast, self.params, 2)
+        return _generate(self.ast, self.params, 2)
 
     @cached_property
     def evaluate_value(self):
         """The generated value evaluator: true division, ``sqrt(0)`` allowed."""
-        return _generated(self.ast, self.params, 0)
+        return _generate(self.ast, self.params, 0)
 
 
 # -- lexer / parser -----------------------------------------------------------
@@ -237,7 +238,8 @@ def parse_potential(
     name: str = "anonymous",
     domain=None,
 ) -> PotentialSpec:
-    """Parse an expression into an immutable :class:`PotentialSpec`.
+    """Parse an expression into an immutable :class:`PotentialSpec`, the
+    same one for the same arguments (of the last 256 parsed), its code built.
 
     Raises :class:`ParseError` (with position) on lexical/syntax problems,
     unknown identifiers, a number that overflows or nesting deeper than
@@ -260,10 +262,19 @@ def parse_potential(
             raise ValueError(f"identifier {ident!r} shadows a built-in function")
     if set(coords) & set(params):
         raise ValueError("coordinate and parameter names overlap")
-    program = _Parser(_tokenize(src), tuple(coords), params).parse()
     dom = _normalize_domain(domain, coords)
-    spec = PotentialSpec(name=name, coords=tuple(coords), ast=program,
-                         params=params, domain=dom)
+    return _parsed(src, tuple(coords), tuple((k, v.hex()) for k, v in params.items()), name,
+                   tuple(tuple(map(float.hex, bounds)) for bounds in dom))
+
+
+@lru_cache(maxsize=256)
+def _parsed(src, coords, params, name, domain) -> PotentialSpec:
+    """The spec of validated arguments, each number as its ``float.hex``, so
+    that -0.0 and 0.0 stay apart."""
+    params = {k: float.fromhex(v) for k, v in params}
+    program = _Parser(_tokenize(src), coords, params).parse()
+    spec = PotentialSpec(name=name, coords=coords, ast=program, params=params,
+                         domain=tuple(tuple(map(float.fromhex, b)) for b in domain))
     spec.evaluate  # generated now: a constant sub-expression that fails raises here
     return spec
 
@@ -351,26 +362,6 @@ def _trace(program: tuple, params, coords):
             raise ValueError(f"{format_expression(program[span])!r} fails at every "
                              f"point: {exc}") from exc
     return _fold(program, visit)
-
-
-_GENERATED: dict = {}   # least recently used first
-_MAX_GENERATED = 256
-
-
-def _generated(program: tuple, params, order: int):
-    """The straight-line evaluator of a potential, built once per process
-    for each distinct program, parameter set and order (of the last 256 used)."""
-    key = (order, program, tuple(sorted((k, float(v).hex()) for k, v in params.items())))
-    fn = _GENERATED[key] = _GENERATED.pop(key, None) or _generate(program, params, order)
-    if len(_GENERATED) > _MAX_GENERATED:
-        del _GENERATED[next(iter(_GENERATED))]
-    return fn
-
-
-def is_cached(spec: PotentialSpec) -> bool:
-    """Whether ``spec`` is yet to evaluate or evaluates with the cached jet code, now just used."""
-    fn = spec.__dict__.get("evaluate")
-    return fn is None or _generated(spec.ast, spec.params, 3) is fn
 
 
 def _generate(program: tuple, params, order: int):
@@ -536,9 +527,8 @@ def potential_from_json(obj: dict) -> PotentialSpec:
     domain = obj.get("domain") or {}
     if not isinstance(domain, Mapping):
         raise ValueError(f"domain must map coordinates to [lo, hi], got {domain!r}")
-    dom_map = {c: domain.get(c, (None, None)) for c in coords}
     return parse_potential(expression, (coords[0], coords[1]), obj.get("params"),
-                           name=name, domain=dom_map)
+                           name=name, domain=domain)
 
 
 def potential_to_json(spec: PotentialSpec) -> dict:
@@ -554,19 +544,13 @@ def potential_to_json(spec: PotentialSpec) -> dict:
     }
 
 
-_FILES: dict[str, PotentialSpec] = {}   # by file text, least recently used first
-
-
 def load_potential_file(path) -> PotentialSpec:
-    """Read a potential-definition JSON file (single document).  The spec of
-    each distinct text is built once per process (of the last 16 read), and
-    again once the code cache drops its code."""
+    """Read a potential-definition JSON file (single document); the spec of
+    each distinct text is built once (of the last 16 read)."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    spec = _FILES.pop(text, None)
-    if spec is None or not is_cached(spec):
-        spec = potential_from_json(json.loads(text))  # JSONDecodeError carries the position
-    _FILES[text] = spec
-    if len(_FILES) > 16:
-        del _FILES[next(iter(_FILES))]
-    return spec
+        return _from_text(fh.read())
+
+
+@lru_cache(maxsize=16)
+def _from_text(text: str) -> PotentialSpec:
+    return potential_from_json(json.loads(text))  # JSONDecodeError carries the position

@@ -3,9 +3,8 @@ import pytest
 
 from thermocurv import (curvature_from_m_jet, eval_jet, eval_scalar, get_entry,
                         entry_names, potential_from_json)
-from thermocurv import catalog, parse_potential
+from thermocurv import catalog
 from thermocurv.catalog import UnknownPotentialError
-from thermocurv.potentials import is_cached
 from conftest import closed_form
 
 
@@ -21,20 +20,6 @@ def test_an_entry_is_built_once(monkeypatch, name):
     parsed = []
     monkeypatch.setattr(catalog, "parse_potential", lambda *a, **k: parsed.append(a))
     assert get_entry(name) is first and parsed == []
-
-
-def test_an_entry_in_use_keeps_its_code_and_one_whose_code_was_dropped_is_rebuilt():
-    first = get_entry("kerr")
-    code = first.spec.evaluate
-    for k in range(300):       # more potentials than the code cache holds
-        parse_potential("S * k + X", params={"k": float(k)}).evaluate
-        assert get_entry("kerr") is first      # each call marks its code as used
-    for k in range(300):
-        parse_potential("S * k + X", params={"k": k + 0.5}).evaluate
-    assert not is_cached(first.spec)
-    again = get_entry("kerr")
-    assert again is not first and again.spec.evaluate is not code and is_cached(again.spec)
-    assert again.spec.evaluate(4.0, 0.7) == code(4.0, 0.7)
 
 
 def test_reference_spot_values(rn, kerr, quad):
@@ -91,27 +76,7 @@ def test_closed_forms_against_symbolic_riemann(rn, kerr):
     Christoffel/Riemann contraction, and compare with the catalog's
     closed-form references at sample points."""
     sp = pytest.importorskip("sympy")
-
-    def scalar_curvature(g, coords):
-        ginv = g.inv()
-        n = 2
-        gamma = [[[sum(ginv[k, l] * (sp.diff(g[j, l], coords[i])
-                                     + sp.diff(g[i, l], coords[j])
-                                     - sp.diff(g[i, j], coords[l]))
-                       for l in range(n)) / 2
-                   for j in range(n)] for i in range(n)] for k in range(n)]
-
-        def riem(l, i, j, k):
-            t = (sp.diff(gamma[l][i][k], coords[j])
-                 - sp.diff(gamma[l][i][j], coords[k]))
-            t += sum(gamma[l][j][m] * gamma[m][i][k]
-                     - gamma[l][k][m] * gamma[m][i][j] for m in range(n))
-            return t
-
-        ric = sp.Matrix(n, n, lambda i, k: sum(riem(l, i, l, k)
-                                               for l in range(n)))
-        # no simplification: the expression is only evaluated numerically
-        return sum(ginv[i, k] * ric[i, k] for i in range(n) for k in range(n))
+    from test_symbolic_curvature import scalar_curvature
 
     s_sym, x_sym = sp.symbols("s x", positive=True)
     cases = [

@@ -20,10 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closure_oracle import closure_jet, oracle_jet, oracle_jet_at, oracle_scalar
-from thermocurv import eval_jet, eval_scalar, get_entry, parse_potential
+from thermocurv import eval_jet, eval_scalar, get_entry, parse_potential, potentials
 from thermocurv.cli import main
 from thermocurv.jets import OVERFLOW, ConditioningWarning, DomainError, Jet3, batch
-from thermocurv.potentials import _GENERATED, _check_domain, _Parser, _source, _tokenize
+from thermocurv.potentials import _check_domain, _Parser, _source, _tokenize
 
 WHOLE_PLANE = {"S": (None, None), "X": (None, None)}
 FAILURES = (DomainError, OverflowError, ZeroDivisionError)
@@ -179,19 +179,26 @@ def test_catalog_jets_match_the_closure_tree(name):
 
 
 def test_generated_code_is_built_once_per_distinct_potential():
-    first = parse_potential("sqrt(S)/2 * (1 + Q^2/S)", ("S", "Q"))
-    again = get_entry("reissner-nordstrom").spec
-    assert first is not again and first.evaluate is again.evaluate
+    # the parse memo returns one spec, and so one code, per distinct arguments
     other = parse_potential("S^2 * k + X", params={"k": 2.0})
+    assert parse_potential("S^2 * k + X", params={"k": 2.0}) is other
     assert other.evaluate is not parse_potential("S^2 * k + X", params={"k": 3.0}).evaluate
     # -0.0 == 0.0, but the constant baked into the code differs
     neg = parse_potential("k * S + X", params={"k": -0.0})
     assert neg.evaluate is not parse_potential("k * S + X", params={"k": 0.0}).evaluate
-    for k in range(300):   # the cache keeps the most recently used ones
+    assert neg.params["k"].hex() == "-0x0.0p+0"
+    # and so does a domain bound's sign, which potential_to_json prints
+    bounded = parse_potential("S + X", domain={"S": (-0.0, 1.0)})
+    assert str(bounded.domain[0][0]) == "-0.0"
+    assert str(parse_potential("S + X", domain={"S": (0.0, 1.0)}).domain[0][0]) == "0.0"
+    kept, dropped = (parse_potential("S * k + X", params={"k": k}) for k in (-1.0, -2.0))
+    for k in range(300):   # the memo keeps the most recently used ones
         parse_potential("S * k + X", params={"k": float(k)})
-    assert len(_GENERATED) <= 256
-    assert parse_potential("S * k + X", params={"k": 299.0}).evaluate is parse_potential(
-        "S * k + X", params={"k": 299.0}).evaluate
+        assert parse_potential("S * k + X", params={"k": -1.0}) is kept
+    assert potentials._parsed.cache_info().currsize <= 256
+    assert parse_potential("S * k + X", params={"k": -2.0}) is not dropped
+    assert parse_potential("S * k + X", params={"k": 299.0}) is parse_potential(
+        "S * k + X", params={"k": 299.0})
 
 
 @pytest.mark.parametrize("src, named", [

@@ -180,6 +180,29 @@ def test_conjugacy_turning_points(rn, kerr, quad):
                           sweep=(0.5, 5.0)).turning_points == ()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--catalog", "reissner-nordstrom", "--which", "cx", "--fix", "Q=0.7", "--sweep", "S=0.1:10"],
+    ["--potential-file", "cy.json", "--which", "cy", "--fix", "X=1.5", "--sweep", "S=0.1:5"],
+])
+def test_the_series_is_built_only_when_read(argv, tmp_path, monkeypatch, capsys):
+    # davies reads the turning points alone, so no (T, S) pair is built
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cy.json").write_text(json.dumps({
+        "name": "cy-toy", "coords": ["S", "X"], "expression": "S^2/2 + X^2/2 + S*X^2/2"}))
+    scans = []
+
+    def keep(*args, **kwargs):
+        scans.append(conjugacy_scan(*args, **kwargs))
+        return scans[-1]
+    monkeypatch.setattr(cli, "conjugacy_scan", keep)
+    assert main(["davies", *argv]) == 0
+    assert len(json.loads(capsys.readouterr().out)["turning_points"]) == len(scans) == 1
+    (scan,) = scans
+    assert "series" not in vars(scan)
+    assert scan.series == tuple(zip(scan.temperatures.tolist(), scan.entropies.tolist()))
+    assert scan.series is scan.series and len(scan.series) == 200
+
+
 def test_turning_points_coincide_with_locus(rn, kerr):
     for spec, fixed, sweep in ((rn.spec, "Q", (0.5, 10.0)),
                                (kerr.spec, "J", (2.5, 10.0))):

@@ -12,7 +12,7 @@ from thermocurv import (DomainError, ParseError, eval_jet, eval_scalar,
                         potential_from_json, potential_to_json)
 from thermocurv import potentials
 from thermocurv.cli import main
-from thermocurv.potentials import UnknownIdentifierError, is_cached, load_potential_file
+from thermocurv.potentials import UnknownIdentifierError, load_potential_file
 
 
 def test_precedence_and_associativity():
@@ -229,6 +229,27 @@ MALFORMED_CHANGES = [
 ]
 
 
+@pytest.mark.parametrize("domain, inside, outside", [
+    (None, (1.0, 0.5), [(-1.0, 0.5), (1.0, 0.0)]),
+    ({"S": [-2, None]}, (-1.0, 0.5), [(-2.0, 0.5), (1.0, -0.5)]),
+])
+def test_an_omitted_domain_entry_is_zero_to_infinity(domain, inside, outside, tmp_path, capsys):
+    # a document without "domain", and one that bounds S alone: every
+    # coordinate it leaves out is defined on (0, +inf), as the README says
+    doc = DOC if domain is None else {**DOC, "domain": domain}
+    spec = potential_from_json(doc)
+    assert spec.domain[1] == (0.0, math.inf)
+    assert spec.domain[0] == ((0.0, math.inf) if domain is None else (-2.0, math.inf))
+    assert eval_scalar(spec, inside) == inside[0] + 2.0 * inside[1]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for s, x in outside:
+        with pytest.raises(DomainError):
+            eval_scalar(spec, (s, x))
+        assert main(["eval", "--potential-file", str(path), "--at", f"S={s},X={x}"]) == 2
+        assert "outside" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("change", MALFORMED_CHANGES)
 def test_malformed_documents_raise_value_error(change, tmp_path, capsys):
     doc = {**DOC, **change}
@@ -240,7 +261,7 @@ def test_malformed_documents_raise_value_error(change, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_a_potential_file_is_built_once_per_text(tmp_path):
+def test_a_potential_file_is_built_once_per_text(tmp_path, monkeypatch):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     for path in (first, second):
         path.write_text(json.dumps(DOC), encoding="utf-8")
@@ -254,13 +275,11 @@ def test_a_potential_file_is_built_once_per_text(tmp_path):
     for k in range(20):     # the memo holds a few texts, the most recently read
         first.write_text(json.dumps({**DOC, "params": {"k": k + 0.5}}), encoding="utf-8")
         assert load_potential_file(first).params == {"k": k + 0.5}
-    assert len(potentials._FILES) <= 16
-    old, spec = spec, load_potential_file(second)
-    assert spec is not old and load_potential_file(second) is spec
-    for k in range(300):    # more potentials than the code cache holds
-        parse_potential("S * k + X", params={"k": k + 0.25}).evaluate
-    again = load_potential_file(second)     # built again once its code was dropped
-    assert again is not spec and is_cached(again) and load_potential_file(second) is again
+    assert potentials._from_text.cache_info().currsize <= 16
+    built, real = [], potentials.potential_from_json
+    monkeypatch.setattr(potentials, "potential_from_json", lambda doc: built.append(doc) or real(doc))
+    again = load_potential_file(second)     # its text was dropped: read again
+    assert again == spec and load_potential_file(second) is again and len(built) == 1
 
 
 @pytest.mark.parametrize("text", ['{"name": "x", "coords": ["S"',
@@ -310,7 +329,9 @@ def test_generated_code_is_bounded(tmp_path, capsys):
 @pytest.mark.parametrize("terms", [1200, 20000])
 def test_long_chain_specs_compare_print_and_hash(terms):
     src = " + ".join(["S"] * terms) + " + X^2"
-    spec, again = parse_potential(src), parse_potential(src)
+    spec = parse_potential(src)
+    potentials._parsed.cache_clear()       # two distinct but equal specs
+    again = parse_potential(src)
     assert spec.ast is not again.ast
     assert spec == again and hash(spec.ast) == hash(again.ast)
     assert {spec.ast: 1}[again.ast] == 1
