@@ -58,9 +58,9 @@ class DaviesLocus:
     of a heat capacity at positive temperature), because they are poles,
     or because the jet cannot be evaluated inside their bracket.
     ``samples`` holds the sweep values, ``sweep_jet`` the jets there to second
-    order (nan third partials; nan where a sample failed) and ``jet_at(u)``
-    the memoized full jet at ``u``, for a turning-point scan of the slice
-    ``s_slice``, ``(sweep, count, spacing, X)`` (None: X is swept), to reuse.
+    order (nan third partials; nan where a sample failed), both read-only, and
+    ``jet_at(u)`` the memoized full jet at ``u``, for a turning-point scan of
+    the slice ``s_slice``, ``(sweep, count, spacing, X)`` (None: X is swept).
     ``jets`` holds the full jet at each of ``points``.
     """
 
@@ -95,9 +95,9 @@ class ConjugacyScan:
     """(control, conjugate) samples along an equilibrium series plus the
     sweep-parameter values where the control variable turns around.
 
-    ``temperatures`` and ``entropies`` hold the samples as arrays, and
-    ``series`` their (T, S) pairs as floats, built when first read; two
-    scans are equal when their series and other fields are."""
+    ``temperatures`` and ``entropies`` hold the samples as arrays (a locus's read-only
+    ones, when it lent them), and ``series`` their (T, S) pairs as floats, built when
+    first read; two scans are equal when their series and other fields are."""
 
     temperatures: np.ndarray = field(repr=False, compare=False)
     entropies: np.ndarray = field(repr=False, compare=False)
@@ -197,6 +197,8 @@ def find_davies_points(
         points.append(pt)
         brackets.append(BracketInfo(u0, u1, f0, f1, resid, iters))
         jets.append(jet)
+    for values in (grid, *sweep_jet):
+        values.setflags(write=False)
     return DaviesLocus(which=which, points=tuple(points), brackets=tuple(brackets),
                        rejected=tuple(rejected), sweep_jet=sweep_jet, jets=tuple(jets),
                        samples=grid, jet_at=jet_at, s_slice=None if fixed_idx == 0

@@ -34,6 +34,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -270,8 +271,8 @@ def parse_potential(
 @lru_cache(maxsize=256)
 def _parsed(src, coords, params, name, domain) -> PotentialSpec:
     """The spec of validated arguments, each number as its ``float.hex``, so
-    that -0.0 and 0.0 stay apart."""
-    params = {k: float.fromhex(v) for k, v in params}
+    that -0.0 and 0.0 stay apart; its params are read-only, as it is shared."""
+    params = MappingProxyType({k: float.fromhex(v) for k, v in params})
     program = _Parser(_tokenize(src), coords, params).parse()
     spec = PotentialSpec(name=name, coords=coords, ast=program, params=params,
                          domain=tuple(tuple(map(float.fromhex, b)) for b in domain))

@@ -58,10 +58,8 @@ def scan_rows(out, count):
 
 
 def potential(src, k=2.0, negative_s=False):
-    doc = {"name": "drawn", "coords": ["S", "X"], "expression": src, "params": {"k": k}}
-    if negative_s:
-        doc["domain"] = {"S": [None, 0]}
-    return doc
+    return {"name": "drawn", "coords": ["S", "X"], "expression": src, "params": {"k": k},
+            "domain": {"S": [None, 0 if negative_s else None], "X": [None, None]}}
 
 
 @pytest.mark.parametrize("src, t_at_1", [

@@ -203,6 +203,19 @@ def test_the_series_is_built_only_when_read(argv, tmp_path, monkeypatch, capsys)
     assert scan.series is scan.series and len(scan.series) == 200
 
 
+def test_a_locus_lends_its_arrays_read_only():
+    # a fixed-X scan with a locus holds the locus's own sample and T arrays
+    # and builds its series from them late, so no write may reach them
+    spec = parse_potential("S^2/2 + X^2/2 + S*X^2/2")
+    locus = find_davies_points(spec, "cx", fixed="X", fixed_value=1.5, sweep=(0.1, 5.0))
+    scan = conjugacy_scan(spec, "fixed-x", fixed_value=1.5, sweep=(0.1, 5.0), locus=locus)
+    assert scan.temperatures is locus.sweep_jet.s and scan.entropies is locus.samples
+    for values in (locus.samples, *locus.sweep_jet):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+    assert scan == conjugacy_scan(spec, "fixed-x", fixed_value=1.5, sweep=(0.1, 5.0))
+
+
 def test_turning_points_coincide_with_locus(rn, kerr):
     for spec, fixed, sweep in ((rn.spec, "Q", (0.5, 10.0)),
                                (kerr.spec, "J", (2.5, 10.0))):
@@ -833,9 +846,8 @@ def test_davies_on_drawn_potentials_keeps_its_contract(
         fuzz_dir, src, k, negative_s, which, sweep_s, fixed, bounds, count):
     # exit 0 or 2 and never an uncaught exception, whatever the potential;
     # every point found lies on the fixed value and inside the sweep
-    doc = {"name": "fuzz", "coords": ["S", "X"], "expression": src, "params": {"k": k}}
-    if negative_s:
-        doc["domain"] = {"S": [None, 0]}
+    doc = {"name": "fuzz", "coords": ["S", "X"], "expression": src, "params": {"k": k},
+           "domain": {"S": [None, 0 if negative_s else None], "X": [None, None]}}
     path = fuzz_dir / "fuzz.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     (lo, hi), (fix, sweep) = bounds, ("X", "S") if sweep_s else ("S", "X")
@@ -889,7 +901,7 @@ def test_sample_scans_flag_the_pairs_of_the_per_sample_loops(samples):
     # the masks over the samples pick the brackets the loops picked, signed
     # zeros, infinities and nan included; the refinement only records them
     n, (t, d) = len(samples), (np.array(v) for v in zip(*samples))
-    jet = Jet3(np.zeros(n), t, np.zeros(n), d)      # T = M_S, dT/dS = M_SS
+    jet = Jet3(np.zeros(n), t, np.zeros(n), d, *np.zeros((6, n)))   # T = M_S, dT/dS = M_SS
     refined = []
 
     def record(func, a, b, fa, fb):

@@ -282,6 +282,17 @@ def test_a_potential_file_is_built_once_per_text(tmp_path, monkeypatch):
     assert again == spec and load_potential_file(second) is again and len(built) == 1
 
 
+def test_a_shared_spec_keeps_its_params():
+    # the parse memo hands one spec to every caller with the same arguments,
+    # so no caller can change its params under the others
+    spec = parse_potential("S + k*X", params={"k": 2.0})
+    with pytest.raises(TypeError):
+        spec.params["k"] = 5.0
+    again = parse_potential("S + k*X", params={"k": 2.0})
+    assert again is spec and potential_to_json(again)["params"] == {"k": 2.0}
+    assert eval_jet(again, (1.0, 1.0)).v == eval_scalar(again, (1.0, 1.0)) == 3.0
+
+
 @pytest.mark.parametrize("text", ['{"name": "x", "coords": ["S"',
                                   json.dumps({**DOC, "params": {"k": "x"}}),
                                   json.dumps({**DOC, "expression": "S +"})])
@@ -339,7 +350,7 @@ def test_long_chain_specs_compare_print_and_hash(terms):
     text = repr(spec)
     assert text.count("('+',)") == terms and text.endswith(
         "('coord', 1, 'X'), ('num', 2.0), ('^', False), ('+',)), "
-        "params={}, domain=((0.0, inf), (0.0, inf)))")
+        "params=mappingproxy({}), domain=((0.0, inf), (0.0, inf)))")
     # steps that differ only in kind or operator
     assert parse_potential("S").ast != parse_potential("S", ("A", "B"), {"S": 1.0}).ast
     assert parse_potential("-1").ast != parse_potential("1").ast
