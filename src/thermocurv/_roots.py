@@ -180,7 +180,9 @@ def solve_lanes(func, n: int, guess: float, lo: float, hi: float, *, tol_f: floa
         sides = [j for j in sorted((0, 1), key=lambda j: abs(ends[j][0] + new[j] - 2.0 * guess))
                  if lo < new[j] < hi and new[j] != ends[j][0]]
         if not sides:
-            continue
+            if lo < guess - step or guess + step < hi:   # a guess outside (lo, hi) may yet step in
+                continue
+            break     # at both bounds: no later doubling moves either side
         values = func(np.concatenate([search] * len(sides)),
                       np.repeat([new[j] for j in sides], search.size))[0]
         for side, f_side in zip(sides, values.reshape(len(sides), -1)):

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .catalog import CatalogEntry, GridAxis, UnknownPotentialError, entry_names, get_entry
-from .davies import conjugacy_scan, divergence_orders, find_davies_points
+from .davies import divergence_orders, find_davies_points
 from ._roots import NoBracketError, ToleranceNotMetError
 from .geometry import DEFAULT_SINGULARITY_EPS, StatePoint, curvature_from_m_jet, singularity_eps
 from .jets import DOMAIN, OVERFLOW, DomainError, one_warning
@@ -307,10 +307,10 @@ def _cmd_davies(args) -> int:
     sweep_idx = _coord_index(spec, sweep_name)
     if sweep_idx == fixed_idx:
         raise ValueError("--fix and --sweep must name different coordinates")
-    sweep = {"sweep": (axis.lo, axis.hi), "count": axis.count, "spacing": axis.spacing}
 
     locus = find_davies_points(spec, args.which, fixed=spec.coords[fixed_idx],
-                               fixed_value=fixed_value, **sweep)
+                               fixed_value=fixed_value, sweep=(axis.lo, axis.hi),
+                               count=axis.count, spacing=axis.spacing)
 
     points_doc = []
     for pt, jet, info in zip(locus.points, locus.jets, locus.brackets):
@@ -319,20 +319,9 @@ def _cmd_davies(args) -> int:
                            "fit_RM": _fit_doc(fit_rm), "bracket": {
                                "residual": info.residual, "iterations": info.iterations}})
 
-    turning: list[float] = []
-    if sweep_idx == 0:
-        if args.which == "cx":
-            scan = conjugacy_scan(spec, "fixed-x", fixed_value=fixed_value, **sweep, locus=locus)
-            turning = list(scan.turning_points)
-        else:
-            for pt, jet in zip(locus.points, locus.jets):
-                scan = conjugacy_scan(spec, "fixed-y", fixed_value=jet.x, **sweep,
-                                      x_guess=pt.x, locus=locus)
-                turning.extend(scan.turning_points)
-
     doc = {"which": args.which, "potential": spec.name,
            "fixed": {spec.coords[fixed_idx]: fixed_value},
-           "points": points_doc, "turning_points": turning,
+           "points": points_doc, "turning_points": list(locus.turning_points),
            "rejected": [{"S": pt.s, "X": pt.x} for pt in locus.rejected]}
     _write_json(args.out, doc)
     return 0

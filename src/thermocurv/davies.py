@@ -57,10 +57,6 @@ class DaviesLocus:
     temperature vanishes there (extremal boundary rather than a divergence
     of a heat capacity at positive temperature), because they are poles,
     or because the jet cannot be evaluated inside their bracket.
-    ``samples`` holds the sweep values, ``sweep_jet`` the jets there to second
-    order (nan third partials; nan where a sample failed), both read-only, and
-    ``jet_at(u)`` the memoized full jet at ``u``, for a turning-point scan of
-    the slice ``s_slice``, ``(sweep, count, spacing, X)`` (None: X is swept).
     ``jets`` holds the full jet at each of ``points``.
     """
 
@@ -68,11 +64,16 @@ class DaviesLocus:
     points: tuple[StatePoint, ...]
     brackets: tuple[BracketInfo, ...]
     rejected: tuple[StatePoint, ...] = ()
-    sweep_jet: Jet3 | None = field(default=None, repr=False, compare=False)
     jets: tuple[Jet3, ...] = field(default=(), repr=False, compare=False)
-    samples: np.ndarray | None = field(default=None, repr=False, compare=False)
-    jet_at: Callable[[float], Jet3] | None = field(default=None, repr=False, compare=False)
-    s_slice: tuple | None = field(default=None, repr=False, compare=False)
+    _turning: Callable[[], tuple[float, ...]] = field(default=tuple, repr=False, compare=False)
+
+    @functools.cached_property
+    def turning_points(self) -> tuple[float, ...]:
+        """The sweep values where the slice's equilibrium series turns
+        (:func:`conjugacy_scan`), built when first read: on a sweep of S, the
+        fixed-X series's ("cx") or the fixed-Y series's through each point in
+        turn ("cy"); none on a sweep of X."""
+        return self._turning()
 
 
 class Divergence(NamedTuple):
@@ -93,27 +94,12 @@ class Divergence(NamedTuple):
 @dataclass(frozen=True)
 class ConjugacyScan:
     """(control, conjugate) samples along an equilibrium series plus the
-    sweep-parameter values where the control variable turns around.
+    sweep-parameter values where the control variable turns around."""
 
-    ``temperatures`` and ``entropies`` hold the samples as arrays (a locus's read-only
-    ones, when it lent them), and ``series`` their (T, S) pairs as floats, built when
-    first read; two scans are equal when their series and other fields are."""
-
-    temperatures: np.ndarray = field(repr=False, compare=False)
-    entropies: np.ndarray = field(repr=False, compare=False)
+    series: tuple[tuple[float, float], ...]
     turning_points: tuple[float, ...]
     which: str
     fixed_value: float
-
-    @functools.cached_property
-    def series(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.temperatures.tolist(), self.entropies.tolist()))
-
-    def __eq__(self, other):
-        if other.__class__ is not ConjugacyScan:
-            return NotImplemented
-        return (self.series, self.turning_points, self.which, self.fixed_value) == (
-            other.series, other.turning_points, other.which, other.fixed_value)
 
 
 def _root_function(which: str, along: int = 0):
@@ -197,12 +183,16 @@ def find_davies_points(
         points.append(pt)
         brackets.append(BracketInfo(u0, u1, f0, f1, resid, iters))
         jets.append(jet)
-    for values in (grid, *sweep_jet):
-        values.setflags(write=False)
+
+    def turning():   # on a sweep of S; a sweep of X has none
+        if which == "cx":
+            return _series(spec, "fixed-x", fixed_value, fixed_value, grid, sweep_jet, jet_at)[1]
+        return sum((_series(spec, "fixed-y", jet.x, fixed_value, grid, sweep_jet, jet_at)[1]
+                    for jet in jets), ())
+
     return DaviesLocus(which=which, points=tuple(points), brackets=tuple(brackets),
-                       rejected=tuple(rejected), sweep_jet=sweep_jet, jets=tuple(jets),
-                       samples=grid, jet_at=jet_at, s_slice=None if fixed_idx == 0
-                       else (tuple(sweep), count, spacing, fixed_value))
+                       rejected=tuple(rejected), jets=tuple(jets),
+                       _turning=turning if fixed_idx == 1 else tuple)
 
 
 def divergence_orders(jet: Jet3, which_line: str) -> tuple[Divergence, Divergence]:
@@ -251,7 +241,6 @@ def conjugacy_scan(
     count: int = 200,
     spacing: str = "linear",
     x_guess: float = 1.0,
-    locus: DaviesLocus | None = None,
 ) -> ConjugacyScan:
     """Sample a one-parameter equilibrium series and flag turning points.
 
@@ -264,25 +253,31 @@ def conjugacy_scan(
     control variable's derivative changes sign (a vertical tangent of the
     conjugacy diagram); detection uses a central difference over the grid,
     never across a gap, and refinement drives that derivative, read from the
-    jet with its own slope, to zero.  Poles are skipped.  ``locus``, the
-    :class:`DaviesLocus` of this sweep at X = ``fixed_value`` (fixed-X) or
-    ``x_guess`` (fixed-Y), lends its samples, sweep jets (the series or the X
-    solve's first step) and memoized jets (a fixed-X refinement); a locus of
-    another slice is a ValueError.
+    jet with its own slope, to zero.  Poles are skipped.
     """
-    held_x = fixed_value if series == "fixed-x" else x_guess
-    if locus is not None and locus.s_slice != (tuple(sweep), count, spacing, held_x):
-        raise ValueError("locus is not of this sweep of S at this X")
-    s_grid = _grid(*sweep, count, spacing) if locus is None else locus.samples
+    s_grid = _grid(*sweep, count, spacing)
+    if series not in ("fixed-x", "fixed-y"):
+        raise ValueError(f"series must be 'fixed-x' or 'fixed-y', got {series!r}")
+    held_x = float(fixed_value if series == "fixed-x" else x_guess)
+    tvals, turning = _series(spec, series, fixed_value, held_x, s_grid,
+                             eval_jets(spec, s_grid, held_x, order=2)[0],
+                             lambda s: eval_jet(spec, StatePoint(s, held_x)))
+    return ConjugacyScan(series=tuple(zip(tvals.tolist(), s_grid.tolist())),
+                         turning_points=turning, which=series, fixed_value=fixed_value)
 
+
+def _series(spec, series, fixed_value, held_x, s_grid, sweep_jet, jet_at):
+    """``(T samples, turning points)`` of :func:`conjugacy_scan`'s series, read
+    from ``sweep_jet``, the second-order jets over ``s_grid`` at X = ``held_x``
+    (fixed-Y: the guess, so they are the X solve's first step), and from
+    ``jet_at(s)``, the full jet at (s, ``held_x``)."""
     if series == "fixed-x":
-        jet = eval_jets(spec, s_grid, fixed_value, order=2)[0] if locus is None else locus.sweep_jet
-        tvals, dvals = jet.s, jet.ss                # T and dT/dS at fixed X
+        tvals, dvals = sweep_jet.s, sweep_jet.ss      # T and dT/dS at fixed X
 
         def deriv(s: float, k: int):
-            jet = eval_jet(spec, StatePoint(s, fixed_value)) if locus is None else locus.jet_at(s)
+            jet = jet_at(s)
             return jet.ss, jet.sss
-    elif series == "fixed-y":
+    else:
         x_lo, x_hi = spec.domain[1]
         tol_f = 1e-13 * max(1.0, abs(fixed_value))
 
@@ -290,14 +285,14 @@ def conjugacy_scan(
             swapped = Jet3(*(jet[i] for i in (0, 2, 1, 5, 4, 3, 9, 8, 7, 6)))   # in (Y, S)
             return _f_jet_from_m_jet(swapped, x, fixed_value)[5::4]             # xx, xxx
 
-        first = [] if locus is None else [locus.sweep_jet]   # every lane at x_guess
+        first = [sweep_jet]    # every lane at the guess
         def lanes(idx, x):   # T, dT/dS along constant Y (along_y's G_SS, bit for bit), X
             jet = first.pop() if first else eval_jets(spec, s_grid[idx], x, order=2)[0]
             with np.errstate(all="ignore"):
                 g_ss = jet.ss + jet.sx * (-jet.sx / jet.xx)
                 return jet.x - fixed_value, jet.xx, np.stack([jet.s, g_ss, x])
 
-        tvals, dvals, xvals = solve_lanes(lanes, s_grid.size, x_guess, x_lo, x_hi,
+        tvals, dvals, xvals = solve_lanes(lanes, s_grid.size, held_x, x_lo, x_hi,
                                           tol_f=tol_f)[1]
 
         def deriv(s: float, k: int):   # X solved from sample k's root
@@ -306,8 +301,6 @@ def conjugacy_scan(
                                            float(xvals[k]), x_lo, x_hi, tol_f=tol_f)[:2])
             except (NoBracketError, ToleranceNotMetError, DomainError, ArithmeticError):
                 return math.nan, math.nan
-    else:
-        raise ValueError(f"series must be 'fixed-x' or 'fixed-y', got {series!r}")
 
     with np.errstate(all="ignore"):
         cd = (tvals[2:] - tvals[:-2]) / (s_grid[2:] - s_grid[:-2])
@@ -325,6 +318,4 @@ def conjugacy_scan(
         root, _, _, is_root = _refine(lambda s: deriv(s, i), svals[i], svals[j], fa, fb)
         if is_root:
             turning.append(root)
-
-    return ConjugacyScan(temperatures=tvals, entropies=s_grid, turning_points=tuple(turning),
-                         which=series, fixed_value=fixed_value)
+    return tvals, tuple(turning)

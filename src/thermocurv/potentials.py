@@ -247,7 +247,7 @@ def parse_potential(
     ``_MAX_NESTING`` levels, and
     :class:`ValueError` on a malformed argument: the source and name must be
     strings, parameters finite real numbers, coordinate and parameter names
-    distinct and not the built-in function names.
+    distinct and not the built-in function names, and each domain key a coordinate.
     """
     if not isinstance(src, str) or not isinstance(name, str):
         raise ValueError("the expression and the name must be strings")
@@ -295,6 +295,8 @@ def _real(value, what: str, finite: bool = False) -> float:
 def _normalize_domain(domain, coords) -> tuple[tuple[float, float], tuple[float, float]]:
     if domain is None:
         return ((0.0, math.inf), (0.0, math.inf))
+    if isinstance(domain, Mapping) and (stray := [k for k in domain if k not in coords]):
+        raise ValueError(f"domain key {stray[0]!r} names no coordinate of {tuple(coords)}")
     out = []
     for cname in coords:
         entry = domain.get(cname, (0.0, math.inf)) if isinstance(domain, Mapping) \

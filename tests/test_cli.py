@@ -409,6 +409,18 @@ def test_a_coordinate_given_twice_is_a_usage_error(capsys, at):
     assert code == 2 and out == "" and "error:" in err and "twice" in err
 
 
+@pytest.mark.parametrize("at", ["U=1,V=2", "S=1,V=2", "U=1,X=2", "S=1,X=2"])
+def test_s_and_x_name_the_coordinates_of_any_potential(capsys, tmp_path, at):
+    # S and X stand for the first and second coordinate whatever their names
+    path = tmp_path / "uv.json"
+    path.write_text(json.dumps({"name": "uv", "coords": ["U", "V"],
+                                "expression": "U^2/2 + U*V^2"}), encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--potential-file", str(path), "--at", at)
+    doc = json.loads(out)
+    assert (code, err, doc["coords"]) == (0, "", {"S": "U", "X": "V"})
+    assert (doc["S"], doc["X"], doc["T"]) == (1.0, 2.0, 5.0)     # T = U + V^2
+
+
 def test_a_grid_axis_given_twice_is_a_usage_error(capsys):
     code, out, err = run(capsys, "scan", "--catalog", "reissner-nordstrom",
                          "--grid", "S=1:2:2", "--grid", "X=1:2:2", "--grid", "S=1:3:2")
@@ -487,6 +499,7 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     ("scan", "--grid", "S=-1e308:1e308:3", "--grid", "Q=0.5:1:2"),
     ("scan", "--grid", "S=1e-320:1e308:3:log", "--grid", "Q=0.5:1:2"),
     ("scan", "--grid", "S=1:1.7976931348623157e308:5:log", "--grid", "Q=0.5:1:2"),
+    ("scan", "--grid", "S=1:2:0", "--grid", "Q=0.5:1:2"),       # no sample
     ("check", "--grid", "S=0.1:inf:5", "--grid", "Q=0.5:1:2"),
     ("check", "--grid", "S=2:2:1", "--grid", "Q=nan:1:1"),
     ("davies", "--fix", "Q=1", "--sweep", "S=0.1:inf"),

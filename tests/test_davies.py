@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from thermocurv import (ConditioningWarning, DomainError, StatePoint, cli,
                         conjugacy_scan, davies, divergence_orders, eval_jet,
                         find_davies_points, get_entry, load_potential_file, parse_potential,
-                        responses_at)
+                        potential_from_json, responses_at)
 from thermocurv._roots import NoBracketError, expand_bracket, solve_lanes
 from thermocurv.cli import main
 from thermocurv.jets import Jet3, batch
@@ -185,35 +185,22 @@ def test_conjugacy_turning_points(rn, kerr, quad):
     ["--potential-file", "cy.json", "--which", "cy", "--fix", "X=1.5", "--sweep", "S=0.1:5"],
 ])
 def test_the_series_is_built_only_when_read(argv, tmp_path, monkeypatch, capsys):
-    # davies reads the turning points alone, so no (T, S) pair is built
+    # a locus builds its turning-point series when davies first reads its
+    # turning points, and keeps them
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cy.json").write_text(json.dumps({
         "name": "cy-toy", "coords": ["S", "X"], "expression": "S^2/2 + X^2/2 + S*X^2/2"}))
-    scans = []
+    loci = []
 
     def keep(*args, **kwargs):
-        scans.append(conjugacy_scan(*args, **kwargs))
-        return scans[-1]
-    monkeypatch.setattr(cli, "conjugacy_scan", keep)
+        loci.append(find_davies_points(*args, **kwargs))
+        assert "turning_points" not in vars(loci[-1])
+        return loci[-1]
+    monkeypatch.setattr(cli, "find_davies_points", keep)
     assert main(["davies", *argv]) == 0
-    assert len(json.loads(capsys.readouterr().out)["turning_points"]) == len(scans) == 1
-    (scan,) = scans
-    assert "series" not in vars(scan)
-    assert scan.series == tuple(zip(scan.temperatures.tolist(), scan.entropies.tolist()))
-    assert scan.series is scan.series and len(scan.series) == 200
-
-
-def test_a_locus_lends_its_arrays_read_only():
-    # a fixed-X scan with a locus holds the locus's own sample and T arrays
-    # and builds its series from them late, so no write may reach them
-    spec = parse_potential("S^2/2 + X^2/2 + S*X^2/2")
-    locus = find_davies_points(spec, "cx", fixed="X", fixed_value=1.5, sweep=(0.1, 5.0))
-    scan = conjugacy_scan(spec, "fixed-x", fixed_value=1.5, sweep=(0.1, 5.0), locus=locus)
-    assert scan.temperatures is locus.sweep_jet.s and scan.entropies is locus.samples
-    for values in (locus.samples, *locus.sweep_jet):
-        with pytest.raises(ValueError, match="read-only"):
-            values[0] = 0.0
-    assert scan == conjugacy_scan(spec, "fixed-x", fixed_value=1.5, sweep=(0.1, 5.0))
+    (locus,) = loci
+    assert json.loads(capsys.readouterr().out)["turning_points"] == list(locus.turning_points)
+    assert len(locus.turning_points) == 1 and vars(locus)["turning_points"] is locus.turning_points
 
 
 def test_turning_points_coincide_with_locus(rn, kerr):
@@ -675,14 +662,28 @@ def test_unreachable_lanes_stay_on_the_vectorised_search(monkeypatch):
     assert len(calls) <= 76 and sum(calls) <= 1.05 * 18154
 
 
+def test_a_search_at_both_bounds_stops():
+    # M_X = X cannot reach Y = 5 inside (0.9, 1.1): both sides halve their way to
+    # the bounds until neither moves, and the search ends there with no root
+    calls = []
+
+    def lanes(idx, x):
+        calls.append(idx.size)
+        x = np.broadcast_to(x, idx.shape).astype(float)
+        return x - 5.0, np.ones_like(x), x
+    x, payload = solve_lanes(lanes, 3, 1.0, 0.9, 1.1, tol_f=1e-13)
+    assert np.isnan(x).all() and np.isnan(payload).all() and len(calls) == 50
+
+
+# the domain ends at S = 3.02, just past the C_X point S = 3, where the
+# sampled approach (first sample S = 3.05) had to fall back to the reversed one
+RN_CUT = {"name": "rn-cut", "coords": ["S", "Q"], "expression": "sqrt(S)/2 * (1 + Q^2/S)",
+          "params": {}, "domain": {"S": [0, 3.02], "Q": [0, None]}}
+
+
 def _rn_cut(tmp_path):
-    # the domain ends at S = 3.02, just past the C_X point S = 3, where the
-    # sampled approach (first sample S = 3.05) had to fall back to the reversed one
-    doc = {"name": "rn-cut", "coords": ["S", "Q"],
-           "expression": "sqrt(S)/2 * (1 + Q^2/S)", "params": {},
-           "domain": {"S": [0, 3.02], "Q": [0, None]}}
     path = tmp_path / "rn-cut.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(RN_CUT), encoding="utf-8")
     return ["--potential-file", str(path), "--fix", "Q=1", "--sweep", "S=0.5:3.01"]
 
 
@@ -694,7 +695,7 @@ def _rn_cut(tmp_path):
 ])
 def test_davies_cx_sweep_is_evaluated_once(potential, points, evaluations, tmp_path,
                                            monkeypatch, capsys):
-    # one array evaluation serves the locus and the turning-point series; a
+    # one array evaluation serves the locus and its turning-point series; a
     # locus point adds none, since its curvatures are read from its jet, and
     # the series refines through the jets the locus's refinement evaluated
     calls, scalar = [], []
@@ -716,16 +717,10 @@ def test_davies_cx_sweep_is_evaluated_once(potential, points, evaluations, tmp_p
     assert len(calls) == evaluations
     assert len(scalar) == sum(p["bracket"]["iterations"] for p in doc["points"])
 
-    def without_locus(*args, locus=None, **kwargs):
-        return conjugacy_scan(*args, **kwargs)
-    monkeypatch.setattr(cli, "conjugacy_scan", without_locus)
-    assert main(argv) == 0
-    assert capsys.readouterr().out == out
-
 
 def test_davies_cy_sweep_is_evaluated_once(tmp_path, monkeypatch, capsys):
     # the first lane evaluation of the fixed-Y series is the locus sweep at
-    # the same X: 2 array evaluations, where evaluating it again made 3
+    # the same X: 2 array evaluations, as many as the public scan makes alone
     path = tmp_path / "cy.json"
     path.write_text(json.dumps({"name": "cy-toy", "coords": ["S", "X"],
                                 "expression": "S^2/2 + X^2/2 + S*X^2/2"}), encoding="utf-8")
@@ -740,59 +735,56 @@ def test_davies_cy_sweep_is_evaluated_once(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     reused, reused_calls = capsys.readouterr().out, len(calls)
     assert reused_calls == 2 and len(json.loads(reused)["points"]) == 1
-
-    def without_locus(*args, locus=None, **kwargs):
-        return conjugacy_scan(*args, **kwargs)
-    monkeypatch.setattr(cli, "conjugacy_scan", without_locus)
     calls.clear()
-    assert main(argv) == 0
-    assert capsys.readouterr().out == reused and len(calls) == reused_calls + 1
+    spec = load_potential_file(path)
+    scan = conjugacy_scan(spec, "fixed-y", fixed_value=eval_jet(spec, (1.25, 1.5)).x,
+                          sweep=(0.1, 5.0), x_guess=1.5)
+    assert len(calls) == reused_calls and scan.turning_points == (1.25,)
 
 
+def scanned_turning_points(spec, locus, held, sweep):
+    """The turning points of public scans of a locus's sweep of S at X = ``held``:
+    the fixed-X series's, or the fixed-Y series's through each point in turn."""
+    if locus.which == "cx":
+        return conjugacy_scan(spec, "fixed-x", fixed_value=held, sweep=sweep).turning_points
+    return sum((conjugacy_scan(spec, "fixed-y", fixed_value=jet.x, sweep=sweep,
+                               x_guess=held).turning_points for jet in locus.jets), ())
 
-def test_shared_sweep_is_not_written_by_the_fixed_y_scans(tmp_path, monkeypatch, capsys):
-    # two locus points, so two fixed-Y scans start from the same sweep;
-    # M_XX depends on X, so a Newton slope written into it would differ
+
+@pytest.mark.parametrize("potential, which, held, sweep, turns", [
+    (get_entry("reissner-nordstrom").spec, "cx", 1.0, (0.5, 10.0), 1),
+    (get_entry("kerr").spec, "cx", 0.5, (0.1, 10.0), 1),
+    (potential_from_json(RN_CUT), "cx", 1.0, (0.5, 3.01), 0),   # S = 3 is the last sample
+    (parse_potential("S^2/2 + X^2/2 + S*X^2/2"), "cy", 1.5, (0.1, 5.0), 1),
+])
+def test_a_locus_turns_where_the_public_scan_does(potential, which, held, sweep, turns):
+    # the locus's series reads its own sweep and memoized jets; a public scan
+    # evaluates its own, to the same bits
+    locus = find_davies_points(potential, which, fixed=potential.coords[1], fixed_value=held,
+                               sweep=sweep)
+    want = scanned_turning_points(potential, locus, held, sweep)
+    assert len(locus.points) == 1 and len(want) == turns
+    assert [v.hex() for v in locus.turning_points] == [v.hex() for v in want]
+
+
+def test_shared_sweep_is_not_written_by_the_fixed_y_scans(tmp_path, capsys):
+    # two locus points, so two fixed-Y series start from the same sweep;
+    # M_XX depends on X, so a Newton slope written into it would move the
+    # second series's turning point off the public scan's
     src = "(S-2)^4/12 + 5*S + X^2/2 + S*X^2/2 + X^4/12"
     spec = parse_potential(src)
     locus = find_davies_points(spec, "cy", fixed="X", fixed_value=1.5, sweep=(0.1, 5.0))
-    before = [c.tobytes() for c in locus.sweep_jet]
-    assert len(locus.points) == 2
-    for pt in locus.points:
-        conjugacy_scan(spec, "fixed-y", fixed_value=eval_jet(spec, pt).x, sweep=(0.1, 5.0),
-                       x_guess=pt.x, locus=locus)
-        assert [c.tobytes() for c in locus.sweep_jet] == before
+    want = scanned_turning_points(spec, locus, 1.5, (0.1, 5.0))
+    assert len(locus.points) == 2 and len(want) == 4     # each series turns twice
+    assert [v.hex() for v in locus.turning_points] == [v.hex() for v in want]
 
     path = tmp_path / "two.json"
     path.write_text(json.dumps({"name": "two", "coords": ["S", "X"], "expression": src}),
                     encoding="utf-8")
-    argv = ["davies", "--potential-file", str(path), "--which", "cy", "--fix", "X=1.5",
-            "--sweep", "S=0.1:5"]
-    assert main(argv) == 0
-    reused = capsys.readouterr().out
+    assert main(["davies", "--potential-file", str(path), "--which", "cy", "--fix", "X=1.5",
+                 "--sweep", "S=0.1:5"]) == 0
+    assert json.loads(capsys.readouterr().out)["turning_points"] == list(want)
 
-    def without_locus(*args, locus=None, **kwargs):
-        return conjugacy_scan(*args, **kwargs)
-    monkeypatch.setattr(cli, "conjugacy_scan", without_locus)
-    assert main(argv) == 0
-    assert capsys.readouterr().out == reused
-
-
-def test_a_locus_of_another_slice_is_refused():
-    # the scan's own arguments name its slice; a locus that disagrees with
-    # them (or sweeps X) would lend jets of other points, so it is refused
-    spec = get_entry("reissner-nordstrom").spec
-    same = {"fixed_value": 0.5, "sweep": (0.1, 10.0), "count": 200, "spacing": "linear"}
-    locus = find_davies_points(spec, "cx", fixed="Q", **same)
-    swept_x = find_davies_points(spec, "cx", fixed="S", **same)
-    assert conjugacy_scan(spec, "fixed-x", **same, locus=locus) == conjugacy_scan(
-        spec, "fixed-x", **same)
-    for series, changed, held in (
-            ("fixed-x", {"fixed_value": 0.6}, locus), ("fixed-x", {"count": 100}, locus),
-            ("fixed-x", {"spacing": "log"}, locus), ("fixed-x", {"sweep": (0.1, 9.0)}, locus),
-            ("fixed-y", {"x_guess": 0.6}, locus), ("fixed-x", {}, swept_x)):
-        with pytest.raises(ValueError, match="locus"):
-            conjugacy_scan(spec, series, **{**same, "x_guess": 0.5, **changed}, locus=held)
 
 X_SLICES = [("S^2/2 + X^2/2 + S*X^2/2", st.floats(0.2, 2.5)),
             ("S^2/2 + X^2/2 + S*X^2/2 + 1/(X - 1.5)",     # X-only divisor, small or zero
@@ -812,17 +804,30 @@ def x_slices(draw):
 @given(x_slices(), st.sampled_from([(0.1, 5.0), (0.5, 3.0), (1.9, 2.1)]),
        st.sampled_from([2, 7, 25, 26, 200]))
 def test_reused_sweep_is_the_first_lane_evaluation_bit_for_bit(case, sweep, count):
-    # the fixed-X sweep (X a float) against the lane evaluation it replaces
-    # in the fixed-Y series (X an array of x_guess), both second order, every
-    # coefficient
+    # the fixed-X sweeps (X a float) of a locus and of a fixed-Y scan against
+    # the lane evaluation they replace in the fixed-Y series (X an array of
+    # x_guess), all second order, every coefficient
     spec, x = case
-    grid = np.linspace(*sweep, count)
-    with warnings.catch_warnings():
+    grid, sweeps = np.linspace(*sweep, count), []
+
+    class Swept(Exception):
+        pass
+
+    def first(*args, **kwargs):
+        sweeps.append(eval_jets(*args, **kwargs))
+        raise Swept
+    with warnings.catch_warnings(), mock.patch.object(davies, "eval_jets", first):
         warnings.simplefilter("ignore", ConditioningWarning)
-        locus = find_davies_points(spec, "cy", fixed="X", fixed_value=x, sweep=sweep,
-                                   count=count)
+        for call in (lambda: find_davies_points(spec, "cy", fixed="X", fixed_value=x,
+                                                sweep=sweep, count=count),
+                     lambda: conjugacy_scan(spec, "fixed-y", fixed_value=1.0, sweep=sweep,
+                                            count=count, x_guess=x)):
+            with pytest.raises(Swept):
+                call()
         lanes = eval_jets(spec, grid[np.arange(count)], np.full(count, x), order=2)[0]
-    assert [c.tobytes() for c in locus.sweep_jet] == [c.tobytes() for c in lanes]
+    for got, _ in sweeps:
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in lanes]
+    assert len(sweeps) == 2
 
 
 # added to a potential whose C_X line 3 S^2 + X^2 = 1 lies on both sides
@@ -918,8 +923,7 @@ def test_sample_scans_flag_the_pairs_of_the_per_sample_loops(samples):
                                    count=n)
         assert refined == bits(sign_change_pairs(grid, d.tolist()))
         refined.clear()
-        conjugacy_scan(spec, "fixed-x", fixed_value=0.5, sweep=(0.5, 3.0), count=n,
-                       locus=locus)
+        assert locus.turning_points == ()       # no refinement ends on a root here
         assert refined == bits(turning_pairs(grid, t.tolist(), d.tolist()))
 
 
@@ -979,6 +983,20 @@ def test_jet_classification_agrees_with_the_sampled_fit(src, k, sweep_s, fixed, 
                     continue
                 fine = fit(start=FINE_START)[index]
                 assert reads_the_same(order, fine), (src, k, which, pt, order, fine)
+
+
+def test_crossing_lines_leave_both_curvatures_undetermined(tmp_path, capsys):
+    # at S = 1 both M_SS = S - 1 and det H = M_SS M_XX vanish: the C_X and C_Y
+    # lines cross, so R^M's own denominator vanishes there too; R^F's numerator
+    # (M_SSS the only third partial) is 0 at the point
+    path = tmp_path / "cross.json"
+    path.write_text(json.dumps({"name": "cross", "coords": ["S", "X"],
+                                "expression": "(S-1)^3/6 + S + X^2/2"}), encoding="utf-8")
+    assert main(["davies", "--potential-file", str(path), "--which", "cx", "--fix", "X=0.5",
+                 "--sweep", "S=0.5:2"]) == 0
+    (point,) = json.loads(capsys.readouterr().out)["points"]
+    assert point["S"] == 1.0
+    assert point["fit_RM"] == point["fit_RF"] == {"kind": "undetermined"}
 
 
 def test_vanishing_numerator_is_undetermined(tmp_path, capsys):

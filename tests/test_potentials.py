@@ -224,7 +224,8 @@ MALFORMED_CHANGES = [
     {"params": {"k": float("nan")}}, {"params": {"k": float("inf")}},
     {"params": {"k": True}}, {"params": {"k": 10 ** 400}},
     {"domain": {"S": 5}}, {"domain": [1, 2]}, {"domain": {"S": [0, "a"]}},
-    {"domain": {"S": [0, 1, 2]}}, {"expression": 5}, {"name": 5},
+    {"domain": {"S": [0, 1, 2]}}, {"domain": {"x": [None, None], "Y": [1, 2]}},
+    {"domain": {"X": [1, 1]}}, {"expression": 5}, {"name": 5},
     {"expression": "S + 1e400*X"},
 ]
 

@@ -159,6 +159,12 @@ def test_a_pair_with_a_nan_end_is_neither_a_sign_change_nor_a_hump(below):
                               math.inf, slope=lambda u: (2.0 - u, -1.0))
 
 
+@pytest.mark.parametrize("fa, fb", [(1.0, 2.0), (-1.0, -0.5), (math.nan, 1.0), (-1.0, math.nan)])
+def test_refine_bracket_needs_a_sign_change(fa, fb):
+    with pytest.raises(ValueError, match="sign change"):
+        _roots.refine_bracket(lambda u: (u, 1.0), 0.0, 1.0, fa, fb, tol_f=1e-12)
+
+
 def counted_jets(coord, p_u, p_uu, p_uuu):
     """``jet_at(u)`` of a potential given by its first three derivatives along
     ``coord`` (``"s"`` or ``"x"``), and the list of the points it evaluates."""
