@@ -2,7 +2,7 @@
 reports and identity checks, with CSV/JSON output.
 
 Exit codes: 0 success, 1 check-suite failure, 2 usage/parse/domain error
-(also a ``scan`` whose forked child fails or ends early).
+(also a ``scan`` or ``check`` whose forked child fails or ends early).
 Each ``--grid`` and ``--sweep`` value is one :class:`GridAxis`, checked and built there.
 ``THERMOCURV_EPS`` is read once per ``eval``, ``scan`` or ``check``, before any
 output is opened; ``davies`` does not depend on it.
@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
+import itertools
 import json
+import marshal
 import math
 import os
 import sys
@@ -39,6 +42,10 @@ COLUMNS = ["S", "X", "T", "Y", "M_SS", "M_SX", "M_XX", "detGM", "detGF",
            "flags"]
 
 CHECK_THRESHOLD = 1e-8
+
+# the errors a command reports on standard error, exiting 2
+_REPORTED = (ParseError, DomainError, UnknownPotentialError, ValueError, OverflowError, OSError,
+             json.JSONDecodeError, NoBracketError, ToleranceNotMetError)
 
 # grid points evaluated, checked or written at a time
 _WRITE_BLOCK = 4096
@@ -138,9 +145,17 @@ def _opened(path):
     if path is not None and path != "-":
         return open(path, "wb")
     if getattr(out := sys.stdout, "buffer", None) is None:
-        return contextlib.nullcontext(types.SimpleNamespace(write=lambda b: out.write(b.decode())))
+        return contextlib.nullcontext(types.SimpleNamespace(
+            write=lambda b: out.write(b.decode()), flush=lambda: None,
+            writelines=lambda chunks: out.write(b"".join(chunks).decode())))
     out.flush()
     return contextlib.nullcontext(out.buffer)
+
+
+def _has_fd(out) -> bool:
+    with contextlib.suppress(AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return out.fileno() >= 0
+    return False
 
 
 def _indented(value, out: list, pad: str = "\n") -> list:
@@ -167,71 +182,91 @@ def _write_json(path, doc) -> None:
         out.write(("".join(_indented(doc, [])) + "\n").encode())
 
 
-def _csv_chunks(c, flags):
+def _csv_chunks(c, flags) -> list:
     """The CSV rows of one block, as csv.writer gives them (no cell needs quoting), as
-    bytes of ``_FORMAT_ROWS`` rows each: a writer passes each on before the next is made."""
+    bytes of ``_FORMAT_ROWS`` rows each."""
     from ._g17 import csv_rows      # here, so that only a CSV writer builds its tables
     table = np.column_stack([c[name] for name in COLUMNS[:-1]])
-    for a in range(0, len(flags), _FORMAT_ROWS):
-        yield csv_rows(table[a:a + _FORMAT_ROWS], flags[a:a + _FORMAT_ROWS])
-
-
-def _evaluated(blocks):
-    """The result of each call in ``blocks``, with one ``ConditioningWarning``."""
-    with one_warning():
-        yield from (block() for block in blocks)
+    return [csv_rows(table[a:a + _FORMAT_ROWS], flags[a:a + _FORMAT_ROWS])
+            for a in range(0, len(flags), _FORMAT_ROWS)]
 
 
 @contextlib.contextmanager
-def _child(blocks, ill):
-    """Yields a function that returns the CSV chunks of the next odd-numbered block from a
-    forked child, whose ill-conditioned count then joins ``ill``; or None, and no child,
-    for one block, without ``os.fork`` or while another thread runs."""
+def _forked(name: str, blocks, ill):
+    """Yields ``(first, receive, send)`` here with ``first`` 0 and in a forked child with 1,
+    each to do blocks ``first``, ``first + 2``, ... with its ends of a pipe each way; the
+    child then sends its ill-conditioned count, which joins ``ill``, and exits.  Without a
+    child (one block, no ``os.fork``, another thread running, a fork that fails) yields
+    ``(0, None, None)``.  A child that fails or ends before a message raises
+    ``ChildProcessError``, and one that lost the reader of the output ``BrokenPipeError``."""
     if len(blocks) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        yield None
+        yield 0, None, None
         return
-    read, write = os.pipe()
-    if (pid := os.fork()) == 0:     # leaves only through os._exit: no atexit, no flush
+    (down, to_child), (from_child, up) = os.pipe(), os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:     # no process to spare (EAGAIN, ENOMEM): this one does every block
+        for fd in (down, to_child, from_child, up):
+            os.close(fd)
+        yield 0, None, None
+        return
+    if pid == 0:    # leaves only through os._exit: no atexit, no flush
         try:
-            os.close(read)
-            with open(write, "wb") as pipe:     # each chunk after its 8 length bytes
-                for block in blocks[1::2]:      # made whole, so the parent never waits on it
-                    chunks = [*_csv_chunks(*block()), b""]     # an empty one ends the block
-                    pipe.writelines(b for c in chunks for b in (len(c).to_bytes(8, "big"), c))
-                    pipe.flush()
-                pipe.write(ill[0].to_bytes(8, "big"))      # 0 at the fork: the child's count
+            os.close(to_child)
+            os.close(from_child)
+            with open(down, "rb") as receive, open(up, "wb", buffering=0) as send:
+                yield 1, receive, send
+                marshal.dump(ill[0], send)      # 0 at the fork
             os._exit(0)
+        except BrokenPipeError:
+            os._exit(errno.EPIPE)
+        except _REPORTED as exc:    # why, before the parent's error names this process
+            print(f"error: {exc}", file=sys.stderr, flush=True)
         finally:
             os._exit(1)
-    os.close(write)
-    try:
-        with open(read, "rb") as pipe:  # closed first, so a child blocked on writing it exits
-            yield lambda: iter(lambda: pipe.read(int.from_bytes(pipe.read(8), "big")), b"")
-            count = pipe.read(8)    # short, like every message after it, if the child failed
+    os.close(down)
+    os.close(up)
+    cut = False
+    try:    # the pipes close first, so a child waiting on the parent exits
+        with open(from_child, "rb") as receive, open(to_child, "wb", buffering=0) as send:
+            yield 0, receive, send
+            ill[0] += marshal.load(receive)
+    except EOFError:    # the child ended before a message
+        cut = True
     finally:
         status = os.waitpid(pid, 0)[1]
-    if status or len(count) < 8:
-        raise ChildProcessError(f"the forked scan process failed (wait status {status})")
-    ill[0] += int.from_bytes(count, "big")
+    if os.waitstatus_to_exitcode(status) == errno.EPIPE:
+        raise BrokenPipeError(errno.EPIPE, "the reader of the output left")
+    if status or cut:
+        raise ChildProcessError(f"the forked {name} process failed (wait status {status})")
 
 
 def _write_rows(args, spec, blocks) -> None:
     """Write the rows of ``blocks``, calls that each return :func:`evaluate_points` of a
-    block.  A child makes every other CSV block, and the parent writes each after its own."""
+    block.  To a file descriptor, a forked child writes every other CSV block: each
+    process formats its next block whole while the other writes, then writes in turn."""
     head = {"potential": spec.name, "coords": {"S": spec.coords[0], "X": spec.coords[1]},
             "columns": COLUMNS}
     if args.format == "json":
-        _write_json(args.out, {**head, "rows": [
-            [_jsonable(v) for v in cells] + [tag] for c, flags in _evaluated(blocks)
-            for cells, tag in zip(np.column_stack([c[k] for k in COLUMNS[:-1]]).tolist(), flags)]})
+        with one_warning():
+            rows = [[_jsonable(v) for v in cells] + [tag] for c, flags in (b() for b in blocks)
+                    for cells, tag in zip(np.column_stack([c[k] for k in COLUMNS[:-1]]).tolist(),
+                                          flags)]
+        _write_json(args.out, {**head, "rows": rows})
         return
-    with _opened(args.out) as out, one_warning() as ill, _child(blocks, ill) as receive:
+    with _opened(args.out) as out, one_warning() as ill:
         out.write(",".join(COLUMNS).encode() + b"\r\n")
-        for k, block in enumerate(blocks[::2] if receive else blocks):
-            for chunk in _csv_chunks(*block()):
-                out.write(chunk)
-            for chunk in receive() if receive and 2 * k + 1 < len(blocks) else ():
-                out.write(chunk)
+        out.flush()     # a child shares the output's file description, not this buffer
+        with _forked("scan", blocks if _has_fd(out) else (), ill) as (first, receive, send):
+            for k in range(first, len(blocks), 2 if send else 1):
+                chunks = _csv_chunks(*blocks[k]())
+                if receive and k:
+                    marshal.load(receive)   # the other process has written block k - 1
+                out.writelines(chunks)
+                out.flush()
+                if send and k + 1 < len(blocks):
+                    with contextlib.suppress(BrokenPipeError):  # a child that left fails a load
+                        marshal.dump(None, send)
     if args.out not in (None, "-"):
         _write_json(args.out + ".meta.json", head)
 
@@ -344,14 +379,14 @@ def _cmd_check(args) -> int:
         return abs(diff) / np.fmax(abs(ref), 1.0)
 
     responses = ("T", "Y", "CX", "CY", "alpha", "kappaT", "kappaS", "gamma")
-    checked, maxima = 0, {}     # running, so the report is the same for any blocks
-    for c, flags in _evaluated(_grid_blocks(spec, *axes, singularity_eps())):
+
+    def summary(block):     # a block's checked count and residual maxima
+        c, flags = block()
         finite = np.isfinite([c[k] for k in responses]).all(axis=0)
         rows = np.flatnonzero((flags == "") & finite)
         if usable_ref is not None:      # here only: a failed row may be outside the domain
             rows = rows[eval_scalar(usable_ref, (c["S"][rows], c["X"][rows])) > 0.0]
         c = {k: v[rows] for k, v in c.items()}
-        checked += rows.size
         rs = ResponseSet(point=StatePoint(c["S"], c["X"]), t=c["T"], y=c["Y"],
                          c_x=c["CX"], c_y=c["CY"], alpha=c["alpha"],
                          kappa_t=c["kappaT"], kappa_s=c["kappaS"], gamma=c["gamma"])
@@ -373,10 +408,31 @@ def _cmd_check(args) -> int:
                 if ref is not None:
                     want = eval_scalar(ref, (c["S"], c["X"]))
                     residuals["golden:" + name] = [relative(c[name] - want, want)]
-        # a residual that could not be computed is nan, and so is its key's maximum
-        maxima = {key: float(np.maximum.reduce(np.abs(np.concatenate(parts)),
-                                               initial=maxima.get(key, 0.0)))
-                  for key, parts in residuals.items()}
+        return rows.size, {key: float(np.max(np.abs(np.concatenate(parts)), initial=0.0))
+                           for key, parts in residuals.items()}
+
+    def summaries(first: int, step: int) -> list:     # to the first block that raises: its message
+        done = []
+        for block in blocks[first::step]:
+            try:
+                done.append(summary(block))
+            except _REPORTED as exc:
+                return [*done, str(exc)]
+        return done
+
+    blocks = _grid_blocks(spec, *axes, singularity_eps())
+    with one_warning() as ill, _forked("check", blocks, ill) as (first, receive, send):
+        found = summaries(first, 2 if send else 1)
+        if first:
+            marshal.dump(found, send)
+        elif send:      # the child's, in block order
+            found = [s for pair in itertools.zip_longest(found, marshal.load(receive))
+                     for s in pair if s is not None]
+        if not first and (errors := [s for s in found if isinstance(s, str)]):
+            raise ValueError(errors[0])     # the first block's, as one process raises it
+    checked = sum(n for n, _ in found)
+    # a residual that could not be computed is nan, and so is its key's maximum
+    maxima = {key: float(np.max([m[key] for _, m in found])) for key in found[0][1]}
 
     failed = [k for k, v in maxima.items() if not v <= CHECK_THRESHOLD]
     print(f"potential: {spec.name}   points checked: {checked}")
@@ -453,9 +509,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (ParseError, DomainError, UnknownPotentialError, ValueError, OverflowError,
-            OSError, json.JSONDecodeError, NoBracketError,
-            ToleranceNotMetError) as exc:
+    except _REPORTED as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
