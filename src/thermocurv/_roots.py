@@ -2,7 +2,9 @@
 scans, one equation or many lanes at once: Newton steps on the exact slope,
 read from a jet already evaluated, inside a sign-change bracket that a step
 leaving it, or meeting a zero or non-finite slope, bisects (Press et al.,
-*Numerical Recipes* 3rd ed., 9.4, ``rtsafe``), to the stopping rule below."""
+*Numerical Recipes* 3rd ed., 9.4, ``rtsafe``), to the stopping rule below.
+Every bracket is a pair of samples that :func:`crosses`, and both outward
+searches, scalar and lane, take the samples of :func:`_outward`."""
 
 from __future__ import annotations
 
@@ -24,6 +26,40 @@ class NoBracketError(RuntimeError):
 
 class ToleranceNotMetError(RuntimeError):
     """A refinement ended short of its residual tolerance."""
+
+
+def crosses(f_from, f_to):
+    """Whether the sample ``f_to``, taken after ``f_from``, completes a sign
+    change: both are finite, ``f_from`` is nonzero and ``f_to`` is zero or of
+    the other sign, so a zero sample counts once, for the pair that reaches
+    it.  Floats or arrays."""
+    finite = (abs(f_from) < math.inf) & (abs(f_to) < math.inf)
+    return finite & ((f_from > 0.0) & (f_to <= 0.0) | (f_from < 0.0) & (f_to >= 0.0))
+
+
+def _outward(guess: float, lo: float, hi: float):
+    """An outward search's samples: for each doubling k < 60, the moves
+    ``(side, last, new)`` (side 0 down, 1 up), nearest pair to ``guess``
+    first.  A side steps to ``guess -+ h 2**k``, ``h = 0.05 max(1, |guess|)``;
+    past a finite bound it halves its distance to the bound, until within
+    ``1e-9 h``.  No sample leaves ``(lo, hi)``: a guess outside steps until
+    a side is inside.  It ends when neither side can move again."""
+    h, last = 0.05 * max(1.0, abs(guess)), [guess, guess]
+    for k in range(60):
+        step, moves = h * 2.0 ** k, []
+        for side, bound in ((0, lo), (1, hi)):
+            new = guess + step if side else guess - step
+            if not (new < hi if side else new > lo):     # past the bound
+                new = 0.5 * (last[side] + bound)
+                if abs(new - bound) < 1e-9 * h:
+                    continue
+            if lo < new < hi:
+                moves.append((side, last[side], new))
+                last[side] = new
+        if moves:
+            yield sorted(moves, key=lambda m: abs(m[1] + m[2] - 2.0 * guess))
+        elif guess - step <= lo and guess + step >= hi:
+            return
 
 
 def _refine(func, u, f, slope, a, b, fa, fb, *, tol_f, tol_x=COLLAPSE):
@@ -58,7 +94,7 @@ def refine_bracket(func, a: float, b: float, fa: float, fb: float,
     """Drive ``func(u) = (f, slope)`` to zero inside a sign-change bracket by
     :func:`_refine`, from a bisection unless an end is within ``tol_f``.
     Returns ``(root, residual, iterations)``, counting the evaluations."""
-    if fa != 0.0 != fb and (fa > 0.0) == (fb > 0.0) or math.isnan(fa) or math.isnan(fb):
+    if not (crosses(fa, fb) or crosses(fb, fa)):
         raise ValueError("refine_bracket needs a sign change")
     u, f = (b, fb) if abs(fb) < abs(fa) else (a, fa)
     return _refine(func, u, f, math.nan, a, b, fa, fb, tol_f=tol_f, tol_x=tol_x)
@@ -67,59 +103,39 @@ def refine_bracket(func, a: float, b: float, fa: float, fb: float,
 def expand_bracket(func, guess: float, lo: float, hi: float, *, slope):
     """Search outward from ``guess`` for the nearest sign change of ``func``.
 
-    Samples ``guess +- h * 2**k`` for k < 60, ``h = 0.05 max(1, |guess|)``;
-    past a finite bound it halves the distance from the outermost sample to
-    the bound instead, down to ``1e-9 * h``, and skips a sample that is not
-    finite.  The adjacent pair with opposite signs whose midpoint lies nearest
-    the guess is returned as ``(a, b, fa, fb)``.  Failing one, a same-sign
-    pair whose slope (``slope(u)`` gives f' and f'') changes sign holds an
-    extremum: nearest the guess first, it is located as a root of the slope
-    by :func:`refine_bracket`, and where ``func`` changes sign there, the
-    half nearest the guess is the pair.  An extremum that cannot be located
-    (a pole between the samples) counts as no root.
+    Samples as :func:`_outward` says; of each doubling's new pairs, nearest
+    the guess first, the first that :func:`crosses` is ``(a, b, fa, fb)``.
+    Failing one, a pair with finite ends whose slope (``slope(u)`` gives f'
+    and f'') changes sign holds an extremum, located as a root of the slope
+    by :func:`refine_bracket`; where ``func`` changes sign there, the half
+    nearest the guess is the pair.  One not located (a pole) is no root.
     """
-    def dist(p):
-        return abs(p[0] + p[1] - 2.0 * guess)
-
     def hump(x0, x1, f0, f1):
+        if not (math.isfinite(f0) and math.isfinite(f1)):
+            return None
         try:
             d0, d1 = slope(x0)[0], slope(x1)[0]
-            if (d0 > 0.0) == (d1 > 0.0):
-                return None
-            # located to 1e-9: any closer only chases a pole of ``slope``
+            # a slope that keeps its sign is a ValueError; closer than 1e-9 chases a pole
             xe = refine_bracket(slope, x0, x1, d0, d1, tol_x=1e-9,
                                 tol_f=1e-6 * max(abs(d0), abs(d1)))[0]
             fe = func(xe)
         except (ValueError, ToleranceNotMetError, ArithmeticError):
             return None
-        if (fe > 0.0) == (f0 > 0.0) and fe != 0.0:
-            return None
-        return min((x0, xe, f0, fe), (xe, x1, fe, f1), key=dist)
+        return min((x0, xe, f0, fe), (xe, x1, fe, f1),
+                   key=lambda p: abs(p[0] + p[1] - 2.0 * guess)) if crosses(f0, fe) else None
 
-    first_step = 0.05 * max(1.0, abs(guess))
-    ends = [(guess, func(guess))] * 2    # outermost sample on each side
-    for k in range(60):
-        step, pairs = first_step * (2.0 ** k), []
-        for side, cand, bound in ((0, guess - step, lo), (1, guess + step, hi)):
-            if not lo < cand < hi:
-                cand = 0.5 * (ends[side][0] + bound)
-                if not math.isfinite(cand) or abs(cand - bound) < 1e-9 * first_step:
-                    continue
-            end, ends[side] = ends[side], (cand, func(cand))
-            (x0, f0), (x1, f1) = (ends[0], end) if side == 0 else (end, ends[1])
-            pairs.append((x0, x1, f0, f1))
-        if not pairs:
-            break
-        # only the new outermost pairs: each older one changes no sign and
-        # its hump, if any, holds no root; one with a non-finite end is neither
-        pairs = [p for p in pairs if math.isfinite(p[2]) and math.isfinite(p[3])]
-        found = [p for p in pairs
-                 if p[2] == 0.0 or p[3] == 0.0 or (p[2] > 0.0) != (p[3] > 0.0)]
-        if found:
-            return min(found, key=dist)
-        for p in sorted(pairs, key=dist):
-            if (got := hump(*p)) is not None:
-                return got
+    f_end = [func(guess)] * 2    # f at the outermost sample on each side
+    for moves in _outward(guess, lo, hi):
+        pairs = []
+        for side, last, new in moves:
+            f_last, f_end[side] = f_end[side], func(new)
+            pair = (last, new, f_last, f_end[side]) if side else (new, last, f_end[side], f_last)
+            pairs.append((crosses(f_last, f_end[side]), pair))
+        # the sign changes first, then the humps; only the new outermost
+        # pairs: each older one changes no sign and its hump holds no root
+        for crossed, pair in sorted(pairs, key=lambda p: not p[0]):
+            if crossed or (pair := hump(*pair)):
+                return pair
     raise NoBracketError(
         f"no sign change found around {guess!r} within ({lo!r}, {hi!r})")
 
@@ -148,12 +164,11 @@ def solve_lanes(func, n: int, guess: float, lo: float, hi: float, *, tol_f: floa
     lanes) is wanted at the roots.  Every lane takes up to 8 Newton steps
     from the guess, one call per step for all lanes.  A lane whose step
     leaves ``(lo, hi)`` or fails to halve ``|f|`` goes back to the guess and
-    its ``f`` and slope there, brackets the sign change nearest the guess as
-    :func:`expand_bracket` does (both sides in one call, the nearer winning),
-    then takes Newton steps that bisect when they leave the bracket, to the
-    scalar stopping rule.  Returns ``(x, payload)``, nan where no root is.
+    its ``f`` and slope there, brackets the sign change nearest the guess on
+    :func:`_outward`'s samples, both sides in one call, the nearer winning
+    (no hump search), then takes Newton steps that bisect out of the bracket,
+    to the scalar stopping rule.  Returns ``(x, payload)``, nan where no root is.
     """
-    first_step = 0.05 * max(1.0, abs(guess))
     x = np.full(n, float(guess))
     f, slope, payload = (np.array(v) for v in func(np.arange(n), x))   # copies: written below
     lanes, f_guess, slope_guess = (x, f, slope, payload), f.copy(), slope.copy()
@@ -168,31 +183,19 @@ def solve_lanes(func, n: int, guess: float, lo: float, hi: float, *, tol_f: floa
         newton[idx] = ~done[idx] & (abs(f[idx]) <= 0.5 * resid[idx])
     x[~done], f[~done], slope[~done] = guess, f_guess[~done], slope_guess[~done]
     a, b, fa = (np.full(n, math.nan) for _ in range(3))
-    ends = [(guess, f_guess), (guess, f_guess)]   # outermost sample on each side
-    for k in range(60):
+    f_end = [f_guess, f_guess]      # f at the outermost sample on each side
+    for moves in _outward(guess, lo, hi):
         search = np.flatnonzero(np.isnan(a) & ~done)
         if not search.size:
             break
-        step = first_step * 2.0 ** k
-        # past a finite bound, halve the distance to it instead
-        new = [guess - step if guess - step > lo else 0.5 * (ends[0][0] + lo),
-               guess + step if guess + step < hi else 0.5 * (ends[1][0] + hi)]
-        sides = [j for j in sorted((0, 1), key=lambda j: abs(ends[j][0] + new[j] - 2.0 * guess))
-                 if lo < new[j] < hi and new[j] != ends[j][0]]
-        if not sides:
-            if lo < guess - step or guess + step < hi:   # a guess outside (lo, hi) may yet step in
-                continue
-            break     # at both bounds: no later doubling moves either side
-        values = func(np.concatenate([search] * len(sides)),
-                      np.repeat([new[j] for j in sides], search.size))[0]
-        for side, f_side in zip(sides, values.reshape(len(sides), -1)):
-            (x0, f0), x1 = ends[side], new[side]
-            f1 = np.full(n, math.nan)
-            f1[search] = f_side
-            take = np.isnan(a) & (np.sign(f0) * np.sign(f1) <= 0.0)
-            a[take], b[take] = min(x0, x1), max(x0, x1)
-            fa[take] = (f0 if side else f1)[take]
-            ends[side] = (x1, f1)
+        values = func(np.concatenate([search] * len(moves)),
+                      np.repeat([new for _, _, new in moves], search.size))[0]
+        for (side, last, new), f_side in zip(moves, values.reshape(len(moves), -1)):
+            f_last, f_end[side] = f_end[side], np.full(n, math.nan)
+            f_end[side][search] = f_side
+            take = np.isnan(a) & crosses(f_last, f_end[side])
+            a[take], b[take] = min(last, new), max(last, new)
+            fa[take] = (f_last if side else f_end[side])[take]
 
     active = ~done & ~np.isnan(a)
     for _ in range(MAX_STEPS):
@@ -238,7 +241,7 @@ def solve_near(jet_at, coord: str, target: float, guess: float, lo: float,
         if not lo < new < hi:
             break
         f_new, slope_new = func(new)
-        if (f_new > 0.0) != (f > 0.0):
+        if crosses(f, f_new):
             crossing = (u, new, f, f_new)
         if abs(f_new) > 0.9 * abs(f):
             break

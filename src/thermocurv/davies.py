@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._roots import (NoBracketError, ToleranceNotMetError, refine_bracket,
+from ._roots import (NoBracketError, ToleranceNotMetError, crosses, refine_bracket,
                      solve_lanes, solve_near)
 from .catalog import GridAxis
 from .geometry import (DEFAULT_SINGULARITY_EPS, StatePoint, _f_jet_from_m_jet,
@@ -166,8 +166,7 @@ def find_davies_points(
     sweep_jet = eval_jets(spec, *to_point(grid), order=2)[0]   # M_SS, det H: second order
     with np.errstate(all="ignore"):         # an overflow is a non-finite sample
         f = root_fn(sweep_jet)
-    a, b = f[:-1], f[1:]                    # each sample and the next
-    changes = np.isfinite(a) & np.isfinite(b) & (a != 0.0) & ((a > 0.0) != (b > 0.0))
+    changes = crosses(f[:-1], f[1:])        # each sample and the next
     u, f = grid.tolist(), f.tolist()
 
     points, brackets, rejected, jets = [], [], [], []
@@ -304,14 +303,12 @@ def _series(spec, series, fixed_value, held_x, s_grid, sweep_jet, jet_at):
 
     with np.errstate(all="ignore"):
         cd = (tvals[2:] - tvals[:-2]) / (s_grid[2:] - s_grid[:-2])
-        c0, c1 = cd[:-1], cd[1:]
-        changes = (c0 != 0.0) & ((c0 > 0.0) != (c1 > 0.0)) & ~np.isnan(c0 + c1)
+    changes = crosses(cd[:-1], cd[1:])
     svals, dvals = s_grid.tolist(), dvals.tolist()
     turning = []
     for k in np.flatnonzero(changes).tolist():
         for i, j in ((k + 1, k + 2), (k, min(k + 3, len(svals) - 1))):
-            fa, fb = dvals[i], dvals[j]
-            if fa == 0.0 or (fa > 0.0) != (fb > 0.0) and not math.isnan(fa + fb):
+            if crosses(fa := dvals[i], fb := dvals[j]):
                 break
         else:
             continue  # central-difference aliasing, no exact sign change

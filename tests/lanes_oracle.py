@@ -48,16 +48,20 @@ def solve_lanes_side_by_side(func, n: int, guess: float, lo: float, hi: float,
         if not (np.isnan(a) & ~done).any():
             break
         step = first_step * 2.0 ** k
-        # past a finite bound, halve the distance to it instead
+        # past a finite bound, halve the distance to it instead, until within
+        # 1e-9 of the first step, where that side takes no sample (nan)
         new = [guess - step if guess - step > lo else 0.5 * (ends[0][0] + lo),
                guess + step if guess + step < hi else 0.5 * (ends[1][0] + hi)]
+        for j, past, bound in ((0, guess - step <= lo, lo), (1, guess + step >= hi, hi)):
+            if past and abs(new[j] - bound) < 1e-9 * first_step:
+                new[j] = math.nan
         for side in sorted((0, 1), key=lambda j: abs(ends[j][0] + new[j] - 2.0 * guess)):
             (x0, f0), x1 = ends[side], new[side]
             search = np.flatnonzero(np.isnan(a) & ~done)
-            if search.size and lo < x1 < hi and x1 != x0:
+            if search.size and lo < x1 < hi:
                 f1 = np.full(n, math.nan)
                 f1[search] = func(search, np.full(search.size, x1))[0]
-                take = np.isnan(a) & (np.sign(f0) * np.sign(f1) <= 0.0)
+                take = np.isnan(a) & _changes_sign(f0, f1)
                 a[take], b[take] = min(x0, x1), max(x0, x1)
                 fa[take] = (f0 if side else f1)[take]
                 ends[side] = (x1, f1)
@@ -80,10 +84,15 @@ def solve_lanes_bracket_first(func, n: int, guess: float, lo: float, hi: float,
         if not search.size:
             break
         step = first_step * 2.0 ** k
+        # past a finite bound, halve the distance to it instead, until within
+        # 1e-9 of the first step, where that side takes no sample (nan)
         new = [guess - step if guess - step > lo else 0.5 * (ends[0][0] + lo),
                guess + step if guess + step < hi else 0.5 * (ends[1][0] + hi)]
+        for j, past, bound in ((0, guess - step <= lo, lo), (1, guess + step >= hi, hi)):
+            if past and abs(new[j] - bound) < 1e-9 * first_step:
+                new[j] = math.nan
         sides = [j for j in sorted((0, 1), key=lambda j: abs(ends[j][0] + new[j] - 2.0 * guess))
-                 if lo < new[j] < hi and new[j] != ends[j][0]]
+                 if lo < new[j] < hi]
         if not sides:
             continue
         values = func(np.concatenate([search] * len(sides)),
@@ -92,11 +101,18 @@ def solve_lanes_bracket_first(func, n: int, guess: float, lo: float, hi: float,
             (x0, f0), x1 = ends[side], new[side]
             f1 = np.full(n, math.nan)
             f1[search] = f_side
-            take = np.isnan(a) & (np.sign(f0) * np.sign(f1) <= 0.0)
+            take = np.isnan(a) & _changes_sign(f0, f1)
             a[take], b[take] = min(x0, x1), max(x0, x1)
             fa[take] = (f0 if side else f1)[take]
             ends[side] = (x1, f1)
     return _refine(func, x, f, slope, payload, done, a, b, fa, tol_f)
+
+
+def _changes_sign(f0, f1):
+    """Lanes where ``f1``, sampled after ``f0``, completes a sign change: both
+    finite, ``f0`` nonzero and ``f1`` zero or of the other sign."""
+    both_finite = np.isfinite(f0) & np.isfinite(f1)
+    return both_finite & (f0 != 0.0) & (np.sign(f1) != np.sign(f0))
 
 
 def _refine(func, x, f, slope, payload, done, a, b, fa, tol_f):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thermocurv import (ConditioningWarning, DomainError, StatePoint, cli,
@@ -663,8 +663,9 @@ def test_unreachable_lanes_stay_on_the_vectorised_search(monkeypatch):
 
 
 def test_a_search_at_both_bounds_stops():
-    # M_X = X cannot reach Y = 5 inside (0.9, 1.1): both sides halve their way to
-    # the bounds until neither moves, and the search ends there with no root
+    # M_X = X cannot reach Y = 5 inside (0.9, 1.1): both sides halve their way
+    # to the bounds until within 1e-9 of the first step h = 0.05, 30 doublings
+    # after the guess's call, and the search ends there with no root
     calls = []
 
     def lanes(idx, x):
@@ -672,7 +673,36 @@ def test_a_search_at_both_bounds_stops():
         x = np.broadcast_to(x, idx.shape).astype(float)
         return x - 5.0, np.ones_like(x), x
     x, payload = solve_lanes(lanes, 3, 1.0, 0.9, 1.1, tol_f=1e-13)
-    assert np.isnan(x).all() and np.isnan(payload).all() and len(calls) == 50
+    assert np.isnan(x).all() and np.isnan(payload).all() and len(calls) == 31
+
+
+BOUND_GAPS = st.one_of(st.just(math.inf), st.floats(1e-9, 1e3), st.floats(-50.0, -1e-9))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, 1e-300, 1e300])),
+       BOUND_GAPS, BOUND_GAPS)
+def test_the_scalar_and_lane_searches_sample_the_same_positions(guess, below, above):
+    # f = 1 with a zero slope has no root and gives the lanes no Newton step:
+    # the two outward searches evaluate the same positions in the same order
+    # to the end of the schedule, bounds finite or infinite, and with the
+    # guess inside (lo, hi) or outside it (a negative gap)
+    lo, hi = guess - below, guess + above
+    assume(lo < hi)
+    scalar, lane = [], []
+
+    def one(u):
+        scalar.append(u)
+        return 1.0
+
+    def lanes(idx, x):
+        lane.extend(np.broadcast_to(x, idx.shape).tolist())
+        return np.ones(idx.size), np.zeros(idx.size), np.zeros(idx.size)
+    with pytest.raises(NoBracketError):
+        expand_bracket(one, guess, lo, hi, slope=lambda u: (0.0, 0.0))
+    x, _ = solve_lanes(lanes, 1, guess, lo, hi, tol_f=1e-13)
+    assert math.isnan(x[0]) and scalar == lane
+    assert all(lo < u < hi for u in scalar[1:])     # the guess's sample aside
 
 
 # the domain ends at S = 3.02, just past the C_X point S = 3, where the
@@ -874,11 +904,19 @@ def test_davies_on_drawn_potentials_keeps_its_contract(
     assert all(lo <= s <= hi for s in result["turning_points"]), (src, k)
 
 
+def sign_change(f0, f1):
+    """Whether f1, sampled after f0, completes a sign change: both finite, f0
+    nonzero, and f1 zero or of the other sign, so that a zero sample counts
+    once, for the pair that reaches it."""
+    if not (math.isfinite(f0) and math.isfinite(f1)) or f0 == 0.0:
+        return False
+    return f1 == 0.0 or (f0 < 0.0) != (f1 < 0.0)
+
+
 def sign_change_pairs(u, f):
     """The brackets the per-sample loop of find_davies_points refined."""
     return [(u0, u1, f0, f1) for (u0, f0), (u1, f1) in zip(zip(u, f), zip(u[1:], f[1:]))
-            if math.isfinite(f0) and math.isfinite(f1)
-            and not (f0 == 0.0 or (f0 > 0.0) == (f1 > 0.0))]
+            if sign_change(f0, f1)]
 
 
 def turning_pairs(s, t, d):
@@ -886,11 +924,11 @@ def turning_pairs(s, t, d):
     pairs = []
     cd = [(t[k + 1] - t[k - 1]) / (s[k + 1] - s[k - 1]) for k in range(1, len(s) - 1)]
     for k in range(len(cd) - 1):
-        if cd[k] == 0.0 or (cd[k] > 0.0) == (cd[k + 1] > 0.0) or math.isnan(cd[k] + cd[k + 1]):
+        if not sign_change(cd[k], cd[k + 1]):
             continue
         for i, j in ((k + 1, k + 2), (k, min(k + 3, len(s) - 1))):
             fa, fb = d[i], d[j]
-            if fa == 0.0 or (fa > 0.0) != (fb > 0.0) and not math.isnan(fa + fb):
+            if sign_change(fa, fb):
                 pairs.append((s[i], s[j], fa, fb))
                 break
     return pairs
@@ -925,6 +963,27 @@ def test_sample_scans_flag_the_pairs_of_the_per_sample_loops(samples):
         refined.clear()
         assert locus.turning_points == ()       # no refinement ends on a root here
         assert refined == bits(turning_pairs(grid, t.tolist(), d.tolist()))
+
+
+@pytest.mark.parametrize("which, expression", [
+    ("cx", "S^3/6 - S^2/2 + 2*S + X^2"),        # M_SS = S - 1 rises through 0
+    ("cx", "-S^3/6 + S^2/2 + 2*S + X^2"),       # M_SS = 1 - S falls through it
+    ("cy", "S^3/6 - S^2/2 + 2*S + X^2/2"),      # det H = S - 1
+    ("cy", "-S^3/6 + S^2/2 + 2*S + X^2/2"),     # det H = 1 - S
+], ids=["cx-rising", "cx-falling", "cy-rising", "cy-falling"])
+def test_a_root_on_a_sweep_sample_is_found_once(which, expression, tmp_path, capsys):
+    # the sweep S = 0.5:1.5:5 samples the root S = 1 exactly: the pair that
+    # reaches the zero brackets it, whichever way the root function goes, and
+    # the pair that leaves it does not count it again; the same holds for the
+    # central differences and dT/dS of the turning-point series
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps({"name": "exact", "coords": ["S", "X"],
+                                "expression": expression}), encoding="utf-8")
+    assert main(["davies", "--potential-file", str(path), "--which", which,
+                 "--fix", "X=1", "--sweep", "S=0.5:1.5:5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(p["S"], p["bracket"]["iterations"]) for p in doc["points"]] == [(1.0, 0)]
+    assert doc["turning_points"] == [1.0] and doc["rejected"] == []
 
 
 def test_sweep_finer_than_the_float_spacing_keeps_the_contract(capsys):
