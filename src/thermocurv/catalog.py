@@ -41,8 +41,9 @@ class GridAxis:
     def __post_init__(self):
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be linear or log, got {self.spacing!r}")
-        if self.count < 1:
-            raise ValueError(f"an axis needs at least 1 sample, got {self.count}")
+        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)) \
+                or self.count < 1:
+            raise ValueError(f"an axis needs an integer count of at least 1, got {self.count!r}")
         if self.spacing == "log" and not self.lo > 0.0:
             raise ValueError(f"log spacing needs lo > 0, got {self.lo}")
         k = self.count - 1

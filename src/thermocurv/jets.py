@@ -5,7 +5,9 @@ A :class:`Jet3` carries the ten Taylor coefficients of a scalar quantity at
 a point (value, two first partials, three second partials, four third
 partials).  Arithmetic on jets propagates all coefficients exactly through
 the truncated Leibniz / chain rules, so an expression built from jets yields
-machine-precision derivatives with no differencing.
+machine-precision derivatives with no differencing.  An ``int`` or ``float``
+on either side of ``+ - * /`` is a constant jet; any other operand is a
+``TypeError``.
 
 The coefficients may be floats or equal-length numpy arrays (Griewank &
 Walther, *Evaluating Derivatives*, ch. 13).  Inside :func:`batch`, arrays
@@ -22,6 +24,7 @@ operations.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -208,6 +211,35 @@ def _safe_div(num, den):
     return num / den
 
 
+def _operator(rule):
+    """``rule(jet, other)`` as a :class:`Jet3` operator method: an ``int`` or
+    ``float`` operand is a constant jet, and any other is not handled."""
+    def method(self, other):
+        if isinstance(other, (int, float)):
+            return rule(self, Jet3(float(other)))
+        return rule(self, other) if isinstance(other, Jet3) else NotImplemented
+    return method
+
+
+def _product(a: Jet3, b: Jet3) -> Jet3:
+    """Leibniz rule through third order; terms are grouped in pairs that
+    swap into each other, which makes the product commute bit-exactly."""
+    return Jet3(
+        a.v * b.v,
+        a.s * b.v + a.v * b.s,
+        a.x * b.v + a.v * b.x,
+        (a.ss * b.v + a.v * b.ss) + 2.0 * (a.s * b.s),
+        (a.sx * b.v + a.v * b.sx) + (a.s * b.x + a.x * b.s),
+        (a.xx * b.v + a.v * b.xx) + 2.0 * (a.x * b.x),
+        (a.sss * b.v + a.v * b.sss) + 3.0 * (a.ss * b.s + a.s * b.ss),
+        ((a.ssx * b.v + a.v * b.ssx) + (a.ss * b.x + a.x * b.ss)
+         + 2.0 * (a.sx * b.s + a.s * b.sx)),
+        ((a.sxx * b.v + a.v * b.sxx) + (a.xx * b.s + a.s * b.xx)
+         + 2.0 * (a.sx * b.x + a.x * b.sx)),
+        (a.xxx * b.v + a.v * b.xxx) + 3.0 * (a.xx * b.x + a.x * b.xx),
+    )
+
+
 class Jet3(NamedTuple):
     """Truncated third-order Taylor expansion in the variables (s, x).
 
@@ -244,79 +276,22 @@ class Jet3(NamedTuple):
         """All ten coefficients in storage order."""
         return tuple(self)
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: a number on either side is a constant jet (_operator) ---
 
-    def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet3(*(a + b for a, b in zip(self, o)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet3(*(a - b for a, b in zip(self, o)))
-
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    __add__ = __radd__ = _operator(lambda a, b: Jet3(*map(operator.add, a, b)))
+    __sub__ = _operator(lambda a, b: Jet3(*map(operator.sub, a, b)))
+    __rsub__ = _operator(lambda a, b: b - a)
+    __mul__ = __rmul__ = _operator(_product)
+    __truediv__ = _operator(lambda a, b: _product(a, _reciprocal(b)))
+    __rtruediv__ = _operator(lambda a, b: b / a)
 
     def __neg__(self):
         return Jet3(*(-a for a in self))
-
-    def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self, o
-        # Leibniz rule through third order; terms are grouped in pairs that
-        # swap into each other, which makes the product commute bit-exactly.
-        return Jet3(
-            a.v * b.v,
-            a.s * b.v + a.v * b.s,
-            a.x * b.v + a.v * b.x,
-            (a.ss * b.v + a.v * b.ss) + 2.0 * (a.s * b.s),
-            (a.sx * b.v + a.v * b.sx) + (a.s * b.x + a.x * b.s),
-            (a.xx * b.v + a.v * b.xx) + 2.0 * (a.x * b.x),
-            (a.sss * b.v + a.v * b.sss) + 3.0 * (a.ss * b.s + a.s * b.ss),
-            ((a.ssx * b.v + a.v * b.ssx) + (a.ss * b.x + a.x * b.ss)
-             + 2.0 * (a.sx * b.s + a.s * b.sx)),
-            ((a.sxx * b.v + a.v * b.sxx) + (a.xx * b.s + a.s * b.xx)
-             + 2.0 * (a.sx * b.x + a.x * b.sx)),
-            (a.xxx * b.v + a.v * b.xxx) + 3.0 * (a.xx * b.x + a.x * b.xx),
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * _reciprocal(o)
-
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * _reciprocal(self)
 
     def __pow__(self, exponent):
         if isinstance(exponent, (int, float)):
             return power(self, exponent)
         return NotImplemented
-
-
-def _coerce(value) -> Jet3 | None:
-    if isinstance(value, Jet3):
-        return value
-    if isinstance(value, (int, float)):
-        return Jet3(float(value))
-    return None
 
 
 def jet_var(index: int, value) -> Jet3:

@@ -97,10 +97,11 @@ class PotentialSpec:
 
 # -- lexer / parser -----------------------------------------------------------
 
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    rf"""(?P<ws>\s+)
       | (?P<num>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<ident>{_IDENT.pattern})
       | (?P<op>[-+*/^()])
     """,
     re.VERBOSE,
@@ -246,8 +247,9 @@ def parse_potential(
     unknown identifiers, a number that overflows or nesting deeper than
     ``_MAX_NESTING`` levels, and
     :class:`ValueError` on a malformed argument: the source and name must be
-    strings, parameters finite real numbers, coordinate and parameter names
-    distinct and not the built-in function names, and each domain key a coordinate.
+    strings, ``coords`` a list or tuple of two identifiers, parameters finite
+    real numbers, coordinate and parameter names distinct and not the built-in
+    function names, and each domain key a coordinate.
     """
     if not isinstance(src, str) or not isinstance(name, str):
         raise ValueError("the expression and the name must be strings")
@@ -256,7 +258,9 @@ def parse_potential(
     if not isinstance(params or {}, Mapping):
         raise ValueError(f"params must map names to numbers, got {params!r}")
     params = {k: _real(v, f"param {k!r}", finite=True) for k, v in (params or {}).items()}
-    if len(coords) != 2 or coords[0] == coords[1]:
+    if not (isinstance(coords, (list, tuple)) and len(coords) == 2
+            and all(isinstance(c, str) and _IDENT.fullmatch(c) for c in coords)
+            and coords[0] != coords[1]):
         raise ValueError(f"coords must be two distinct identifiers, got {coords!r}")
     for ident in (*coords, *params):
         if ident in _FUNCTIONS:
@@ -439,7 +443,12 @@ def eval_jet(spec: PotentialSpec, point, order: int = 3) -> Jet3:
     :func:`jets.batch`; the jet's coefficients are then arrays or floats.
     """
     s, x = point
-    evaluate = spec.evaluate if order == 3 else spec.evaluate_second
+    if order == 3:
+        evaluate = spec.evaluate
+    elif order == 2:
+        evaluate = spec.evaluate_second
+    else:
+        raise ValueError(f"order must be 2 or 3, got {order!r}")
     if s.__class__ is float and x.__class__ is float:   # the common case, checked here
         (s_lo, s_hi), (x_lo, x_hi) = spec.domain
         if s_lo < s < s_hi and x_lo < x < x_hi:
@@ -522,15 +531,10 @@ def potential_from_json(obj: dict) -> PotentialSpec:
         expression = obj["expression"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"potential definition missing field: {exc}") from exc
-    if not (isinstance(coords, (list, tuple)) and len(coords) == 2
-            and all(isinstance(c, str) for c in coords)):
-        raise ValueError(f"coords must be a pair of strings, got {coords!r}")
-    if not (isinstance(name, str) and isinstance(expression, str)):
-        raise ValueError("potential name and expression must be strings")
     domain = obj.get("domain") or {}
     if not isinstance(domain, Mapping):
         raise ValueError(f"domain must map coordinates to [lo, hi], got {domain!r}")
-    return parse_potential(expression, (coords[0], coords[1]), obj.get("params"),
+    return parse_potential(expression, coords, obj.get("params"),
                            name=name, domain=domain)
 
 

@@ -315,6 +315,12 @@ def test_a_third_order_overflow_fails_a_point_of_the_full_pass_alone():
         assert np.frombuffer(second[0][3]).tolist() == [m_ss], src
         assert_second_order_agrees(full, second)
         assert eval_jet(spec, (s, 1.0), order=2).ss == m_ss, src
+    # no other order has code: it would give nan third partials unasked
+    for order in ("3", 0, 1, 4):
+        with pytest.raises(ValueError, match="order must be 2 or 3"):
+            eval_jet(spec, (1.0, 1.0), order=order)
+        with pytest.raises(ValueError, match="order must be 2 or 3"):
+            eval_jets(spec, np.array([1.0]), np.array([1.0]), order=order)
 
 
 @pytest.mark.parametrize("n", [10, 40])

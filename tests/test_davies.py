@@ -16,6 +16,7 @@ from thermocurv import (ConditioningWarning, DomainError, StatePoint, cli,
                         find_davies_points, get_entry, load_potential_file, parse_potential,
                         potential_from_json, responses_at)
 from thermocurv._roots import NoBracketError, expand_bracket, solve_lanes
+from thermocurv.catalog import GridAxis
 from thermocurv.cli import main
 from thermocurv.jets import Jet3, batch
 from thermocurv.potentials import eval_jets
@@ -536,6 +537,16 @@ def test_non_finite_sweep_is_a_value_error(rn):
             find_davies_points(rn.spec, "cx", fixed="Q", fixed_value=1.0, sweep=sweep)
     with pytest.raises(ValueError):
         conjugacy_scan(rn.spec, "fixed-x", fixed_value=1.0, sweep=(0.1, math.inf))
+    with pytest.raises(ValueError):
+        conjugacy_scan(rn.spec, "fixed-t", fixed_value=1.0, sweep=(0.5, 3.0))
+    # a count that is no integer would sample past hi (2.5 samples 0, 2 and 4)
+    for count in (2.5, True):
+        with pytest.raises(ValueError, match="integer count"):
+            GridAxis(0.0, 3.0, count)
+    for count in (7.5, True):
+        with pytest.raises(ValueError):
+            find_davies_points(rn.spec, "cx", fixed="Q", fixed_value=1.0, sweep=(0.5, 3.0),
+                               count=count)
 
 
 def test_unreachable_fixed_y_samples_are_gaps():

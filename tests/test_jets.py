@@ -1,4 +1,5 @@
 import math
+import operator
 import warnings
 import zlib
 
@@ -90,6 +91,8 @@ def test_elementary_domain_errors():
         power(jet_const(-2.0), 0.5)
     err = pytest.raises(DomainError, ln, jet_const(0.0)).value
     assert err.func == "ln" and err.value == 0.0
+    with pytest.raises(OverflowError):      # outside jets.batch no point can fail alone
+        exp(np.array([1000.0]))
 
 
 def test_division_floor_and_conditioning_warning():
@@ -179,6 +182,15 @@ def test_scalar_coercion():
     assert (1 - s).v == -2.0
     assert (6.0 / s).v == 2.0
     assert (s ** 2).v == 9.0
+    # a number on either side is a constant jet; any other operand is refused
+    for other in ("a", None, np.array([1.0])):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(s, other)
+            with pytest.raises(TypeError):
+                op(other, s)
+        with pytest.raises(TypeError):
+            s ** other
 
 
 def test_jet_is_an_immutable_named_tuple():

@@ -71,6 +71,14 @@ def test_identifier_validation():
         parse_potential("S", ("sqrt", "X"))
     with pytest.raises(ValueError):
         parse_potential("S", ("S", "X"), {"S": 1.0})
+    # a string is no pair, and a name must be an identifier, not just any value
+    for coords in ("SX", (1, 2), ["S", "X Y"], ("S",), ("S", "X", "Y")):
+        with pytest.raises(ValueError, match="two distinct identifiers"):
+            parse_potential("S", coords)
+    with pytest.raises(ValueError, match="must be strings"):
+        parse_potential(5)
+    with pytest.raises(ValueError, match="must be strings"):
+        parse_potential("S", name=3)
     # case sensitivity: q and Q are different identifiers
     spec = parse_potential("S + q*Q", ("S", "Q"), {"q": 2.0})
     assert eval_scalar(spec, (1.0, 3.0)) == 7.0
@@ -226,7 +234,7 @@ MALFORMED_CHANGES = [
     {"domain": {"S": 5}}, {"domain": [1, 2]}, {"domain": {"S": [0, "a"]}},
     {"domain": {"S": [0, 1, 2]}}, {"domain": {"x": [None, None], "Y": [1, 2]}},
     {"domain": {"X": [1, 1]}}, {"expression": 5}, {"name": 5},
-    {"expression": "S + 1e400*X"},
+    {"expression": "S + 1e400*X"}, {"coords": "SX"}, {"coords": [1, 2]},
 ]
 
 
